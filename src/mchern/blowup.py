@@ -25,8 +25,11 @@ and for subsets {0} u N containing the fresh index
 
 with [H_i] the fiber stratum class from :mod:`mchern.strata`.  Marked
 loci transform by the same two rules applied to their own center data.
-The weighted functional chi is invariant under this transformation, and
-:func:`verify_invariance` checks that exactly, locus by locus.
+The weighted functional chi is invariant under this transformation.
+:func:`audited_step` blows a step up once, with the caller's loci, and
+checks that exactly on the result, locus by locus, with the full locus
+read off the new system; :func:`run_program` and
+:func:`verify_invariance` both go through it.
 """
 
 from __future__ import annotations
@@ -258,13 +261,44 @@ def blow_up(
 # -- verification -------------------------------------------------------------
 
 
-FULL_LOCUS_NAME = "__full__"
+@dataclass(frozen=True)
+class StepAudit:
+    index: int
+    fresh_id: str
+    invariance_ok: bool
+    total_class_ok: bool
+    fiber_complete: bool
 
 
-def _with_full_rule(center: BlowupCenter) -> BlowupCenter:
-    rules = dict(center.locus_rules)
-    rules[FULL_LOCUS_NAME] = LocusRule.contains()
-    return BlowupCenter(center.codim, center.containing, dict(center.center_strata), rules)
+def chi_values(system: ModificationSystem, loci: Iterable[MarkedLocus]) -> list[MotivicClass]:
+    """chi of the full locus, then of each given locus, in order."""
+    return [system.chi(system.full_locus()), *(system.chi(locus) for locus in loci)]
+
+
+def audited_step(
+    system: ModificationSystem,
+    center: BlowupCenter,
+    loci: Iterable[MarkedLocus],
+    before: list[MotivicClass],
+    index: int = 0,
+) -> tuple[BlowupResult, StepAudit, list[MotivicClass]]:
+    """Blow up once with the given loci and audit that result.
+
+    ``before`` is :func:`chi_values` of ``system`` and ``loci``.  The full
+    locus after the step is ``result.system.full_locus()``: the full locus
+    before it, transformed with the center's own data.  The values after are
+    returned so that the next step can take them as its ``before``.
+    """
+    result = blow_up(system, center, loci)
+    after = chi_values(result.system, result.loci.values())
+    audit = StepAudit(
+        index,
+        result.fresh_id,
+        after == before,
+        total_class_delta_matches(system, result.system, center),
+        fiber_completeness_holds(result.system, center, result.fresh_id),
+    )
+    return result, audit, after
 
 
 def verify_invariance(
@@ -272,16 +306,13 @@ def verify_invariance(
     center: BlowupCenter,
     loci: Iterable[MarkedLocus] = (),
 ) -> bool:
-    """chi before equals chi after, for the full locus and every given locus."""
-    full = system.full_locus(FULL_LOCUS_NAME)
-    all_loci = [full, *loci]
-    result = blow_up(system, _with_full_rule(center), all_loci)
-    for locus in all_loci:
-        before = system.chi(locus)
-        after = result.system.chi(result.loci[locus.name])
-        if before != after:
-            return False
-    return True
+    """chi before equals chi after, for the full locus and every given locus.
+
+    The step is blown up once, with the given loci, and checked on that result.
+    """
+    loci = list(loci)
+    _, audit, _ = audited_step(system, center, loci, chi_values(system, loci))
+    return audit.invariance_ok
 
 
 def total_class_delta_matches(
@@ -315,20 +346,12 @@ class BlowupProgram:
 
 
 @dataclass(frozen=True)
-class StepAudit:
-    index: int
-    fresh_id: str
-    invariance_ok: bool
-    total_class_ok: bool
-    fiber_complete: bool
-
-
-@dataclass(frozen=True)
 class ProgramResult:
     final: ModificationSystem
     loci: dict[str, MarkedLocus]
     snapshots: tuple[ModificationSystem, ...]
     audits: tuple[StepAudit, ...]
+    final_chi: MotivicClass
 
     @property
     def all_checks_passed(self) -> bool:
@@ -337,36 +360,27 @@ class ProgramResult:
         )
 
 
-def run_program(program: BlowupProgram, *, audit: bool = True) -> ProgramResult:
-    """Left fold of blow_up over the steps, with per-step snapshots.
+def run_program(program: BlowupProgram) -> ProgramResult:
+    """Left fold of blow_up over the steps, with per-step snapshots and audits.
 
+    Each step is blown up once, with the program's loci, and audited on that
+    result; the chi values after one step are the values before the next.
     Errors raised by a step are re-raised with the step index attached.
     """
     system = program.initial
     loci = dict(program.loci)
+    chis = chi_values(system, loci.values())
     snapshots = [system]
     audits: list[StepAudit] = []
     for index, step in enumerate(program.steps):
         try:
-            if audit:
-                invariance_ok = verify_invariance(system, step, loci.values())
-            result = blow_up(system, step, loci.values())
+            result, audit, chis = audited_step(system, step, loci.values(), chis, index)
         except BlowupError as exc:
             raise BlowupError(f"step {index}: {exc}") from exc
-        if audit:
-            audits.append(
-                StepAudit(
-                    index,
-                    result.fresh_id,
-                    invariance_ok,
-                    total_class_delta_matches(system, result.system, step),
-                    fiber_completeness_holds(result.system, step, result.fresh_id),
-                )
-            )
-        system = result.system
-        loci = result.loci or loci
+        audits.append(audit)
+        system, loci = result.system, result.loci
         snapshots.append(system)
-    return ProgramResult(system, loci, tuple(snapshots), tuple(audits))
+    return ProgramResult(system, loci, tuple(snapshots), tuple(audits), chis[0])
 
 
 # -- JSON wire format ------------------------------------------------------------

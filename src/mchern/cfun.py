@@ -20,8 +20,6 @@ from typing import Iterable, Mapping
 
 from .surface import SurfaceModel
 
-Stratum = frozenset
-
 
 class ConstructibleFunction:
     """Rational weights on strata, keyed by frozensets of curve indices."""

@@ -21,14 +21,7 @@ import sys
 import time
 
 from . import cfun
-from .blowup import (
-    BlowupError,
-    blow_up,
-    program_from_json,
-    run_program,
-    total_class_delta_matches,
-    verify_invariance,
-)
+from .blowup import BlowupError, audited_step, chi_values, program_from_json, run_program
 from .modsys import system_to_json
 from .ring import MotivicClass
 from .sampling import random_invariance_case
@@ -145,11 +138,8 @@ def cmd_verify_invariance(args, started: float) -> int:
     failures = []
     for index in range(count):
         system, center, loci = random_invariance_case(rng, max_divisors=max_divisors)
-        ok = verify_invariance(system, center, loci)
-        result = blow_up(system, center)
-        if not total_class_delta_matches(system, result.system, center):
-            ok = False
-        if not ok:
+        _, audit, _ = audited_step(system, center, loci, chi_values(system, loci))
+        if not (audit.invariance_ok and audit.total_class_ok):
             failures.append(index)
     results = {"cases": count, "max_divisors": max_divisors, "failures": failures}
     status = PASS if not failures else FAIL
@@ -176,7 +166,7 @@ def cmd_blowup_run(args, started: float) -> int:
     if problems:
         raise ScenarioError("; ".join(problems))
     try:
-        outcome = run_program(program, audit=True)
+        outcome = run_program(program)
     except BlowupError as exc:
         raise ScenarioError(str(exc)) from exc
     audits = [
@@ -189,11 +179,10 @@ def cmd_blowup_run(args, started: float) -> int:
         }
         for a in outcome.audits
     ]
-    final_chi = outcome.final.chi(outcome.final.full_locus())
     results = {
         "steps": audits,
         "final_system": system_to_json(outcome.final, outcome.loci or None),
-        "final_chi": final_chi.to_json(),
+        "final_chi": outcome.final_chi.to_json(),
     }
     if args.emit_snapshots:
         results["snapshots"] = [system_to_json(s) for s in outcome.snapshots]

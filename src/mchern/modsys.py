@@ -54,9 +54,6 @@ class MarkedLocus:
             mask: cls for mask, cls in strata.items() if not cls.is_zero()
         }
 
-    def scaled(self, factor: int) -> "MarkedLocus":
-        return MarkedLocus(self.name, {m: factor * c for m, c in self.strata.items()})
-
     @staticmethod
     def combine(name: str, terms: Iterable[tuple[int, "MarkedLocus"]]) -> "MarkedLocus":
         """Integer linear combination, stratum by stratum."""
@@ -176,18 +173,13 @@ class ModificationSystem:
         return total
 
     def euler_chi(self, locus: MarkedLocus) -> Fraction:
-        """Euler-specialized functional, computed independently and cross-checked."""
+        """Euler-specialized functional: the weights [P^mu] become mu + 1."""
         total = Fraction(0)
         for mask, cls in locus.strata.items():
             weight = 1
             for mu in self.mu_of_mask(mask):
                 weight *= mu + 1
             total += cls.euler_specialize() / weight
-        via_chi = self.chi(locus).euler_specialize()
-        if total != via_chi:
-            raise ArithmeticError(
-                f"euler_chi mismatch on {locus.name!r}: {total} != {via_chi}"
-            )
         return total
 
     def __repr__(self) -> str:

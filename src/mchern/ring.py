@@ -255,6 +255,8 @@ class MotivicClass:
             raise TypeError(f"numerator must be LPolynomial or int, got {num!r}")
         ds = []
         for mu in den:
+            if type(mu) is not int:
+                raise ValueError(f"denominator exponent {mu!r} is not an integer")
             if mu < 0:
                 raise ValueError("denominator exponents must be nonnegative")
             if mu > 0:

@@ -186,10 +186,6 @@ class SurfaceModel:
     def plane(cls) -> "SurfaceModel":
         return cls()
 
-    @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "SurfaceModel":
-        return cls(events)
-
     @property
     def k(self) -> int:
         return len(self._mu)

@@ -13,7 +13,7 @@ from mchern.blowup import (
     total_class_delta_matches,
     verify_invariance,
 )
-from mchern.modsys import MarkedLocus, ModificationSystem
+from mchern.modsys import Divisor, MarkedLocus, ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass, affine_class, projective_class
 from mchern.sampling import random_invariance_case
 
@@ -232,6 +232,7 @@ class TestPrograms:
         assert outcome.final is system
         assert outcome.snapshots == (system,)
         assert outcome.all_checks_passed
+        assert outcome.final_chi == PLANE
 
     def test_two_step_nested(self):
         program = BlowupProgram(
@@ -250,12 +251,23 @@ class TestPrograms:
         assert outcome.final.total_class() == MotivicClass(LPolynomial((1, 3, 1)))
         assert len(outcome.snapshots) == 3
         assert outcome.final.chi(outcome.final.full_locus()) == PLANE
+        assert outcome.final_chi == PLANE
 
     def test_two_disjoint_points(self):
         program = BlowupProgram(trivial_plane(), (point_center(), point_center()))
         outcome = run_program(program)
         assert [d.mu for d in outcome.final.divisors] == [1, 1]
         assert outcome.final.total_class() == MotivicClass(LPolynomial((1, 3, 1)))
+
+    def test_audit_catches_wrong_fresh_multiplicity(self, monkeypatch):
+        # a fresh divisor one too heavy breaks chi invariance but neither
+        # bookkeeping check, so only the before/after comparison can flag it
+        monkeypatch.setattr("mchern.blowup.Divisor", lambda ident, mu: Divisor(ident, mu + 1))
+        outcome = run_program(BlowupProgram(trivial_plane(), (point_center(),)))
+        [audit] = outcome.audits
+        assert not audit.invariance_ok
+        assert audit.total_class_ok and audit.fiber_complete
+        assert not outcome.all_checks_passed
 
     def test_error_carries_step_index(self):
         bad = BlowupCenter(

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mchern.cli import main
+from mchern.modsys import Divisor
 
 PLANE_CLASS = {"numerator": "1 + L + L^2", "denominator": []}
 
@@ -113,6 +114,29 @@ class TestBlowupRun:
         assert report["results"]["final_chi"] == PLANE_CLASS
         mus = [d["mu"] for d in report["results"]["final_system"]["divisors"]]
         assert mus == [1, 2]
+
+    def test_failed_audit_exits_one(self, capsys, monkeypatch, program_file, tmp_path):
+        payload = json.loads(open(program_file).read())
+        payload["steps"] = payload["steps"][:1]
+        path = tmp_path / "one_step.json"
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr("mchern.blowup.Divisor", lambda ident, mu: Divisor(ident, mu + 1))
+        assert main(["blowup", "run", "--program", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        [step] = report["results"]["steps"]
+        assert step["chi_invariant"] is False
+        assert step["total_class_ok"] is True and step["fiber_complete"] is True
+
+    @pytest.mark.parametrize("exponent", [1.5, True])
+    def test_non_integer_exponent_is_input_error(self, capsys, program_file, tmp_path, exponent):
+        payload = json.loads(open(program_file).read())
+        payload["initial"]["strata"][0]["class"]["denominator"] = [exponent]
+        path = tmp_path / "bad_exponent.json"
+        path.write_text(json.dumps(payload))
+        assert main(["blowup", "run", "--program", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_snapshots_emitted(self, capsys, program_file):
         assert main(["blowup", "run", "--program", program_file, "--emit-snapshots", "--json"]) == 0

@@ -117,12 +117,18 @@ class TestChi:
             combo = MarkedLocus.combine("combo", [(a, t1), (b, t2)])
             assert system.chi(combo) == a * system.chi(t1) + b * system.chi(t2)
 
-    def test_euler_chi_agrees_with_specialization(self):
+    def test_euler_chi_agrees_with_specialization(self, corpus_surfaces):
         rng = random.Random(11)
         for _ in range(25):
             system = random_system(rng, max_divisors=6)
             locus = random_locus(rng, system, "T")
             assert system.euler_chi(locus) == system.chi(locus).euler_specialize()
+        # exported surface systems: the full locus and every fiber locus
+        for surface in corpus_surfaces[:100]:
+            for m in range(surface.k + 1):
+                system, loci = surface.export_modification_system(m)
+                for locus in loci.values():
+                    assert system.euler_chi(locus) == system.chi(locus).euler_specialize()
 
 
 class TestFullLocus:

@@ -72,8 +72,13 @@ class TestMotivicClassJson:
         assert MotivicClass.from_json({"numerator": [1, 1], "denominator": [1]}) == 1
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            MotivicClass.from_json([1, 2])
+        for obj in (
+            [1, 2],
+            {"numerator": "1", "denominator": [1.5]},
+            {"numerator": "1", "denominator": [True]},
+        ):
+            with pytest.raises(ValueError):
+                MotivicClass.from_json(obj)
 
 
 def sample_system():
