@@ -37,7 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .modsys import Divisor, MarkedLocus, ModificationSystem
+from .modsys import (
+    Divisor,
+    MarkedLocus,
+    ModificationSystem,
+    json_int,
+    json_object,
+    strata_from_json,
+    subset_from_json,
+    system_from_json,
+    system_to_json,
+)
 from .ring import MotivicClass, projective_class
 from .strata import FiberFrame, hyperplane_stratum_class
 
@@ -91,10 +101,7 @@ class BlowupCenter:
     locus_rules: Mapping[str, LocusRule] = field(default_factory=dict)
 
     def total_class(self) -> MotivicClass:
-        total = MotivicClass.zero()
-        for cls in self.center_strata.values():
-            total = total + cls
-        return total
+        return sum(self.center_strata.values(), MotivicClass.zero())
 
 
 @dataclass(frozen=True)
@@ -328,10 +335,7 @@ def fiber_completeness_holds(
 ) -> bool:
     """Strata on the fresh divisor sum to [S] * [P^(d-1)]."""
     bit = after.mask_of(fresh_id)
-    total = MotivicClass.zero()
-    for mask, cls in after.strata.items():
-        if mask & bit:
-            total = total + cls
+    total = sum((cls for mask, cls in after.strata.items() if mask & bit), MotivicClass.zero())
     return total == center.total_class() * projective_class(center.codim - 1)
 
 
@@ -386,29 +390,24 @@ def run_program(program: BlowupProgram) -> ProgramResult:
 # -- JSON wire format ------------------------------------------------------------
 
 
-def _strata_from_json(entries) -> dict[frozenset[str], MotivicClass]:
-    return {
-        frozenset(entry["subset"]): MotivicClass.from_json(entry["class"])
-        for entry in entries
-    }
-
-
 def center_from_json(obj: Mapping) -> BlowupCenter:
+    obj = json_object(obj, "blow-up step")
     try:
         rules: dict[str, LocusRule] = {}
-        for name, kind in obj.get("locus_defaults", {}).items():
+        for name, kind in json_object(obj.get("locus_defaults", {}), "locus_defaults").items():
             if kind == CONTAINS_CENTER:
                 rules[name] = LocusRule.contains()
             elif kind == DISJOINT_FROM_CENTER:
                 rules[name] = LocusRule.disjoint()
             else:
                 raise ValueError(f"unknown locus default {kind!r} for {name!r}")
-        for name, entries in obj.get("locus_center_strata", {}).items():
-            rules[name] = LocusRule.explicit(_strata_from_json(entries))
+        explicit = json_object(obj.get("locus_center_strata", {}), "locus_center_strata")
+        for name, entries in explicit.items():
+            rules[name] = LocusRule.explicit(strata_from_json(entries))
         return BlowupCenter(
-            codim=int(obj["codim"]),
-            containing=frozenset(obj.get("containing", ())),
-            center_strata=_strata_from_json(obj.get("center_strata", ())),
+            codim=json_int(obj["codim"], "codim"),
+            containing=subset_from_json(obj.get("containing", [])),
+            center_strata=strata_from_json(obj.get("center_strata", [])),
             locus_rules=rules,
         )
     except (KeyError, TypeError) as exc:
@@ -442,8 +441,6 @@ def center_to_json(center: BlowupCenter) -> dict:
 
 
 def program_from_json(obj: Mapping) -> BlowupProgram:
-    from .modsys import system_from_json
-
     try:
         system, loci = system_from_json(obj["initial"])
         steps = tuple(center_from_json(step) for step in obj.get("steps", ()))
@@ -453,8 +450,6 @@ def program_from_json(obj: Mapping) -> BlowupProgram:
 
 
 def program_to_json(program: BlowupProgram) -> dict:
-    from .modsys import system_to_json
-
     return {
         "initial": system_to_json(program.initial, program.loci or None),
         "steps": [center_to_json(step) for step in program.steps],

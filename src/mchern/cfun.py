@@ -9,7 +9,9 @@ number of crossings and a crossing point contributes 1, while a generic
 point downstairs only ever sees the open stratum.
 
 The result is a :class:`BaseFunction`: a generic value plus finitely many
-corrections at named base points.
+corrections at named base points.  Which strata exist, their weights, Euler
+numbers and contracted points, and the fiberwise integral itself are read
+from :class:`~mchern.surface.RelativeArrangement`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .modsys import strata_from_json
 from .surface import SurfaceModel
 
 
@@ -95,39 +98,12 @@ class BaseFunction:
         }
 
 
-def _validate_strata(surface: SurfaceModel, f: ConstructibleFunction, stage: int):
-    rel = surface.relative(stage)
-    valid_curves = set(rel.curves)
-    valid_pairs = set(rel.pairs)
-    for key in f.weights:
-        if len(key) == 0:
-            continue
-        if len(key) == 1:
-            (j,) = key
-            if j not in valid_curves:
-                raise ValueError(f"unknown stratum: curve {j} at stage {stage}")
-        elif len(key) == 2:
-            if tuple(sorted(key)) not in valid_pairs:
-                raise ValueError(f"unknown stratum: curves {sorted(key)} do not cross")
-        else:
-            raise ValueError(f"unknown stratum of depth {len(key)}")
-
-
 def pushforward(
     surface: SurfaceModel, f: ConstructibleFunction, to_stage: int = 0
 ) -> BaseFunction:
     """Integrate fiberwise Euler characteristics down to the stage surface."""
-    _validate_strata(surface, f, to_stage)
-    rel = surface.relative(to_stage)
+    values = surface.relative(to_stage).fiber_integral(f.weights)
     generic = f.weights.get(frozenset(), Fraction(0))
-    values: dict[str, Fraction] = {root: Fraction(0) for root in rel.root_order}
-    for key, weight in f.weights.items():
-        if len(key) == 1:
-            (j,) = key
-            values[rel.roots[j]] += weight * (2 - rel.meets[j])
-        elif len(key) == 2:
-            a, _ = sorted(key)
-            values[rel.roots[a]] += weight
     corrections = {
         root: value - generic for root, value in values.items() if value != generic
     }
@@ -137,26 +113,7 @@ def pushforward(
 def weighted_unit(surface: SurfaceModel, stage: int = 0) -> ConstructibleFunction:
     """Each stratum weighted by 1 / prod (mu_i + 1) over its curves."""
     rel = surface.relative(stage)
-    weights: dict[frozenset[int], Fraction] = {frozenset(): Fraction(1)}
-    for j in rel.curves:
-        weights[frozenset((j,))] = Fraction(1, rel.mus[j] + 1)
-    for a, b in rel.pairs:
-        weights[frozenset((a, b))] = Fraction(1, (rel.mus[a] + 1) * (rel.mus[b] + 1))
-    return ConstructibleFunction(weights)
-
-
-def restrict_to_fiber(
-    surface: SurfaceModel, f: ConstructibleFunction, base_point: str, stage: int = 0
-) -> ConstructibleFunction:
-    """Keep only the strata lying in the fiber over one base point."""
-    rel = surface.relative(stage)
-    if base_point not in rel.root_order:
-        raise ValueError(f"unknown base point {base_point!r}")
-    kept = {}
-    for key, weight in f.weights.items():
-        if key and all(rel.roots[j] == base_point for j in key):
-            kept[key] = weight
-    return ConstructibleFunction(kept)
+    return ConstructibleFunction({key: rel.weight(key) for key in ((),) + rel.strata})
 
 
 def verify_unit_pushforward(surface: SurfaceModel, stage: int = 0) -> bool:
@@ -167,14 +124,19 @@ def verify_unit_pushforward(surface: SurfaceModel, stage: int = 0) -> bool:
 # -- JSON wire format ---------------------------------------------------------
 
 
+def _weight_from_json(value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"weight {value!r} has a zero denominator") from None
+
+
 def function_from_json(obj: Mapping) -> ConstructibleFunction:
     try:
-        weights = {}
-        for entry in obj["strata"]:
-            key = frozenset(int(j) for j in entry["subset"])
-            weights[key] = Fraction(str(entry["weight"]))
-        return ConstructibleFunction(weights)
-    except (KeyError, TypeError, ValueError) as exc:
+        return ConstructibleFunction(
+            strata_from_json(obj["strata"], "weight", _weight_from_json, int)
+        )
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed function object: {exc}") from exc
 
 

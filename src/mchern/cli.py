@@ -1,13 +1,16 @@
 """Command-line driver: scenario ingestion, verification sweeps, reports.
 
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 bad
-input.  Reports are JSON with sorted keys; all randomness is seeded and
-the seed is recorded, so re-running a command reproduces the report byte
-for byte.  Wall-clock timings are only attached on request (--timings)
+input; every input error is a ``ValueError`` that :func:`main` turns into
+one ``error:`` line on stderr.  A reader that closes standard output early
+does not change the exit code.  Reports are JSON with sorted keys; all
+randomness is seeded and the seed is recorded, so re-running a command
+reproduces the report byte for byte.  Wall-clock timings are only attached on request (--timings)
 and are never part of the digest.
 
 Default sweep sizes can be overridden with the environment variable
-``MC_SWEEP_BOUNDS``, e.g. ``MC_SWEEP_BOUNDS="d_max=4,mu_max=2,count=50"``.
+``MC_SWEEP_BOUNDS``, e.g. ``MC_SWEEP_BOUNDS="d_max=4,mu_max=2,count=50"``;
+an unknown key is an input error.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 import time
 
 from . import cfun
-from .blowup import BlowupError, audited_step, chi_values, program_from_json, run_program
+from .blowup import audited_step, chi_values, program_from_json, run_program
 from .modsys import system_to_json
 from .ring import MotivicClass
 from .sampling import random_invariance_case
@@ -51,8 +54,11 @@ def sweep_bounds() -> dict:
         if "=" not in chunk:
             raise ScenarioError(f"bad MC_SWEEP_BOUNDS entry {chunk!r}")
         key, _, value = chunk.partition("=")
+        key = key.strip()
+        if key not in DEFAULT_BOUNDS:
+            raise ScenarioError(f"unknown MC_SWEEP_BOUNDS key {key!r}")
         try:
-            bounds[key.strip()] = int(value)
+            bounds[key] = int(value)
         except ValueError:
             raise ScenarioError(f"bad MC_SWEEP_BOUNDS value {chunk!r}") from None
     return bounds
@@ -90,7 +96,7 @@ def build_report(command: str, inputs: dict, results: dict, status: str, seed=No
     return body
 
 
-def emit(report: dict, args, started: float) -> int:
+def emit(report: dict, args, started: float) -> None:
     if getattr(args, "timings", False):
         report = dict(report)
         report["timings"] = {"wall_seconds": round(time.monotonic() - started, 6)}
@@ -102,13 +108,13 @@ def emit(report: dict, args, started: float) -> int:
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
             print(f"  {key}: {value}")
-    return 0 if report["status"] == PASS else 1
 
 
 # -- verify ---------------------------------------------------------------------
 
 
-def cmd_verify_identity(args, which: str, started: float) -> int:
+def cmd_verify_identity(args) -> dict:
+    which = args.identity
     d_max = _bound(args.d_max, "d_max")
     mu_max = _bound(args.mu_max, "mu_max")
     if d_max < 1 or mu_max < 0:
@@ -127,10 +133,10 @@ def cmd_verify_identity(args, which: str, started: float) -> int:
         }
     status = PASS if result.passed else FAIL
     inputs = {"d_max": d_max, "mu_max": mu_max, "mu0_offset": args.mu0_offset}
-    return emit(build_report(f"verify {which}", inputs, results, status), args, started)
+    return build_report(f"verify {which}", inputs, results, status)
 
 
-def cmd_verify_invariance(args, started: float) -> int:
+def cmd_verify_invariance(args) -> dict:
     count = _bound(args.count, "count")
     max_divisors = _bound(args.max_divisors, "max_divisors")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
@@ -144,17 +150,13 @@ def cmd_verify_invariance(args, started: float) -> int:
     results = {"cases": count, "max_divisors": max_divisors, "failures": failures}
     status = PASS if not failures else FAIL
     inputs = {"count": count, "max_divisors": max_divisors}
-    return emit(
-        build_report("verify invariance", inputs, results, status, seed=seed),
-        args,
-        started,
-    )
+    return build_report("verify invariance", inputs, results, status, seed=seed)
 
 
 # -- blowup -----------------------------------------------------------------------
 
 
-def cmd_blowup_run(args, started: float) -> int:
+def cmd_blowup_run(args) -> dict:
     path = args.scenario or args.program
     if path is None:
         raise ScenarioError("blowup run needs --program or --scenario")
@@ -165,10 +167,7 @@ def cmd_blowup_run(args, started: float) -> int:
         problems += program.initial.locus_violations(locus)
     if problems:
         raise ScenarioError("; ".join(problems))
-    try:
-        outcome = run_program(program)
-    except BlowupError as exc:
-        raise ScenarioError(str(exc)) from exc
+    outcome = run_program(program)
     audits = [
         {
             "step": a.index,
@@ -188,7 +187,7 @@ def cmd_blowup_run(args, started: float) -> int:
         results["snapshots"] = [system_to_json(s) for s in outcome.snapshots]
     status = PASS if outcome.all_checks_passed else FAIL
     inputs = {"program": _digest_file(path)}
-    return emit(build_report("blowup run", inputs, results, status), args, started)
+    return build_report("blowup run", inputs, results, status)
 
 
 # -- surface -----------------------------------------------------------------------
@@ -198,21 +197,22 @@ def _load_surface(args) -> tuple[SurfaceModel, str]:
     path = args.scenario or args.program
     if path is None:
         raise ScenarioError("surface commands need --program or --scenario")
-    payload = load_payload(path, "surface")
-    events = events_from_json(payload)
-    try:
-        return SurfaceModel(events), path
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return SurfaceModel(events_from_json(load_payload(path, "surface"))), path
 
 
 def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
     stage = surface.stage_model(m)
     pushed = surface.pushforward(surface.stringy_class(m), m)
+    # the weighted unit pushed down; its values are the fiber Euler profiles
+    unit = cfun.pushforward(surface, cfun.weighted_unit(surface, m), m)
     checks = {
         "pushforward_matches_chern": pushed == stage.chern_class(),
-        "unit_pushforward": cfun.verify_unit_pushforward(surface, m),
+        "unit_pushforward": unit.is_constant(1),
     }
+    if m == 0:
+        checks["fiber_profiles_one"] = all(
+            unit.value_at(anchor) == 1 for anchor in surface.relative(0).root_order
+        )
     system, loci = surface.export_modification_system(m)
     chi_full = system.chi(loci["full"])
     checks["chi_matches_stage_class"] = chi_full == surface.class_of_stage(m)
@@ -225,7 +225,7 @@ def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
     return checks
 
 
-def cmd_surface_verify(args, started: float) -> int:
+def cmd_surface_verify(args) -> dict:
     surface, path = _load_surface(args)
     if args.stage is not None and not 0 <= args.stage <= surface.k:
         raise ScenarioError(f"stage {args.stage} out of range 0..{surface.k}")
@@ -234,11 +234,6 @@ def cmd_surface_verify(args, started: float) -> int:
     ok = True
     for m in stages:
         checks = verify_surface_stage(surface, m)
-        if m == 0:
-            checks["fiber_profiles_one"] = all(
-                surface.fiber_euler_profile(anchor) == 1
-                for anchor in surface.relative(0).root_order
-            )
         results["stages"][str(m)] = checks
         ok = ok and all(checks.values())
     swapped = swap_last_two(surface.events)
@@ -251,12 +246,13 @@ def cmd_surface_verify(args, started: float) -> int:
         ok = ok and same
     status = PASS if ok else FAIL
     inputs = {"program": _digest_file(path), "stage": args.stage}
-    return emit(build_report("surface verify-main", inputs, results, status), args, started)
+    return build_report("surface verify-main", inputs, results, status)
 
 
-def cmd_surface_report(args, started: float) -> int:
+def cmd_surface_report(args) -> dict:
     surface, path = _load_surface(args)
     stringy = surface.stringy_class(0)
+    unit = cfun.pushforward(surface, cfun.weighted_unit(surface, 0), 0)
     results = {
         "events": events_to_json(surface.events)["events"],
         "k": surface.k,
@@ -269,37 +265,32 @@ def cmd_surface_report(args, started: float) -> int:
             for m in range(surface.k + 1)
         },
         "fiber_profiles": {
-            anchor: str(surface.fiber_euler_profile(anchor))
-            for anchor in surface.relative(0).root_order
+            anchor: str(unit.value_at(anchor)) for anchor in surface.relative(0).root_order
         },
     }
     inputs = {"program": _digest_file(path)}
-    return emit(build_report("surface report", inputs, results, PASS), args, started)
+    return build_report("surface report", inputs, results, PASS)
 
 
 # -- cfun ------------------------------------------------------------------------
 
 
-def cmd_cfun_push(args, started: float) -> int:
+def cmd_cfun_push(args) -> dict:
     surface, spath = _load_surface(args)
-    payload = load_payload(args.function, "function")
-    try:
-        function = cfun.function_from_json(payload)
-        base = cfun.pushforward(surface, function, args.stage or 0)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    function = cfun.function_from_json(load_payload(args.function, "function"))
+    base = cfun.pushforward(surface, function, args.stage or 0)
     results = {
         "function": cfun.function_to_json(function),
         "pushforward": base.to_json(),
     }
     inputs = {"program": _digest_file(spath), "function": _digest_file(args.function)}
-    return emit(build_report("cfun push", inputs, results, PASS), args, started)
+    return build_report("cfun push", inputs, results, PASS)
 
 
 # -- motivic ------------------------------------------------------------------------
 
 
-def cmd_motivic_eval(args, started: float) -> int:
+def cmd_motivic_eval(args) -> dict:
     text = args.class_spec
     if text.startswith("@"):
         try:
@@ -311,17 +302,14 @@ def cmd_motivic_eval(args, started: float) -> int:
         obj = json.loads(text)
     except json.JSONDecodeError:
         obj = text  # allow a bare polynomial expression
-    try:
-        value = MotivicClass.from_json(obj)
-        results: dict = {"class": value.to_json(), "canonical": str(value)}
-        if args.euler:
-            results["euler"] = str(value.euler_specialize())
-        for q in args.at or ():
-            results[f"at_{q}"] = str(value.eval_at(q))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    value = MotivicClass.from_json(obj)
+    results: dict = {"class": value.to_json(), "canonical": str(value)}
+    if args.euler:
+        results["euler"] = str(value.euler_specialize())
+    for q in args.at or ():
+        results[f"at_{q}"] = str(value.eval_at(q))
     inputs = {"class": obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)}
-    return emit(build_report("motivic eval", inputs, results, PASS), args, started)
+    return build_report("motivic eval", inputs, results, PASS)
 
 
 # -- plumbing --------------------------------------------------------------------
@@ -351,11 +339,13 @@ def make_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="identity", required=True)
     for name in ("simplex", "simplexcor"):
         vp = vsub.add_parser(name)
+        vp.set_defaults(run=cmd_verify_identity)
         vp.add_argument("--d-max", type=int, default=None)
         vp.add_argument("--mu-max", type=int, default=None)
         vp.add_argument("--mu0-offset", type=int, default=0)
         _add_common(vp)
     vinv = vsub.add_parser("invariance")
+    vinv.set_defaults(run=cmd_verify_invariance)
     vinv.add_argument("--count", type=int, default=None)
     vinv.add_argument("--seed", type=int, default=None)
     vinv.add_argument("--max-divisors", type=int, default=None)
@@ -364,6 +354,7 @@ def make_parser() -> argparse.ArgumentParser:
     blowup = sub.add_parser("blowup", help="run blow-up programs")
     bsub = blowup.add_subparsers(dest="action", required=True)
     brun = bsub.add_parser("run")
+    brun.set_defaults(run=cmd_blowup_run)
     brun.add_argument("--program")
     brun.add_argument("--scenario")
     brun.add_argument("--emit-snapshots", action="store_true")
@@ -372,11 +363,13 @@ def make_parser() -> argparse.ArgumentParser:
     surf = sub.add_parser("surface", help="plane blow-up surfaces")
     ssub = surf.add_subparsers(dest="action", required=True)
     sver = ssub.add_parser("verify-main")
+    sver.set_defaults(run=cmd_surface_verify)
     sver.add_argument("--program")
     sver.add_argument("--scenario")
     sver.add_argument("--stage", type=int, default=None)
     _add_common(sver)
     srep = ssub.add_parser("report")
+    srep.set_defaults(run=cmd_surface_report)
     srep.add_argument("--program")
     srep.add_argument("--scenario")
     _add_common(srep)
@@ -384,6 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
     cf = sub.add_parser("cfun", help="constructible functions")
     csub = cf.add_subparsers(dest="action", required=True)
     cpush = csub.add_parser("push")
+    cpush.set_defaults(run=cmd_cfun_push)
     cpush.add_argument("--program")
     cpush.add_argument("--scenario")
     cpush.add_argument("--function", required=True)
@@ -393,6 +387,7 @@ def make_parser() -> argparse.ArgumentParser:
     mot = sub.add_parser("motivic", help="evaluate classes")
     msub = mot.add_subparsers(dest="action", required=True)
     meval = msub.add_parser("eval")
+    meval.set_defaults(run=cmd_motivic_eval)
     meval.add_argument("class_spec", help="class JSON, bare polynomial, or @file")
     meval.add_argument("--at", type=int, action="append")
     meval.add_argument("--euler", action="store_true")
@@ -403,28 +398,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     started = time.monotonic()
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            if args.identity in ("simplex", "simplexcor"):
-                return cmd_verify_identity(args, args.identity, started)
-            return cmd_verify_invariance(args, started)
-        if args.command == "blowup":
-            return cmd_blowup_run(args, started)
-        if args.command == "surface":
-            if args.action == "verify-main":
-                return cmd_surface_verify(args, started)
-            return cmd_surface_report(args, started)
-        if args.command == "cfun":
-            return cmd_cfun_push(args, started)
-        if args.command == "motivic":
-            return cmd_motivic_eval(args, started)
-        parser.error(f"unknown command {args.command!r}")
-    except (ScenarioError, ValueError) as exc:
+        report = args.run(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    try:
+        emit(report, args, started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early; keep the verdict and let the exit flush
+        # write to /dev/null instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0 if report["status"] == PASS else 1
 
 
 def entry():  # console-script hook

@@ -13,9 +13,10 @@ distinguished locus U downstairs.  The functional
     chi(U) = sum_I [E_I ^ preimage(U)] / prod_{i in I} [P^mu_i]
 
 recovers the class of U itself; its evaluation at L = 1 is the weighted
-Euler sum.  Subsets are encoded as bitmasks over the divisor index set,
-which bounds the number of divisors at 62; every use here stays far
-below that.
+Euler sum.  Subsets are encoded as bitmasks over the divisor index set.
+
+The JSON decoders here are strict: integers must be JSON integers, subsets
+lists of distinct ids, and no subset may be listed twice.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ class MarkedLocus:
             mask: cls for mask, cls in strata.items() if not cls.is_zero()
         }
 
-    @staticmethod
-    def combine(name: str, terms: Iterable[tuple[int, "MarkedLocus"]]) -> "MarkedLocus":
-        """Integer linear combination, stratum by stratum."""
-        acc: dict[int, MotivicClass] = {}
-        for coeff, locus in terms:
-            for mask, cls in locus.strata.items():
-                cur = acc.get(mask, MotivicClass.zero())
-                acc[mask] = cur + coeff * cls
-        return MarkedLocus(name, acc)
-
     def __repr__(self) -> str:
         return f"MarkedLocus({self.name!r}, {len(self.strata)} strata)"
 
@@ -71,7 +62,7 @@ class MarkedLocus:
 class ModificationSystem:
     """Divisor multiplicities plus the classes of all arrangement strata."""
 
-    __slots__ = ("ambient_dim", "divisors", "strata", "ambient_class", "label")
+    __slots__ = ("ambient_dim", "divisors", "strata", "ambient_class", "label", "_ident_index")
 
     def __init__(
         self,
@@ -88,8 +79,6 @@ class ModificationSystem:
         idents = [d.ident for d in divs]
         if len(set(idents)) != len(idents):
             raise ValueError("divisor ids must be distinct")
-        if len(divs) > 62:
-            raise ValueError("at most 62 divisors are supported (bitmask encoding)")
         self.ambient_dim = ambient_dim
         self.divisors = divs
         index = {d.ident: i for i, d in enumerate(divs)}
@@ -103,10 +92,7 @@ class ModificationSystem:
         self.strata = normalized
         self.ambient_class = ambient_class
         self.label = label
-
-    @property
-    def _ident_index(self) -> dict[str, int]:
-        return {d.ident: i for i, d in enumerate(self.divisors)}
+        self._ident_index = index
 
     @property
     def idents(self) -> tuple[str, ...]:
@@ -127,10 +113,7 @@ class ModificationSystem:
         return self.strata.get(self.mask_of(key), MotivicClass.zero())
 
     def total_class(self) -> MotivicClass:
-        total = MotivicClass.zero()
-        for cls in self.strata.values():
-            total = total + cls
-        return total
+        return sum(self.strata.values(), MotivicClass.zero())
 
     # -- invariants ----------------------------------------------------------
 
@@ -167,10 +150,13 @@ class ModificationSystem:
 
     def chi(self, locus: MarkedLocus) -> MotivicClass:
         """Weighted stratum sum; with the full locus this is the base class."""
-        total = MotivicClass.zero()
-        for mask, cls in sorted(locus.strata.items()):
-            total = total + MotivicClass(cls.num, cls.den + self.mu_of_mask(mask))
-        return total
+        return sum(
+            (
+                MotivicClass(cls.num, cls.den + self.mu_of_mask(mask))
+                for mask, cls in sorted(locus.strata.items())
+            ),
+            MotivicClass.zero(),
+        )
 
     def euler_chi(self, locus: MarkedLocus) -> Fraction:
         """Euler-specialized functional: the weights [P^mu] become mu + 1."""
@@ -212,6 +198,44 @@ def _as_mask(key: SubsetKey, index: Mapping[str, int], count: int) -> int:
 # -- JSON wire format ----------------------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def subset_from_json(value, item: type = str) -> frozenset:
+    """A JSON list of distinct ids of type ``item``."""
+    if not isinstance(value, list) or any(type(i) is not item for i in value):
+        raise ValueError(f"subset must be a list of {item.__name__} ids, got {value!r}")
+    subset = frozenset(value)
+    if len(subset) != len(value):
+        raise ValueError(f"repeated id in subset {value!r}")
+    return subset
+
+
+def strata_from_json(
+    entries, value: str = "class", decode=MotivicClass.from_json, item: type = str
+) -> dict[frozenset, object]:
+    """Decode ``[{"subset": [...], value: ...}, ...]``, keyed by subset; no subset twice."""
+    if not isinstance(entries, list):
+        raise ValueError(f"strata must be a JSON list, got {type(entries).__name__}")
+    out: dict[frozenset, object] = {}
+    for entry in entries:
+        subset = subset_from_json(entry["subset"], item)
+        if subset in out:
+            raise ValueError(f"duplicate stratum {sorted(subset)!r}")
+        out[subset] = decode(entry[value])
+    return out
+
+
 def system_to_json(
     system: ModificationSystem, loci: Optional[Mapping[str, MarkedLocus]] = None
 ) -> dict:
@@ -242,27 +266,24 @@ def system_to_json(
 
 
 def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, MarkedLocus]]:
+    obj = json_object(obj, "system")
     try:
-        divisors = [(d["id"], int(d["mu"])) for d in obj.get("divisors", ())]
-        strata = {
-            frozenset(entry["subset"]): MotivicClass.from_json(entry["class"])
-            for entry in obj.get("strata", ())
-        }
+        divisors = [(d["id"], json_int(d["mu"], "mu")) for d in obj.get("divisors", ())]
         ambient = obj.get("ambient_class")
         system = ModificationSystem(
-            int(obj["ambient_dim"]),
+            json_int(obj["ambient_dim"], "ambient_dim"),
             divisors,
-            {tuple(sorted(k)): v for k, v in strata.items()},
+            strata_from_json(obj.get("strata", [])),
             ambient_class=MotivicClass.from_json(ambient) if ambient is not None else None,
             label=str(obj.get("label", "")),
         )
         loci: dict[str, MarkedLocus] = {}
         for entry in obj.get("loci", ()):
-            strata_map = {
-                system.mask_of(tuple(item["subset"])): MotivicClass.from_json(item["class"])
-                for item in entry.get("strata", ())
-            }
-            loci[entry["name"]] = MarkedLocus(entry["name"], strata_map)
+            name = json_object(entry, "locus")["name"]
+            if name in loci:
+                raise ValueError(f"duplicate locus {name!r}")
+            strata = strata_from_json(entry.get("strata", []))
+            loci[name] = MarkedLocus(name, {system.mask_of(k): v for k, v in strata.items()})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed system object: {exc}") from exc
     return system, loci

@@ -369,18 +369,11 @@ class MotivicClass:
     def as_polynomial(self) -> Optional[LPolynomial]:
         """The quotient num / prod [P^mu] when it is exact over Z, else None.
 
-        Factor-by-factor division decides this: the factors are monic, so
-        divisibility by their product is order-independent.
+        The factors are monic, so their product divides the numerator exactly
+        when :meth:`reduced` cancels every one of them.
         """
-        num = self.num
-        for mu in sorted(self.den, reverse=True):
-            if num.is_zero():
-                return num
-            quot, rem = num.divide_by_monic(projective_poly(mu))
-            if not rem.is_zero():
-                return None
-            num = quot
-        return num
+        red = self.reduced()
+        return None if red.den else red.num
 
     def is_polynomial(self) -> bool:
         return self.as_polynomial() is not None
@@ -407,7 +400,7 @@ class MotivicClass:
 
     @classmethod
     def from_json(cls, obj) -> "MotivicClass":
-        if isinstance(obj, int):
+        if type(obj) is int:
             return cls.from_int(obj)
         if isinstance(obj, str):
             return cls(LPolynomial.from_text(obj))
@@ -415,10 +408,15 @@ class MotivicClass:
             raise ValueError(f"cannot decode motivic class from {obj!r}")
         num = obj.get("numerator", "0")
         if isinstance(num, list):
+            if any(type(c) is not int for c in num):
+                raise ValueError(f"numerator coefficients must be integers, got {num!r}")
             poly = LPolynomial(num)
         else:
             poly = LPolynomial.from_text(str(num))
-        return cls(poly, tuple(obj.get("denominator", ())))
+        den = obj.get("denominator", [])
+        if not isinstance(den, list):
+            raise ValueError(f"denominator must be a list of exponents, got {den!r}")
+        return cls(poly, den)
 
     def __str__(self) -> str:
         red = self.reduced()

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 from .ring import LPolynomial, MotivicClass, projective_poly
@@ -133,14 +132,6 @@ def euler_shadow_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset
     for mu in mus:
         rhs /= mu + 1
     return lhs == rhs
-
-
-def partition_class(frame: FiberFrame) -> MotivicClass:
-    """Sum of all stratum classes weighted by subset counts; equals [P^(d-1)]."""
-    total = MotivicClass.zero()
-    for size in range(frame.k + 1):
-        total = total + comb(frame.k, size) * hyperplane_stratum_class(frame, size)
-    return total
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,21 @@ CSM classes of arrangement strata, the weighted stratum sum whose
 push-forwards recover the Chern classes of every intermediate stage, and
 the exporter producing the matching :class:`~mchern.modsys.ModificationSystem`.
 All of it is exact, over Fractions and integer polynomials.
+
+The facts about one stratum of the arrangement relative to a stage (whether
+it exists, its weight 1 / prod (mu_i + 1), its Euler number, the point it
+contracts to) live on :class:`RelativeArrangement`, and every consumer here
+and in :mod:`mchern.cfun` reads them from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 
-from .modsys import MarkedLocus, ModificationSystem
+from .modsys import MarkedLocus, ModificationSystem, json_int
 from .ring import LPolynomial, MotivicClass
 
 
@@ -79,10 +85,6 @@ class ChowClass:
     @property
     def basis_size(self) -> int:
         return len(self.curves)
-
-    @classmethod
-    def zero(cls, k: int) -> "ChowClass":
-        return cls(0, (0,) * (k + 1), 0)
 
     @classmethod
     def point(cls, k: int) -> "ChowClass":
@@ -152,6 +154,10 @@ class RelativeArrangement:
     discrepancies are recomputed with stage-surviving curves weighted 0.
     ``roots`` names, per arrangement curve, the point of the stage
     surface it contracts to.
+
+    A stratum is keyed by the sorted tuple of the curves it lies on: ``()``
+    is the open complement, ``(j,)`` the open part of curve j, ``(a, b)``
+    the crossing point of a and b.
     """
 
     stage: int
@@ -161,6 +167,50 @@ class RelativeArrangement:
     meets: Mapping[int, int]
     roots: Mapping[int, str]
     root_order: tuple[str, ...]
+
+    @property
+    def strata(self) -> tuple[tuple[int, ...], ...]:
+        """The strata on at least one curve: each curve, then each crossing."""
+        return tuple((t,) for t in self.curves) + self.pairs
+
+    def check(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """The key of the stratum on exactly these curves; ValueError if there is none."""
+        key = tuple(sorted(set(subset)))
+        for j in key:
+            if j not in self.meets:
+                raise ValueError(
+                    f"unknown stratum: curve {j} is not in the stage-{self.stage} arrangement"
+                )
+        if len(key) > 2:
+            raise ValueError(f"unknown stratum of depth {len(key)}: no triple points")
+        if len(key) == 2 and key not in self.pairs:
+            raise ValueError(f"unknown stratum: curves {key[0]} and {key[1]} do not meet")
+        return key
+
+    def weight(self, key: tuple[int, ...]) -> Fraction:
+        """Stringy weight 1 / prod (mu_i + 1): the weight 1 / prod [P^mu_i] at L = 1."""
+        return Fraction(1, prod(self.mus[j] + 1 for j in key))
+
+    def euler(self, key: tuple[int, ...]) -> int:
+        """Euler number of a curve stratum (2 minus its crossings) or a crossing (1)."""
+        return 2 - self.meets[key[0]] if len(key) == 1 else 1
+
+    def root(self, key: tuple[int, ...]) -> str:
+        """The point of the stage surface a curve or crossing stratum contracts to."""
+        return self.roots[key[0]]
+
+    def fiber_integral(self, weights: Mapping) -> dict[str, Fraction]:
+        """Per contracted point, the sum of weight times Euler number over its fiber.
+
+        ``weights`` maps curve subsets to values; every subset is checked, and
+        the open stratum lies over no contracted point.
+        """
+        totals = {root: Fraction(0) for root in self.root_order}
+        for subset, value in weights.items():
+            key = self.check(subset)
+            if key:
+                totals[self.root(key)] += value * self.euler(key)
+        return totals
 
 
 class SurfaceModel:
@@ -193,14 +243,6 @@ class SurfaceModel:
     @property
     def discrepancies(self) -> tuple[int, ...]:
         return self._mu
-
-    @property
-    def anchors(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for label in self._anchor:
-            if label not in seen:
-                seen.append(label)
-        return tuple(seen)
 
     def anchor_of(self, curve: int) -> str:
         return self._anchor[curve - 1]
@@ -311,36 +353,31 @@ class SurfaceModel:
         boundary points subtracts [pt] each.  The empty subset is computed
         by inclusion-exclusion against the whole surface.
         """
-        rel = self.relative(relative_to)
-        I = tuple(sorted(set(subset)))
-        for j in I:
-            if j not in rel.meets:
-                raise ValueError(f"curve {j} is not in the stage-{relative_to} arrangement")
+        return self._csm(self.relative(relative_to), subset)
+
+    def _csm(self, rel: RelativeArrangement, subset: Iterable[int]) -> ChowClass:
+        key = rel.check(subset)
+        if not key:
+            total = self.chern_class()
+            for other in rel.strata:
+                total = total - self._csm(rel, other)
+            return total
         pt = ChowClass.point(self.k)
-        if len(I) == 2:
-            if I not in rel.pairs:
-                raise ValueError(f"curves {I[0]} and {I[1]} do not meet")
+        if len(key) == 2:
             return pt
-        if len(I) == 1:
-            j = I[0]
-            return self.curve_class(j) + (2 - rel.meets[j]) * pt
-        if len(I) > 2:
-            raise ValueError("no triple points: strata have depth at most 2")
-        total = self.chern_class()
-        for j in rel.curves:
-            total = total - (self.curve_class(j) + 2 * pt)
-        return total + len(rel.pairs) * pt
+        return self.curve_class(key[0]) + rel.euler(key) * pt
 
     def stringy_class(self, relative_to: int = 0) -> ChowClass:
-        """Weighted CSM sum over the strata of the relative arrangement."""
+        """Weighted CSM sum over the strata of the relative arrangement.
+
+        The open stratum has weight 1 and is the whole surface minus the
+        others, so each other stratum enters with its weight minus 1.
+        """
         rel = self.relative(relative_to)
-        total = self.csm_stratum((), relative_to)
-        for j in rel.curves:
-            total = total + Fraction(1, rel.mus[j] + 1) * self.csm_stratum((j,), relative_to)
-        for a, b in rel.pairs:
-            weight = Fraction(1, (rel.mus[a] + 1) * (rel.mus[b] + 1))
-            total = total + weight * ChowClass.point(self.k)
-        return total
+        return sum(
+            ((rel.weight(key) - 1) * self._csm(rel, key) for key in rel.strata),
+            self.chern_class(),
+        )
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
@@ -359,14 +396,7 @@ class SurfaceModel:
         rel = self.relative(0)
         if base_point not in rel.root_order:
             raise ValueError(f"unknown anchor {base_point!r}")
-        total = Fraction(0)
-        for j in rel.curves:
-            if rel.roots[j] == base_point:
-                total += Fraction(2 - rel.meets[j], rel.mus[j] + 1)
-        for a, b in rel.pairs:
-            if rel.roots[a] == base_point:
-                total += Fraction(1, (rel.mus[a] + 1) * (rel.mus[b] + 1))
-        return total
+        return rel.fiber_integral({key: rel.weight(key) for key in rel.strata})[base_point]
 
     # -- export to the abstract side ---------------------------------------------------
 
@@ -387,44 +417,36 @@ class SurfaceModel:
         rel = self.relative(relative_to)
         divisors = [(f"e{t}", rel.mus[t]) for t in rel.curves]
         bit = {t: 1 << i for i, t in enumerate(rel.curves)}
-
-        curve_cls = {
-            t: MotivicClass(LPolynomial((1 - rel.meets[t], 1))) for t in rel.curves
+        mask = {key: sum(bit[t] for t in key) for key in rel.strata}
+        # an open curve stratum is P^1 minus its crossings; a crossing is a point
+        classes = {
+            key: MotivicClass(LPolynomial((rel.euler(key) - 1, 1)))
+            if len(key) == 1
+            else MotivicClass.one()
+            for key in rel.strata
         }
-        ambient = LPolynomial((1, self.k + 1, 1))
-        empty = MotivicClass(ambient)
-        for t in rel.curves:
-            empty = empty - curve_cls[t]
-        empty = empty - len(rel.pairs)
-
-        strata: dict[int, MotivicClass] = {0: empty}
-        for t in rel.curves:
-            strata[bit[t]] = curve_cls[t]
-        for a, b in rel.pairs:
-            strata[bit[a] | bit[b]] = MotivicClass.one()
+        ambient = MotivicClass(LPolynomial((1, self.k + 1, 1)))
+        strata = {0: ambient - sum(classes.values(), MotivicClass.zero())}
+        strata.update((mask[key], cls) for key, cls in classes.items())
 
         system = ModificationSystem(
             2,
             divisors,
             strata,
-            ambient_class=MotivicClass(ambient),
+            ambient_class=ambient,
             label=f"plane blow-ups k={self.k}, stage {relative_to}",
         )
 
         loci = {"full": system.full_locus("full")}
         for root in rel.root_order:
-            fiber_strata: dict[int, MotivicClass] = {}
-            for t in rel.curves:
-                if rel.roots[t] == root:
-                    fiber_strata[bit[t]] = curve_cls[t]
-            for a, b in rel.pairs:
-                if rel.roots[a] == root:
-                    fiber_strata[bit[a] | bit[b]] = MotivicClass.one()
-            loci[root] = MarkedLocus(root, fiber_strata)
+            loci[root] = MarkedLocus(
+                root,
+                {mask[key]: cls for key, cls in classes.items() if rel.root(key) == root},
+            )
         return system, loci
 
     def __repr__(self) -> str:
-        return f"SurfaceModel(k={self.k}, anchors={len(self.anchors)})"
+        return f"SurfaceModel(k={self.k}, anchors={len(set(self._anchor))})"
 
 
 # -- JSON wire format ------------------------------------------------------------------
@@ -438,10 +460,10 @@ def events_from_json(obj: Mapping) -> tuple[Event, ...]:
             if kind == "generic":
                 events.append(GenericPoint())
             elif kind == "on_curve":
-                events.append(PointOnCurve(int(entry["curve"])))
+                events.append(PointOnCurve(json_int(entry["curve"], "curve")))
             elif kind == "intersection":
                 a, b = entry["pair"]
-                events.append(IntersectionPoint(int(a), int(b)))
+                events.append(IntersectionPoint(json_int(a, "pair"), json_int(b, "pair")))
             else:
                 raise ValueError(f"unknown event type {kind!r}")
     except (KeyError, TypeError) as exc:

@@ -54,7 +54,7 @@ class TestPushforward:
     def test_unknown_stratum(self):
         with pytest.raises(ValueError, match="unknown stratum"):
             cfun.pushforward(K1, ConstructibleFunction.indicator((4,)))
-        with pytest.raises(ValueError, match="do not cross"):
+        with pytest.raises(ValueError, match="do not meet"):
             cfun.pushforward(CHAIN, ConstructibleFunction.indicator((1, 2)))
 
     def test_linearity(self):
@@ -112,14 +112,21 @@ class TestUnitPushforward:
         assert cfun.verify_unit_pushforward(K1, 1)
 
     def test_restricted_to_fiber_is_indicator(self):
-        f = cfun.restrict_to_fiber(NESTED, cfun.weighted_unit(NESTED, 0), "p1")
+        rel = NESTED.relative(0)
+        f = ConstructibleFunction({
+            key: weight
+            for key, weight in cfun.weighted_unit(NESTED, 0).weights.items()
+            if key and rel.root(tuple(sorted(key))) == "p1"
+        })
         base = cfun.pushforward(NESTED, f)
         assert base.generic_value == 0
         assert base.value_at("p1") == 1
 
     def test_restrict_unknown_point(self):
-        with pytest.raises(ValueError, match="unknown base point"):
-            cfun.restrict_to_fiber(NESTED, cfun.weighted_unit(NESTED, 0), "p7")
+        # a point with no fiber strata sees only the generic value
+        assert "p7" not in NESTED.relative(0).root_order
+        base = cfun.pushforward(NESTED, cfun.weighted_unit(NESTED, 0))
+        assert base.value_at("p7") == base.generic_value == 1
 
 
 class TestBaseFunction:

@@ -1,4 +1,6 @@
+import copy
 import json
+import os
 import subprocess
 import sys
 
@@ -289,3 +291,135 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "pass" in proc.stdout
+
+
+# A plane blown up once, then a point on that exceptional curve; valid as is.
+ONE_DIVISOR_PROGRAM = {
+    "initial": {
+        "ambient_dim": 2,
+        "divisors": [{"id": "e", "mu": 1}],
+        "strata": [
+            {"subset": [], "class": {"numerator": "L + L^2", "denominator": []}},
+            {"subset": ["e"], "class": {"numerator": "1 + L", "denominator": []}},
+        ],
+        "loci": [{"name": "U", "strata": [{"subset": ["e"], "class": "1 + L"}]}],
+    },
+    "steps": [
+        {
+            "codim": 2,
+            "containing": ["e"],
+            "center_strata": [{"subset": ["e"], "class": "1"}],
+            "locus_defaults": {"U": "contains_center"},
+        }
+    ],
+}
+SURFACE = {
+    "events": [
+        {"type": "generic"},
+        {"type": "on_curve", "curve": 1},
+        {"type": "intersection", "pair": [1, 2]},
+    ]
+}
+FUNCTION = {"strata": [{"subset": [1], "weight": "1/2"}]}
+
+
+def _with(obj, path, value):
+    """A deep copy of ``obj`` with the entry at ``path`` replaced by ``value``."""
+    out = copy.deepcopy(obj)
+    *head, last = path
+    target = out
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return out
+
+
+STRATUM_E = ONE_DIVISOR_PROGRAM["initial"]["strata"][1]
+MALFORMED = {
+    "initial-not-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial"], [])),
+    "step-not-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps"], [5])),
+    "locus-defaults-list": (
+        "program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "locus_defaults"], [])),
+    "locus-not-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "loci"], ["U"])),
+    "duplicate-locus": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["initial", "loci"],
+              ONE_DIVISOR_PROGRAM["initial"]["loci"] * 2)),
+    "duplicate-stratum": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["initial", "strata"],
+              ONE_DIVISOR_PROGRAM["initial"]["strata"] + [STRATUM_E])),
+    "repeated-id": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "center_strata", 0, "subset"], ["e", "e"])),
+    "containing-string": (
+        "program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "containing"], "e")),
+    "codim-float": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "codim"], 2.7)),
+    "mu-bool": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors", 0, "mu"], True)),
+    "ambient-dim-string": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "ambient_dim"], "2")),
+    "numerator-float": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["initial", "strata", 1, "class"], {"numerator": [1, 1.5]})),
+    "curve-float": ("surface", _with(SURFACE, ["events", 1, "curve"], 1.9)),
+    "curve-bool": ("surface", _with(SURFACE, ["events", 1, "curve"], True)),
+    "pair-string": ("surface", _with(SURFACE, ["events", 2, "pair"], ["1", 2])),
+    "cfun-duplicate": ("function", _with(FUNCTION, ["strata"], FUNCTION["strata"] * 2)),
+    "cfun-repeated-id": ("function", _with(FUNCTION, ["strata", 0, "subset"], [1, 1])),
+    "cfun-string-subset": ("function", _with(FUNCTION, ["strata", 0, "subset"], "1")),
+    "cfun-bool-id": ("function", _with(FUNCTION, ["strata", 0, "subset"], [True])),
+    "cfun-zero-denominator": ("function", _with(FUNCTION, ["strata", 0, "weight"], "1/0")),
+    "motivic-float-coefficient": ("motivic", {"numerator": [1, 1.5]}),
+    "motivic-denominator-int": ("motivic", {"numerator": "1", "denominator": 5}),
+    "bounds-unknown-key": ("bounds", "dmax=1"),
+}
+
+
+@pytest.mark.parametrize("kind,payload", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, kind, payload):
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(SURFACE))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "program": ["blowup", "run", "--program", str(path)],
+        "surface": ["surface", "report", "--program", str(path)],
+        "function": ["cfun", "push", "--program", str(surface), "--function", str(path)],
+        "motivic": ["motivic", "eval", json.dumps(payload)],
+        "bounds": ["verify", "simplex"],
+    }[kind]
+    if kind == "bounds":
+        monkeypatch.setenv("MC_SWEEP_BOUNDS", payload)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_valid_baselines_of_malformed_inputs(capsys, tmp_path):
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(SURFACE))
+    program = tmp_path / "program.json"
+    program.write_text(json.dumps(ONE_DIVISOR_PROGRAM))
+    function = tmp_path / "function.json"
+    function.write_text(json.dumps(FUNCTION))
+    assert main(["blowup", "run", "--program", str(program)]) == 0
+    assert main(["cfun", "push", "--program", str(surface), "--function", str(function)]) == 0
+
+
+def test_closed_pipe_keeps_verdict_without_traceback(tmp_path):
+    # a report far larger than a pipe buffer, so writing meets the closed reader
+    events = [{"type": "generic"}] + [{"type": "on_curve", "curve": j} for j in range(1, 120)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"events": events}))
+    read_fd, write_fd = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mchern", "surface", "report", "--program", str(path), "--json"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+    )
+    os.close(write_fd)
+    head = os.read(read_fd, 20)
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"{")
+    assert err == b""
+    assert proc.returncode == 0

@@ -114,7 +114,11 @@ class TestChi:
             t1 = random_locus(rng, system, "T1")
             t2 = random_locus(rng, system, "T2")
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            combo = MarkedLocus.combine("combo", [(a, t1), (b, t2)])
+            combo = MarkedLocus("combo", {
+                mask: a * t1.strata.get(mask, MotivicClass.zero())
+                + b * t2.strata.get(mask, MotivicClass.zero())
+                for mask in t1.strata.keys() | t2.strata.keys()
+            })
             assert system.chi(combo) == a * system.chi(t1) + b * system.chi(t2)
 
     def test_euler_chi_agrees_with_specialization(self, corpus_surfaces):

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from mchern import cfun
 from mchern.blowup import (
     BlowupCenter,
+    BlowupProgram,
     LocusRule,
     center_from_json,
     center_to_json,
@@ -14,6 +17,7 @@ from mchern.blowup import (
 )
 from mchern.modsys import MarkedLocus, ModificationSystem, system_from_json, system_to_json
 from mchern.ring import LPolynomial, MotivicClass, projective_class
+from mchern.sampling import random_invariance_case
 from mchern.surface import (
     GenericPoint,
     IntersectionPoint,
@@ -175,3 +179,28 @@ class TestFunctionJson:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             cfun.function_from_json({"strata": [{"subset": [1]}]})
+
+
+def _wire(obj):
+    return json.loads(json.dumps(obj))
+
+
+class TestStrictDecodersAcceptEncoderOutput:
+    """Decoding then re-encoding gives back the same JSON."""
+
+    def test_sampled_programs_and_systems(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            system, center, loci = random_invariance_case(rng)
+            named = {locus.name: locus for locus in loci}
+            wire = _wire(program_to_json(BlowupProgram(system, (center,), named)))
+            assert program_to_json(program_from_json(wire)) == wire
+            wire = _wire(system_to_json(system, named))
+            assert system_to_json(*system_from_json(wire)) == wire
+
+    def test_corpus_events_and_weighted_units(self, corpus_surfaces):
+        for surface in corpus_surfaces:
+            wire = _wire(events_to_json(surface.events))
+            assert events_to_json(events_from_json(wire)) == wire
+            wire = _wire(cfun.function_to_json(cfun.weighted_unit(surface, 0)))
+            assert cfun.function_to_json(cfun.function_from_json(wire)) == wire

@@ -49,7 +49,7 @@ class TestEvents:
         assert s.curve_class(2) == ChowClass(0, (0, 0, 1, -1), 0)
         assert s.curve_class(3) == ChowClass(0, (0, 0, 0, 1), 0)
         assert s.meeting_pairs() == ((1, 3), (2, 3))
-        assert s.anchors == ("p1",)
+        assert tuple(dict.fromkeys(map(s.anchor_of, range(1, s.k + 1)))) == ("p1",)
 
     def test_first_blowup(self):
         s = SurfaceModel((GenericPoint(),))
@@ -60,7 +60,7 @@ class TestEvents:
 
     def test_two_anchors(self):
         s = SurfaceModel((GenericPoint(), GenericPoint(), PointOnCurve(2)))
-        assert s.anchors == ("p1", "p2")
+        assert tuple(dict.fromkeys(map(s.anchor_of, range(1, s.k + 1)))) == ("p1", "p2")
         assert s.anchor_of(3) == "p2"
 
     def test_invalid_curve_index(self):
@@ -246,6 +246,14 @@ class TestExport:
                         assert system.chi(locus) == s.class_of_stage(m)
                     else:
                         assert system.chi(locus) == MotivicClass.one()
+
+    def test_more_divisors_than_a_machine_word(self):
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 70)))
+        system, loci = chain.export_modification_system(0)
+        assert len(system.divisors) == 70
+        assert system.validate() == []
+        fibers = [locus for name, locus in loci.items() if name != "full"]
+        assert fibers and all(system.euler_chi(locus) == 1 for locus in fibers)
 
     def test_stage_classes(self):
         s = SurfaceModel(CHAIN3)
