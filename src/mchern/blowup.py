@@ -101,7 +101,7 @@ class BlowupCenter:
     locus_rules: Mapping[str, LocusRule] = field(default_factory=dict)
 
     def total_class(self) -> MotivicClass:
-        return sum(self.center_strata.values(), MotivicClass.zero())
+        return MotivicClass.sum(self.center_strata.values())
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def fiber_completeness_holds(
 ) -> bool:
     """Strata on the fresh divisor sum to [S] * [P^(d-1)]."""
     bit = after.mask_of(fresh_id)
-    total = sum((cls for mask, cls in after.strata.items() if mask & bit), MotivicClass.zero())
+    total = MotivicClass.sum(cls for mask, cls in after.strata.items() if mask & bit)
     return total == center.total_class() * projective_class(center.codim - 1)
 
 

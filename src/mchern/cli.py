@@ -1,16 +1,17 @@
 """Command-line driver: scenario ingestion, verification sweeps, reports.
 
-Exit codes: 0 all checks passed, 1 a verified identity failed, 2 bad
-input; every input error is a ``ValueError`` that :func:`main` turns into
-one ``error:`` line on stderr.  A reader that closes standard output early
-does not change the exit code.  Reports are JSON with sorted keys; all
-randomness is seeded and the seed is recorded, so re-running a command
-reproduces the report byte for byte.  Wall-clock timings are only attached on request (--timings)
-and are never part of the digest.
+Exit codes: 0 all checks passed, 1 a verified identity failed, 2 bad input,
+3 internal error.  :func:`main` turns an input error (a ``ValueError``) into
+one ``error:`` stderr line and any other exception into one ``internal
+error:`` line.  A reader that closes standard output early does not change
+the exit code.  Reports are JSON with sorted keys; all randomness is seeded
+and the seed is recorded, so re-running a command reproduces the report byte
+for byte.  Wall-clock timings are only attached on request (--timings) and
+are never part of the digest.
 
 Default sweep sizes can be overridden with the environment variable
 ``MC_SWEEP_BOUNDS``, e.g. ``MC_SWEEP_BOUNDS="d_max=4,mu_max=2,count=50"``;
-an unknown key is an input error.
+an unknown key or a negative bound is an input error.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ def sweep_bounds() -> dict:
 
 
 def _bound(args_value, name: str) -> int:
-    return args_value if args_value is not None else sweep_bounds()[name]
+    value = args_value if args_value is not None else sweep_bounds()[name]
+    if value < 0:
+        raise ScenarioError(f"sweep bound {name} must be nonnegative, got {value}")
+    return value
 
 
 def load_payload(path: str, expected_kind: str) -> dict:
@@ -404,6 +408,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     try:
         emit(report, args, started)
         sys.stdout.flush()

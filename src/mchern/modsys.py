@@ -113,7 +113,7 @@ class ModificationSystem:
         return self.strata.get(self.mask_of(key), MotivicClass.zero())
 
     def total_class(self) -> MotivicClass:
-        return sum(self.strata.values(), MotivicClass.zero())
+        return MotivicClass.sum(self.strata.values())
 
     # -- invariants ----------------------------------------------------------
 
@@ -150,12 +150,9 @@ class ModificationSystem:
 
     def chi(self, locus: MarkedLocus) -> MotivicClass:
         """Weighted stratum sum; with the full locus this is the base class."""
-        return sum(
-            (
-                MotivicClass(cls.num, cls.den + self.mu_of_mask(mask))
-                for mask, cls in sorted(locus.strata.items())
-            ),
-            MotivicClass.zero(),
+        return MotivicClass.sum(
+            MotivicClass(cls.num, cls.den + self.mu_of_mask(mask))
+            for mask, cls in sorted(locus.strata.items())
         )
 
     def euler_chi(self, locus: MarkedLocus) -> Fraction:

@@ -13,6 +13,10 @@ reduced form is ever required; :meth:`MotivicClass.reduced` cancels
 denominator factors that divide the numerator exactly when a compact
 representative is wanted (reports, printing).
 
+:meth:`MotivicClass.sum` adds many classes in one pass over the union of
+their denominators; ``+`` goes through it too.  Multiplying or exactly
+dividing by one ``[P^mu]`` takes O(n) additions, by ``(L-1)[P^mu] = L^(mu+1) - 1``.
+
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
 freely shared between threads or tasks.
@@ -23,7 +27,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import add, mul, sub
+from typing import Iterable, Optional, Sequence, Union
 
 
 class LPolynomial:
@@ -219,24 +226,32 @@ class LPolynomial:
         return f"LPolynomial({self.to_text()!r})"
 
 
-_PROJECTIVE_CACHE: dict[int, LPolynomial] = {}
-
-
+@lru_cache(maxsize=None)
 def projective_poly(mu: int) -> LPolynomial:
     """The polynomial 1 + L + ... + L^mu; zero when mu < 0 (empty space)."""
-    if mu < 0:
-        return LPolynomial.zero()
-    got = _PROJECTIVE_CACHE.get(mu)
-    if got is None:
-        got = _PROJECTIVE_CACHE.setdefault(mu, LPolynomial((1,) * (mu + 1)))
-    return got
+    return LPolynomial((1,) * (mu + 1))
 
 
-def _den_product(den: Iterable[int]) -> LPolynomial:
-    out = LPolynomial.one()
-    for mu in den:
-        out = out * projective_poly(mu)
-    return out
+def _mul_projective(c: Sequence[int], mu: int) -> list[int]:
+    """Coefficients of c * [P^mu], a sliding-window sum: out[k] = c[k-mu] + ... + c[k]."""
+    s = list(accumulate(c))
+    s += s[-1:] * mu
+    return s[: mu + 1] + list(map(sub, s[mu + 1 :], s))
+
+
+def _div_projective(p: Sequence[int], mu: int) -> Optional[list[int]]:
+    """Coefficients of p / [P^mu] when the division is exact, else None.
+
+    Its power series obeys q[k] = p[k] - p[k-1] + q[k-mu-1], which repeats
+    with period mu + 1 beyond len(p): exact iff q[len(p)-mu : len(p)+1] = 0.
+    """
+    n = len(p)
+    step = mu + 1
+    q = list(map(sub, [*p, 0], [0, *p]))
+    for r in range(min(step, n + 1 - step)):
+        q[r::step] = accumulate(q[r::step])
+    cut = max(n - mu, 0)
+    return None if any(q[cut:]) else q[:cut]
 
 
 class MotivicClass:
@@ -293,15 +308,39 @@ class MotivicClass:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @classmethod
+    def sum(cls, terms: Iterable["MotivicClass"]) -> "MotivicClass":
+        """Add ``terms`` over the union of their denominators, in one pass.
+
+        The union keeps each mu at its top multiplicity, as a pairwise ``+``
+        fold does, so the result equals the fold's field for field.  Each
+        group of terms with denominator D is scaled once by prod_union / prod_D.
+        """
+        nums: dict[tuple[int, ...], LPolynomial] = {}
+        for t in terms:
+            nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
+        if len(nums) == 1:
+            ((den, num),) = nums.items()
+            return cls(num, den)
+        top: dict[int, int] = {}
+        for term_den in nums:
+            for mu in term_den:
+                top[mu] = max(top.get(mu, 0), term_den.count(mu))
+        den = tuple(sorted(mu for mu, m in top.items() for _ in range(m)))
+        full = reduce(_mul_projective, den, [1])
+        acc: list[int] = []
+        for term_den, num in nums.items():
+            cof = reduce(_div_projective, term_den, full)
+            acc += [0] * (len(num.coeffs) + len(cof) - 1 - len(acc))
+            for i, c in enumerate(num.coeffs):
+                acc[i : i + len(cof)] = map(add, acc[i : i + len(cof)], map(mul, cof, repeat(c)))
+        return cls(LPolynomial(acc), den)
+
     def __add__(self, other) -> "MotivicClass":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ca, cb = Counter(self.den), Counter(other.den)
-        union = ca | cb
-        na = self.num * _den_product((union - ca).elements())
-        nb = other.num * _den_product((union - cb).elements())
-        return MotivicClass(na + nb, union.elements())
+        return MotivicClass.sum((self, other))
 
     __radd__ = __add__
 
@@ -333,9 +372,8 @@ class MotivicClass:
         if o is None:
             return NotImplemented
         ca, cb = Counter(self.den), Counter(o.den)
-        shared = ca & cb
-        left = self.num * _den_product((cb - shared).elements())
-        right = o.num * _den_product((ca - shared).elements())
+        left = reduce(_mul_projective, (cb - ca).elements(), list(self.num.coeffs))
+        right = reduce(_mul_projective, (ca - cb).elements(), list(o.num.coeffs))
         return left == right
 
     __hash__ = None  # equality is cross-multiplicative; no stable hash
@@ -380,17 +418,15 @@ class MotivicClass:
 
     def reduced(self) -> "MotivicClass":
         """Cancel denominator factors dividing the numerator exactly."""
-        if self.num.is_zero():
-            return MotivicClass.zero()
-        num = self.num
+        num = list(self.num.coeffs)
         remaining: list[int] = []
         for mu in sorted(self.den, reverse=True):
-            quot, rem = num.divide_by_monic(projective_poly(mu))
-            if rem.is_zero():
-                num = quot
-            else:
+            quot = _div_projective(num, mu)
+            if quot is None:
                 remaining.append(mu)
-        return MotivicClass(num, remaining)
+            else:
+                num = quot
+        return MotivicClass(LPolynomial(num), remaining)
 
     # -- presentation --------------------------------------------------------
 

@@ -426,7 +426,7 @@ class SurfaceModel:
             for key in rel.strata
         }
         ambient = MotivicClass(LPolynomial((1, self.k + 1, 1)))
-        strata = {0: ambient - sum(classes.values(), MotivicClass.zero())}
+        strata = {0: ambient - MotivicClass.sum(classes.values())}
         strata.update((mask[key], cls) for key, cls in classes.items())
 
         system = ModificationSystem(

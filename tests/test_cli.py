@@ -371,6 +371,10 @@ MALFORMED = {
     "motivic-float-coefficient": ("motivic", {"numerator": [1, 1.5]}),
     "motivic-denominator-int": ("motivic", {"numerator": "1", "denominator": 5}),
     "bounds-unknown-key": ("bounds", "dmax=1"),
+    "count-negative": ("invariance", ["--count", "-5"]),
+    "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
+    "bounds-count-negative": ("invariance-bounds", "count=-5"),
+    "bounds-max-divisors-negative": ("invariance-bounds", "max_divisors=-1"),
 }
 
 
@@ -386,12 +390,30 @@ def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, kin
         "function": ["cfun", "push", "--program", str(surface), "--function", str(path)],
         "motivic": ["motivic", "eval", json.dumps(payload)],
         "bounds": ["verify", "simplex"],
+        "invariance-bounds": ["verify", "invariance"],
+        "invariance": ["verify", "invariance"],
     }[kind]
-    if kind == "bounds":
+    if kind == "invariance":
+        argv += payload
+    if kind.endswith("bounds"):
         monkeypatch.setenv("MC_SWEEP_BOUNDS", payload)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if kind.startswith("invariance"):
+        bound = "count" if "count" in str(payload) else "max_divisors"
+        assert f"sweep bound {bound} must be nonnegative" in err
+
+
+def test_unexpected_exception_is_one_line_exit_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("mchern.cli.cmd_verify_identity", broken)
+    assert main(["verify", "simplex"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""
 
 
 def test_valid_baselines_of_malformed_inputs(capsys, tmp_path):

@@ -1,12 +1,16 @@
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mchern.ring import (
     LPolynomial,
     MotivicClass,
+    _div_projective,
+    _mul_projective,
     affine_class,
     projective_class,
     projective_poly,
@@ -193,3 +197,92 @@ class TestRingLaws:
     @given(classes, st.integers(0, 4))
     def test_divide_then_multiply_roundtrip(self, a, mu):
         assert (a * projective_class(mu)).div_by_projective(mu) == a
+
+
+def dense_product(mus):
+    """prod [P^mu] as a coefficient list, by schoolbook convolution."""
+    return reduce(lambda acc, mu: convolve(acc, [1] * (mu + 1)), mus, [1])
+
+
+def pairwise_add(a, b):
+    """The pairwise sum over the max-multiplicity union, with dense cofactors."""
+    ca, cb = Counter(a.den), Counter(b.den)
+    union = ca | cb
+    na = convolve(list(a.num.coeffs), dense_product((union - ca).elements()))
+    nb = convolve(list(b.num.coeffs), dense_product((union - cb).elements()))
+    width = max(len(na), len(nb))
+    na, nb = na + [0] * (width - len(na)), nb + [0] * (width - len(nb))
+    return MotivicClass(LPolynomial([x + y for x, y in zip(na, nb)]), union.elements())
+
+
+coeff_lists = st.lists(st.integers(-9, 9), max_size=7)
+# numerators up to degree 9 over up to four factors with repeats, zeros and
+# mu = 0 included: numerators may outgrow their denominators
+sum_terms = st.lists(
+    st.builds(
+        MotivicClass,
+        st.lists(st.integers(-5, 5), max_size=10).map(LPolynomial),
+        st.lists(st.integers(0, 3), max_size=4),
+    ),
+    max_size=6,
+)
+
+
+class TestOnePassSum:
+    @settings(max_examples=150, deadline=None)
+    @given(sum_terms)
+    @example([])
+    @example([MotivicClass(0, (2, 2)), MotivicClass(0, (1,))])
+    @example([MotivicClass(LPolynomial.monomial(9), (1,)), MotivicClass(1, (3, 3))])
+    def test_equals_pairwise_fold_field_for_field(self, terms):
+        expected = reduce(pairwise_add, terms, MotivicClass.zero())
+        for got in (MotivicClass.sum(terms), sum(terms, MotivicClass.zero())):
+            assert got.num.coeffs == expected.num.coeffs
+            assert got.den == expected.den
+
+    def test_empty_is_zero(self):
+        total = MotivicClass.sum(())
+        assert total.num.coeffs == () and total.den == ()
+
+    def test_zero_terms_keep_their_denominators(self):
+        total = MotivicClass.sum([MotivicClass(0, (2,)), MotivicClass(1), MotivicClass(0, (1, 1))])
+        assert total.den == (1, 1, 2)
+        assert total.num.coeffs == tuple(dense_product((1, 1, 2)))
+        assert total == 1
+
+    def test_repeated_mu_takes_the_top_multiplicity(self):
+        total = MotivicClass.sum([MotivicClass(1, (1, 1)), MotivicClass(1, (1, 2))])
+        assert total.den == (1, 1, 2)
+        assert total == MotivicClass(projective_poly(2) + projective_poly(1), (1, 1, 2))
+
+    def test_numerator_longer_than_the_common_denominator(self):
+        big = MotivicClass(LPolynomial.monomial(12, 3), (1,))
+        total = MotivicClass.sum([big, MotivicClass(1, (2,)), MotivicClass(LPolynomial.monomial(7))])
+        assert total.den == (1, 2)
+        assert total.num.degree == 14
+        assert total.eval_at(2) == Fraction(3 * 2**12, 3) + Fraction(1, 7) + 2**7
+
+
+class TestProjectiveKernels:
+    @given(coeff_lists.map(LPolynomial), st.integers(0, 6))
+    def test_sliding_window_multiply(self, c, mu):
+        assert _mul_projective(c.coeffs, mu) == list((c * projective_poly(mu)).coeffs)
+
+    @given(coeff_lists, st.integers(0, 6))
+    def test_exact_divide_inverts_multiply(self, c, mu):
+        product = (LPolynomial(c) * projective_poly(mu)).coeffs
+        assert _div_projective(product, mu) == list(LPolynomial(c).coeffs)
+
+    @settings(max_examples=200)
+    @given(coeff_lists, st.integers(0, 6))
+    def test_divide_matches_long_division(self, p, mu):
+        quot, rem = LPolynomial(p).divide_by_monic(projective_poly(mu))
+        got = _div_projective(list(LPolynomial(p).coeffs), mu)
+        assert got == (list(quot.coeffs) if rem.is_zero() else None)
+
+    def test_reduced_keeps_an_indivisible_factor(self):
+        # [P^3] = [P^1] (1 + L^2) is not a multiple of [P^2] = 1 + L + L^2
+        red = MotivicClass(projective_poly(3), (1, 2)).reduced()
+        assert red.num.coeffs == (1, 0, 1)
+        assert red.den == (2,)
+        assert red == MotivicClass(projective_poly(3), (1, 2))

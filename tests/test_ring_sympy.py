@@ -1,0 +1,56 @@
+"""Differential test of the localized ring against sympy's rational functions.
+
+The oracle is sympy's field Q(L): its elements are kept in lowest terms by
+``cancel``, so two of them are equal exactly when they are the same rational
+function.  sympy is a test-only dependency; the package never imports it.
+"""
+
+import random
+
+import pytest
+
+from mchern.ring import LPolynomial, MotivicClass
+
+sympy = pytest.importorskip("sympy")
+
+R, L = sympy.ring("L", sympy.QQ)
+K = sympy.field("L", sympy.QQ)[0]
+
+
+def poly(coeffs):
+    return sum((c * L**i for i, c in enumerate(coeffs)), R.zero)
+
+
+def as_sympy(value: MotivicClass):
+    den = K.one
+    for mu in value.den:
+        den *= K(poly([1] * (mu + 1)))
+    return K(poly(value.num.coeffs)) / den
+
+
+def random_class(rng: random.Random) -> MotivicClass:
+    coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))]
+    den = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))]
+    if den and rng.random() < 0.4:
+        # make a factor cancel, so reduced() has work to do
+        return MotivicClass(LPolynomial(coeffs) * LPolynomial((1,) * (den[0] + 1)), den)
+    return MotivicClass(LPolynomial(coeffs), den)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_ring_operations_agree_with_sympy(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        a, b, c = (random_class(rng) for _ in range(3))
+        fa, fb, fc = map(as_sympy, (a, b, c))
+        assert as_sympy(a + b) == fa + fb
+        assert as_sympy(a - b) == fa - fb
+        assert as_sympy(a * b) == fa * fb
+        assert as_sympy(MotivicClass.sum((a, b, c))) == fa + fb + fc
+        assert (a == b) == (fa == fb)
+
+        red = a.reduced()
+        assert as_sympy(red) == fa
+        # a factor left in the denominator does not divide the numerator
+        for mu in red.den:
+            assert poly(red.num.coeffs) % poly([1] * (mu + 1)) != 0

@@ -255,6 +255,15 @@ class TestExport:
         fibers = [locus for name, locus in loci.items() if name != "full"]
         assert fibers and all(system.euler_chi(locus) == 1 for locus in fibers)
 
+    def test_chain_100_chi_is_exact(self):
+        # Scaling guard: chi over 100 divisors (numerator degree ~5000) stays
+        # fast only while class sums avoid dense products of [P^mu]s.
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 100)))
+        system, loci = chain.export_modification_system(0)
+        assert system.chi(system.full_locus()) == chain.class_of_stage(0)
+        fibers = [locus for name, locus in loci.items() if name != "full"]
+        assert fibers and all(system.chi(locus) == MotivicClass.one() for locus in fibers)
+
     def test_stage_classes(self):
         s = SurfaceModel(CHAIN3)
         assert s.class_of_stage(0) == MotivicClass(LPolynomial((1, 1, 1)))
