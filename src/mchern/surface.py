@@ -10,14 +10,14 @@ and they can never create a triple point.
 The Chow group of the stage-k surface is free on [Z]; h, e_1, ..., e_k;
 [pt], where h pulls back a line and e_i is the total transform of the
 i-th exceptional divisor.  Working in total transforms makes push-forward
-to an earlier stage literal coordinate deletion.  Tracked per curve:
-
-* its proper-transform class (e_j minus the e's of later centers on it),
-* its discrepancy, via mu_new = 1 + sum of the mu's of curves through
-  the center (the codimension-2 case of the general multiplicity rule),
-* which original base point it lies over,
-* the pairs of curves currently meeting (one point each, never three
-  through a point).
+to an earlier stage literal coordinate deletion.  A model records, per
+curve, only the curves its center lay on, and the pairs of curves currently
+meeting (one point each, never three through a point).  The rest is read
+from those: the proper-transform class of curve j is e_j minus the e's of
+the later centers on j, and :meth:`SurfaceModel.relative` alone derives the
+discrepancies, via mu_new = 1 + sum of the mu's of curves through the
+center (the codimension-2 case of the general multiplicity rule), and the
+original base point each curve lies over.
 
 Everything downstream is linear in the Chow group: total Chern classes,
 CSM classes of arrangement strata, the weighted stratum sum whose
@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 
-from .modsys import MarkedLocus, ModificationSystem, json_int
+from .modsys import MarkedLocus, ModificationSystem, json_int, json_object
 from .ring import LPolynomial, MotivicClass
 
 
@@ -216,21 +216,32 @@ class RelativeArrangement:
 class SurfaceModel:
     """The surface obtained from the plane by a sequence of point blow-ups."""
 
-    __slots__ = ("events", "_proper", "_mu", "_anchor", "_center_curves", "_pairs")
+    __slots__ = ("events", "_through", "_pairs")
 
     def __init__(self, events: Iterable[Event] = ()):
-        self.events: tuple[Event, ...] = ()
-        self._proper: tuple[tuple[int, ...], ...] = ()  # e-coefficients per curve
-        self._mu: tuple[int, ...] = ()
-        self._anchor: tuple[str, ...] = ()
-        self._center_curves: tuple[tuple[int, ...], ...] = ()
-        self._pairs: frozenset[frozenset[int]] = frozenset()
-        model = self
-        for event in events:
-            model = model.apply_event(event)
-        if model is not self:
-            for slot in self.__slots__:
-                setattr(self, slot, getattr(model, slot))
+        self.events: tuple[Event, ...] = tuple(events)
+        through: list[tuple[int, ...]] = []  # per curve, the curves its center lay on
+        pairs: set[tuple[int, int]] = set()
+        for k, event in enumerate(self.events):
+            if isinstance(event, GenericPoint):
+                center: tuple[int, ...] = ()
+            elif isinstance(event, PointOnCurve):
+                if not 1 <= event.curve <= k:
+                    raise ValueError(f"invalid curve index {event.curve}")
+                center = (event.curve,)
+            elif isinstance(event, IntersectionPoint):
+                if not (1 <= event.a <= k and 1 <= event.b <= k):
+                    raise ValueError(f"invalid curve pair ({event.a}, {event.b})")
+                center = (event.a, event.b)
+                if center not in pairs:
+                    raise ValueError(f"curves {event.a} and {event.b} do not meet")
+                pairs.discard(center)
+            else:
+                raise TypeError(f"unknown event {event!r}")
+            pairs.update((j, k + 1) for j in center)
+            through.append(center)
+        self._through: tuple[tuple[int, ...], ...] = tuple(through)
+        self._pairs: frozenset[tuple[int, int]] = frozenset(pairs)
 
     @classmethod
     def plane(cls) -> "SurfaceModel":
@@ -238,65 +249,27 @@ class SurfaceModel:
 
     @property
     def k(self) -> int:
-        return len(self._mu)
+        return len(self.events)
 
     @property
     def discrepancies(self) -> tuple[int, ...]:
-        return self._mu
+        return tuple(self.relative(0).mus.values())
 
     def anchor_of(self, curve: int) -> str:
-        return self._anchor[curve - 1]
+        if not 1 <= curve <= self.k:
+            raise ValueError(f"invalid curve index {curve}")
+        return self.relative(0).roots[curve]
 
     def meeting_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(tuple(sorted(p)) for p in self._pairs))
+        return tuple(sorted(self._pairs))
 
     def pair_meets(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self._pairs
+        return (min(a, b), max(a, b)) in self._pairs
 
     # -- construction -----------------------------------------------------------
 
     def apply_event(self, event: Event) -> "SurfaceModel":
-        k = self.k
-        new = SurfaceModel.__new__(SurfaceModel)
-        if isinstance(event, GenericPoint):
-            through: tuple[int, ...] = ()
-            generics = sum(1 for e in self.events if isinstance(e, GenericPoint))
-            anchor = f"p{generics + 1}"
-        elif isinstance(event, PointOnCurve):
-            if not 1 <= event.curve <= k:
-                raise ValueError(f"invalid curve index {event.curve}")
-            through = (event.curve,)
-            anchor = self._anchor[event.curve - 1]
-        elif isinstance(event, IntersectionPoint):
-            if not (1 <= event.a <= k and 1 <= event.b <= k):
-                raise ValueError(f"invalid curve pair ({event.a}, {event.b})")
-            if not self.pair_meets(event.a, event.b):
-                raise ValueError(f"curves {event.a} and {event.b} do not meet")
-            through = (event.a, event.b)
-            anchor = self._anchor[event.a - 1]
-        else:
-            raise TypeError(f"unknown event {event!r}")
-
-        new_index = k + 1
-        proper = []
-        for j, vec in enumerate(self._proper, start=1):
-            extended = vec + ((-1,) if j in through else (0,))
-            proper.append(extended)
-        proper.append((0,) * k + (1,))
-
-        pairs = set(self._pairs)
-        if len(through) == 2:
-            pairs.discard(frozenset(through))
-        for j in through:
-            pairs.add(frozenset((j, new_index)))
-
-        new.events = self.events + (event,)
-        new._proper = tuple(proper)
-        new._mu = self._mu + (1 + sum(self._mu[j - 1] for j in through),)
-        new._anchor = self._anchor + (anchor,)
-        new._center_curves = self._center_curves + (through,)
-        new._pairs = frozenset(pairs)
-        return new
+        return SurfaceModel(self.events + (event,))
 
     def stage_model(self, m: int) -> "SurfaceModel":
         if not 0 <= m <= self.k:
@@ -313,7 +286,12 @@ class SurfaceModel:
         """Proper-transform class of the j-th exceptional curve."""
         if not 1 <= j <= self.k:
             raise ValueError(f"invalid curve index {j}")
-        return ChowClass(0, (0,) + self._proper[j - 1], 0)
+        curves = [0] * (self.k + 1)
+        curves[j] = 1
+        for s, through in enumerate(self._through, start=1):
+            if j in through:
+                curves[s] = -1
+        return ChowClass(0, curves, 0)
 
     def relative(self, stage: int) -> RelativeArrangement:
         if not 0 <= stage <= self.k:
@@ -321,29 +299,28 @@ class SurfaceModel:
         curves = tuple(range(stage + 1, self.k + 1))
         mus: dict[int, int] = {}
         roots: dict[int, str] = {}
-        root_order: list[str] = []
+        # the n-th generic point of the whole program is the base point p<n>
+        generics = sum(isinstance(e, GenericPoint) for e in self.events[:stage])
         for t in curves:
-            through = self._center_curves[t - 1]
-            over = [c for c in through if c > stage]
+            over = [c for c in self._through[t - 1] if c > stage]
             mus[t] = 1 + sum(mus[c] for c in over)
             if over:
                 root = roots[over[0]]
                 if len(over) == 2 and roots[over[1]] != root:
                     raise AssertionError("meeting curves must contract to one point")
+            elif isinstance(self.events[t - 1], GenericPoint):
+                generics += 1
+                root = f"p{generics}"
             else:
-                event = self.events[t - 1]
-                root = self._anchor[t - 1] if isinstance(event, GenericPoint) else f"q{t}"
+                root = f"q{t}"
             roots[t] = root
-            if root not in root_order:
-                root_order.append(root)
-        pairs = tuple(
-            p for p in self.meeting_pairs() if p[0] > stage and p[1] > stage
-        )
+        pairs = tuple(p for p in self.meeting_pairs() if p[0] > stage)
         meets = {t: 0 for t in curves}
         for a, b in pairs:
             meets[a] += 1
             meets[b] += 1
-        return RelativeArrangement(stage, curves, mus, pairs, meets, roots, tuple(root_order))
+        root_order = tuple(dict.fromkeys(roots.values()))
+        return RelativeArrangement(stage, curves, mus, pairs, meets, roots, root_order)
 
     def csm_stratum(self, subset: Iterable[int], relative_to: int = 0) -> ChowClass:
         """CSM class of the locus on exactly the given arrangement curves.
@@ -371,13 +348,21 @@ class SurfaceModel:
         """Weighted CSM sum over the strata of the relative arrangement.
 
         The open stratum has weight 1 and is the whole surface minus the
-        others, so each other stratum enters with its weight minus 1.
+        others, so each other stratum enters with its excess w = weight - 1:
+        the class is chern + sum w * csm(key), written out in coordinates.
+        Every stratum adds w * euler to [pt]; a curve stratum (t,) also adds
+        its proper transform, w at e_t and -w at each later center on t.
         """
         rel = self.relative(relative_to)
-        return sum(
-            ((rel.weight(key) - 1) * self._csm(rel, key) for key in rel.strata),
-            self.chern_class(),
-        )
+        excess = {key: rel.weight(key) - 1 for key in rel.strata}
+        chern = self.chern_class()
+        curves = list(chern.curves)
+        for s, through in enumerate(self._through, start=1):
+            curves[s] += excess.get((s,), 0) - sum(
+                excess[(t,)] for t in through if t > relative_to
+            )
+        points = chern.points + sum(w * rel.euler(key) for key, w in excess.items())
+        return ChowClass(chern.top, curves, points)
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
@@ -425,7 +410,7 @@ class SurfaceModel:
             else MotivicClass.one()
             for key in rel.strata
         }
-        ambient = MotivicClass(LPolynomial((1, self.k + 1, 1)))
+        ambient = self.class_of_stage(self.k)
         strata = {0: ambient - MotivicClass.sum(classes.values())}
         strata.update((mask[key], cls) for key, cls in classes.items())
 
@@ -446,7 +431,7 @@ class SurfaceModel:
         return system, loci
 
     def __repr__(self) -> str:
-        return f"SurfaceModel(k={self.k}, anchors={len(set(self._anchor))})"
+        return f"SurfaceModel(k={self.k}, anchors={len(self.relative(0).root_order)})"
 
 
 # -- JSON wire format ------------------------------------------------------------------
@@ -455,18 +440,25 @@ class SurfaceModel:
 def events_from_json(obj: Mapping) -> tuple[Event, ...]:
     events: list[Event] = []
     try:
-        for entry in obj["events"]:
+        entries = obj["events"]
+        if not isinstance(entries, list):
+            raise ValueError(f"events must be a list, got {type(entries).__name__}")
+        for entry in entries:
+            entry = json_object(entry, "event")
             kind = entry["type"]
             if kind == "generic":
                 events.append(GenericPoint())
             elif kind == "on_curve":
                 events.append(PointOnCurve(json_int(entry["curve"], "curve")))
             elif kind == "intersection":
-                a, b = entry["pair"]
+                pair = entry["pair"]
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(f"pair must be a list of two curve indices, got {pair!r}")
+                a, b = pair
                 events.append(IntersectionPoint(json_int(a, "pair"), json_int(b, "pair")))
             else:
                 raise ValueError(f"unknown event type {kind!r}")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed surface program: {exc}") from exc
     return tuple(events)
 

@@ -363,6 +363,9 @@ MALFORMED = {
     "curve-float": ("surface", _with(SURFACE, ["events", 1, "curve"], 1.9)),
     "curve-bool": ("surface", _with(SURFACE, ["events", 1, "curve"], True)),
     "pair-string": ("surface", _with(SURFACE, ["events", 2, "pair"], ["1", 2])),
+    "pair-three": ("surface", _with(SURFACE, ["events", 2, "pair"], [1, 2, 3])),
+    "pair-one": ("surface", _with(SURFACE, ["events", 2, "pair"], [1])),
+    "events-object": ("surface", _with(SURFACE, ["events"], {"type": "generic"})),
     "cfun-duplicate": ("function", _with(FUNCTION, ["strata"], FUNCTION["strata"] * 2)),
     "cfun-repeated-id": ("function", _with(FUNCTION, ["strata", 0, "subset"], [1, 1])),
     "cfun-string-subset": ("function", _with(FUNCTION, ["strata", 0, "subset"], "1")),
@@ -378,8 +381,9 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("kind,payload", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, kind, payload):
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, case):
+    kind, payload = MALFORMED[case]
     surface = tmp_path / "surface.json"
     surface.write_text(json.dumps(SURFACE))
     path = tmp_path / "input.json"
@@ -403,6 +407,9 @@ def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, kin
     if kind.startswith("invariance"):
         bound = "count" if "count" in str(payload) else "max_divisors"
         assert f"sweep bound {bound} must be nonnegative" in err
+    if kind == "surface":
+        # each surface case is named after the field it breaks
+        assert case.split("-")[0] in err
 
 
 def test_unexpected_exception_is_one_line_exit_three(capsys, monkeypatch):

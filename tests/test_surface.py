@@ -63,6 +63,12 @@ class TestEvents:
         assert tuple(dict.fromkeys(map(s.anchor_of, range(1, s.k + 1)))) == ("p1", "p2")
         assert s.anchor_of(3) == "p2"
 
+    def test_anchor_of_rejects_out_of_range(self):
+        s = SurfaceModel(CHAIN3)
+        for j in (0, -1, s.k + 1):
+            with pytest.raises(ValueError, match="invalid curve index"):
+                s.anchor_of(j)
+
     def test_invalid_curve_index(self):
         with pytest.raises(ValueError, match="invalid curve"):
             SurfaceModel((GenericPoint(), PointOnCurve(2)))
@@ -176,6 +182,19 @@ class TestStringy:
         )
         assert s.stringy_class(0) == expected
 
+    def test_matches_weighted_csm_sum(self, corpus_surfaces):
+        # reference: the open stratum is the Chern class minus the others
+        for s in corpus_surfaces[:120]:
+            for m in range(s.k + 1):
+                rel = s.relative(m)
+                expected = s.chern_class()
+                for key in rel.strata:
+                    expected = expected + (rel.weight(key) - 1) * s.csm_stratum(key, m)
+                got = s.stringy_class(m)
+                assert (got.top, got.curves, got.points) == (
+                    expected.top, expected.curves, expected.points
+                )
+
     def test_relative_discrepancies(self):
         s = SurfaceModel(CHAIN3)
         rel = s.relative(1)
@@ -205,6 +224,14 @@ class TestPushforward:
             for m in range(s.k + 1):
                 pushed = s.pushforward(s.stringy_class(m), m)
                 assert pushed == s.stage_model(m).chern_class()
+
+    def test_chain_400_stays_linear(self):
+        # Scaling guard: the weighted class is one pass over the curves, not a
+        # sum of k Chow vectors of length k.
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 400)))
+        for m in (0, 200, 399):
+            pushed = chain.pushforward(chain.stringy_class(m), m)
+            assert pushed == chain.stage_model(m).chern_class()
 
     def test_wrong_basis_rejected(self):
         s = SurfaceModel(NESTED2)
