@@ -186,13 +186,9 @@ def _transform_strata(
     fiber: Sequence[MotivicClass],
     new_bit: int,
 ) -> dict[int, MotivicClass]:
-    out: dict[int, MotivicClass] = {}
-    for mask in old.keys() | center_data.keys():
-        adjusted = old.get(mask, MotivicClass.zero()) - center_data.get(
-            mask, MotivicClass.zero()
-        )
-        if not adjusted.is_zero():
-            out[mask] = adjusted
+    out = dict(old)
+    for mask, cls in center_data.items():
+        out[mask] = old[mask] - cls if mask in old else -cls
     for mask, cls in center_data.items():
         outside = mask & ~k0_mask
         sub = k0_mask

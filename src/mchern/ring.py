@@ -13,9 +13,10 @@ reduced form is ever required; :meth:`MotivicClass.reduced` cancels
 denominator factors that divide the numerator exactly when a compact
 representative is wanted (reports, printing).
 
-:meth:`MotivicClass.sum` adds many classes in one pass over the union of
-their denominators; ``+`` goes through it too.  Multiplying or exactly
-dividing by one ``[P^mu]`` takes O(n) additions, by ``(L-1)[P^mu] = L^(mu+1) - 1``.
+:meth:`MotivicClass.sum` adds many classes by a balanced pairwise merge
+tree over their denominators, scaling each side up by the factors it
+lacks; ``+`` goes through it too.  Multiplying or exactly dividing by one
+``[P^mu]`` takes O(n) additions, by ``(L-1)[P^mu] = L^(mu+1) - 1``.
 
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
@@ -28,8 +29,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -254,6 +255,18 @@ def _div_projective(p: Sequence[int], mu: int) -> Optional[list[int]]:
     return None if any(q[cut:]) else q[:cut]
 
 
+def _merge(a: tuple[Counter, list[int]], b: tuple[Counter, list[int]]) -> tuple[Counter, list[int]]:
+    """The sum of two fractions over the max-multiplicity union of their denominators."""
+    (da, na), (db, nb) = a, b
+    union = da | db
+    na = reduce(_mul_projective, (union - da).elements(), na)
+    nb = reduce(_mul_projective, (union - db).elements(), nb)
+    if len(na) < len(nb):
+        na, nb = nb, na
+    na[: len(nb)] = map(add, na, nb)
+    return union, na
+
+
 class MotivicClass:
     """Fraction num / prod [P^mu] in the localized Grothendieck ring.
 
@@ -310,11 +323,14 @@ class MotivicClass:
 
     @classmethod
     def sum(cls, terms: Iterable["MotivicClass"]) -> "MotivicClass":
-        """Add ``terms`` over the union of their denominators, in one pass.
+        """Add ``terms`` by a balanced pairwise merge tree over their denominators.
 
-        The union keeps each mu at its top multiplicity, as a pairwise ``+``
-        fold does, so the result equals the fold's field for field.  Each
-        group of terms with denominator D is scaled once by prod_union / prod_D.
+        Terms sharing a denominator are added first.  A merge of nA/DA and
+        nB/DB gives (nA * prod(U - DA) + nB * prod(U - DB)) / U, where the
+        union U keeps each mu at its top multiplicity; the cofactors are
+        multiplied in one [P^mu] at a time, so no full product is built and
+        nothing is divided.  The union is associative, so the result equals
+        a pairwise ``+`` fold's field for field.
         """
         nums: dict[tuple[int, ...], LPolynomial] = {}
         for t in terms:
@@ -322,19 +338,12 @@ class MotivicClass:
         if len(nums) == 1:
             ((den, num),) = nums.items()
             return cls(num, den)
-        top: dict[int, int] = {}
-        for term_den in nums:
-            for mu in term_den:
-                top[mu] = max(top.get(mu, 0), term_den.count(mu))
-        den = tuple(sorted(mu for mu, m in top.items() for _ in range(m)))
-        full = reduce(_mul_projective, den, [1])
-        acc: list[int] = []
-        for term_den, num in nums.items():
-            cof = reduce(_div_projective, term_den, full)
-            acc += [0] * (len(num.coeffs) + len(cof) - 1 - len(acc))
-            for i, c in enumerate(num.coeffs):
-                acc[i : i + len(cof)] = map(add, acc[i : i + len(cof)], map(mul, cof, repeat(c)))
-        return cls(LPolynomial(acc), den)
+        level = [(Counter(den), list(num.coeffs)) for den, num in nums.items()]
+        while len(level) > 1:
+            merged = [_merge(a, b) for a, b in zip(level[::2], level[1::2])]
+            level = merged + level[len(merged) * 2 :]
+        den, num = level[0] if level else (Counter(), [])
+        return cls(LPolynomial(num), den.elements())
 
     def __add__(self, other) -> "MotivicClass":
         other = self._coerce(other)
@@ -442,6 +451,9 @@ class MotivicClass:
             return cls(LPolynomial.from_text(obj))
         if not isinstance(obj, dict):
             raise ValueError(f"cannot decode motivic class from {obj!r}")
+        unknown = [key for key in obj if key not in ("numerator", "denominator")]
+        if unknown:
+            raise ValueError(f"unknown motivic class key {unknown[0]!r}")
         num = obj.get("numerator", "0")
         if isinstance(num, list):
             if any(type(c) is not int for c in num):

@@ -335,10 +335,7 @@ class SurfaceModel:
     def _csm(self, rel: RelativeArrangement, subset: Iterable[int]) -> ChowClass:
         key = rel.check(subset)
         if not key:
-            total = self.chern_class()
-            for other in rel.strata:
-                total = total - self._csm(rel, other)
-            return total
+            return self._excess_class(rel, dict.fromkeys(rel.strata, -1))
         pt = ChowClass.point(self.k)
         if len(key) == 2:
             return pt
@@ -348,18 +345,22 @@ class SurfaceModel:
         """Weighted CSM sum over the strata of the relative arrangement.
 
         The open stratum has weight 1 and is the whole surface minus the
-        others, so each other stratum enters with its excess w = weight - 1:
-        the class is chern + sum w * csm(key), written out in coordinates.
+        others, so each other stratum enters with its excess weight - 1.
+        """
+        rel = self.relative(relative_to)
+        return self._excess_class(rel, {key: rel.weight(key) - 1 for key in rel.strata})
+
+    def _excess_class(self, rel: RelativeArrangement, excess: Mapping) -> ChowClass:
+        """chern + sum excess[key] * csm(key) over the strata, written out in coordinates.
+
         Every stratum adds w * euler to [pt]; a curve stratum (t,) also adds
         its proper transform, w at e_t and -w at each later center on t.
         """
-        rel = self.relative(relative_to)
-        excess = {key: rel.weight(key) - 1 for key in rel.strata}
         chern = self.chern_class()
         curves = list(chern.curves)
         for s, through in enumerate(self._through, start=1):
             curves[s] += excess.get((s,), 0) - sum(
-                excess[(t,)] for t in through if t > relative_to
+                excess[(t,)] for t in through if t > rel.stage
             )
         points = chern.points + sum(w * rel.euler(key) for key, w in excess.items())
         return ChowClass(chern.top, curves, points)

@@ -373,6 +373,11 @@ MALFORMED = {
     "cfun-zero-denominator": ("function", _with(FUNCTION, ["strata", 0, "weight"], "1/0")),
     "motivic-float-coefficient": ("motivic", {"numerator": [1, 1.5]}),
     "motivic-denominator-int": ("motivic", {"numerator": "1", "denominator": 5}),
+    "motivic-unknown-key": ("motivic", {"numerator": "1", "denominators": [1]}),
+    "stratum-class-unknown-key": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["initial", "strata", 1, "class"],
+              {"numerator": "1 + L", "denominators": []})),
     "bounds-unknown-key": ("bounds", "dmax=1"),
     "count-negative": ("invariance", ["--count", "-5"]),
     "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
@@ -410,6 +415,8 @@ def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, cas
     if kind == "surface":
         # each surface case is named after the field it breaks
         assert case.split("-")[0] in err
+    if kind in ("motivic", "program") and case.endswith("unknown-key"):
+        assert "unknown motivic class key 'denominators'" in err
 
 
 def test_unexpected_exception_is_one_line_exit_three(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mchern import ring
 from mchern.ring import (
     LPolynomial,
     MotivicClass,
@@ -261,6 +262,56 @@ class TestOnePassSum:
         assert total.den == (1, 2)
         assert total.num.degree == 14
         assert total.eval_at(2) == Fraction(3 * 2**12, 3) + Fraction(1, 7) + 2**7
+
+
+# 7 to 24 distinct denominators, so a merge tree has at least four levels and
+# odd leftovers; repeated mu and zero numerators included
+tree_terms = st.lists(
+    st.builds(
+        MotivicClass,
+        st.lists(st.integers(-5, 5), max_size=6).map(LPolynomial),
+        st.lists(st.integers(0, 6), max_size=4),
+    ),
+    min_size=7,
+    max_size=24,
+    unique_by=lambda t: t.den,
+)
+
+
+def groups(n):
+    """n terms with n distinct denominators [P^a][P^b], 1 <= a <= b."""
+    dens = [(a, b) for b in range(1, 10) for a in range(1, b + 1)][:n]
+    return [MotivicClass(LPolynomial((j, 1, -j)), den) for j, den in enumerate(dens)]
+
+
+class TestMergeTree:
+    @settings(max_examples=60, deadline=None)
+    @given(tree_terms)
+    @example([MotivicClass(0, (mu, mu)) for mu in range(1, 7)] + [MotivicClass(1, (6,))])
+    def test_equals_pairwise_fold_field_for_field(self, terms):
+        expected = reduce(pairwise_add, terms, MotivicClass.zero())
+        got = MotivicClass.sum(terms)
+        assert got.num.coeffs == expected.num.coeffs
+        assert got.den == expected.den
+
+    @pytest.mark.parametrize("n", [2, 3, 33])
+    def test_fixed_group_counts(self, n):
+        terms = groups(n)
+        expected = reduce(pairwise_add, terms, MotivicClass.zero())
+        got = MotivicClass.sum(terms)
+        assert (got.num.coeffs, got.den) == (expected.num.coeffs, expected.den)
+        assert got.eval_at(2) == sum(t.eval_at(2) for t in terms)
+
+    def test_divides_nothing(self, monkeypatch):
+        terms = groups(33) + [MotivicClass(LPolynomial((1, 2, 1)), (1, 2))]
+        expected = reduce(pairwise_add, terms, MotivicClass.zero())
+
+        def refuse(p, mu):
+            raise AssertionError("MotivicClass.sum must not divide")
+
+        monkeypatch.setattr(ring, "_div_projective", refuse)
+        got = MotivicClass.sum(terms)
+        assert (got.num.coeffs, got.den) == (expected.num.coeffs, expected.den)
 
 
 class TestProjectiveKernels:

@@ -80,6 +80,7 @@ class TestMotivicClassJson:
             [1, 2],
             {"numerator": "1", "denominator": [1.5]},
             {"numerator": "1", "denominator": [True]},
+            {"numerator": "1", "denominators": [1]},
         ):
             with pytest.raises(ValueError):
                 MotivicClass.from_json(obj)

@@ -232,6 +232,8 @@ class TestPushforward:
         for m in (0, 200, 399):
             pushed = chain.pushforward(chain.stringy_class(m), m)
             assert pushed == chain.stage_model(m).chern_class()
+        # the open stratum is the same one pass with weight 0, not k subtractions
+        assert chain.csm_stratum(()) == ChowClass(1, (3, -2) + (-1,) * 399, 2)
 
     def test_wrong_basis_rejected(self):
         s = SurfaceModel(NESTED2)
