@@ -10,8 +10,9 @@ point downstairs only ever sees the open stratum.
 
 The result is a :class:`BaseFunction`: a generic value plus finitely many
 corrections at named base points.  Which strata exist, their weights, Euler
-numbers and contracted points, and the fiberwise integral itself are read
-from :class:`~mchern.surface.RelativeArrangement`.
+numbers and contracted points, the weighted unit and the fiberwise integral
+are read from :class:`~mchern.surface.RelativeArrangement`.  The CSM class
+of ``f`` is ``surface.csm(f.weights, stage)``.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def pushforward(
 
 def weighted_unit(surface: SurfaceModel, stage: int = 0) -> ConstructibleFunction:
     """Each stratum weighted by 1 / prod (mu_i + 1) over its curves."""
-    rel = surface.relative(stage)
-    return ConstructibleFunction({key: rel.weight(key) for key in ((),) + rel.strata})
+    return ConstructibleFunction(surface.relative(stage).weighted_unit)
 
 
 def verify_unit_pushforward(surface: SurfaceModel, stage: int = 0) -> bool:

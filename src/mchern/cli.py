@@ -30,8 +30,7 @@ from .modsys import system_to_json
 from .ring import MotivicClass
 from .sampling import random_invariance_case
 from .strata import sweep_identities
-from .surface import SurfaceModel, events_from_json, events_to_json
-from .corpus import swap_last_two
+from .surface import SurfaceModel, events_from_json, events_to_json, swap_last_two
 
 DEFAULT_BOUNDS = {
     "d_max": 6,
@@ -161,7 +160,7 @@ def cmd_verify_invariance(args) -> dict:
 
 
 def cmd_blowup_run(args) -> dict:
-    path = args.scenario or args.program
+    path = args.program
     if path is None:
         raise ScenarioError("blowup run needs --program or --scenario")
     payload = load_payload(path, "program")
@@ -198,7 +197,7 @@ def cmd_blowup_run(args) -> dict:
 
 
 def _load_surface(args) -> tuple[SurfaceModel, str]:
-    path = args.scenario or args.program
+    path = args.program
     if path is None:
         raise ScenarioError("surface commands need --program or --scenario")
     return SurfaceModel(events_from_json(load_payload(path, "surface"))), path
@@ -359,8 +358,7 @@ def make_parser() -> argparse.ArgumentParser:
     bsub = blowup.add_subparsers(dest="action", required=True)
     brun = bsub.add_parser("run")
     brun.set_defaults(run=cmd_blowup_run)
-    brun.add_argument("--program")
-    brun.add_argument("--scenario")
+    brun.add_argument("--program", "--scenario")
     brun.add_argument("--emit-snapshots", action="store_true")
     _add_common(brun)
 
@@ -368,22 +366,19 @@ def make_parser() -> argparse.ArgumentParser:
     ssub = surf.add_subparsers(dest="action", required=True)
     sver = ssub.add_parser("verify-main")
     sver.set_defaults(run=cmd_surface_verify)
-    sver.add_argument("--program")
-    sver.add_argument("--scenario")
+    sver.add_argument("--program", "--scenario")
     sver.add_argument("--stage", type=int, default=None)
     _add_common(sver)
     srep = ssub.add_parser("report")
     srep.set_defaults(run=cmd_surface_report)
-    srep.add_argument("--program")
-    srep.add_argument("--scenario")
+    srep.add_argument("--program", "--scenario")
     _add_common(srep)
 
     cf = sub.add_parser("cfun", help="constructible functions")
     csub = cf.add_subparsers(dest="action", required=True)
     cpush = csub.add_parser("push")
     cpush.set_defaults(run=cmd_cfun_push)
-    cpush.add_argument("--program")
-    cpush.add_argument("--scenario")
+    cpush.add_argument("--program", "--scenario")
     cpush.add_argument("--function", required=True)
     cpush.add_argument("--stage", type=int, default=None)
     _add_common(cpush)

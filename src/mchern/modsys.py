@@ -202,6 +202,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """A JSON string; numbers, bools and objects are rejected."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def json_object(value, what: str) -> Mapping:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
@@ -265,18 +272,21 @@ def system_to_json(
 def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, MarkedLocus]]:
     obj = json_object(obj, "system")
     try:
-        divisors = [(d["id"], json_int(d["mu"], "mu")) for d in obj.get("divisors", ())]
+        divisors = [
+            (json_str(d["id"], "divisor id"), json_int(d["mu"], "mu"))
+            for d in obj.get("divisors", ())
+        ]
         ambient = obj.get("ambient_class")
         system = ModificationSystem(
             json_int(obj["ambient_dim"], "ambient_dim"),
             divisors,
             strata_from_json(obj.get("strata", [])),
             ambient_class=MotivicClass.from_json(ambient) if ambient is not None else None,
-            label=str(obj.get("label", "")),
+            label=json_str(obj.get("label", ""), "label"),
         )
         loci: dict[str, MarkedLocus] = {}
         for entry in obj.get("loci", ()):
-            name = json_object(entry, "locus")["name"]
+            name = json_str(json_object(entry, "locus")["name"], "locus name")
             if name in loci:
                 raise ValueError(f"duplicate locus {name!r}")
             strata = strata_from_json(entry.get("strata", []))

@@ -19,24 +19,26 @@ discrepancies, via mu_new = 1 + sum of the mu's of curves through the
 center (the codimension-2 case of the general multiplicity rule), and the
 original base point each curve lies over.
 
-Everything downstream is linear in the Chow group: total Chern classes,
-CSM classes of arrangement strata, the weighted stratum sum whose
-push-forwards recover the Chern classes of every intermediate stage, and
+Everything downstream is linear in the Chow group: total Chern classes, the
+one CSM route :meth:`SurfaceModel.csm` for rational functions on arrangement
+strata (the weighted stratum class is that of the weighted unit, and its
+push-forwards recover the Chern classes of every intermediate stage), and
 the exporter producing the matching :class:`~mchern.modsys.ModificationSystem`.
 All of it is exact, over Fractions and integer polynomials.
 
 The facts about one stratum of the arrangement relative to a stage (whether
 it exists, its weight 1 / prod (mu_i + 1), its Euler number, the point it
-contracts to) live on :class:`RelativeArrangement`, and every consumer here
-and in :mod:`mchern.cfun` reads them from there.
+contracts to) and the weighted unit live on :class:`RelativeArrangement`,
+and every consumer here and in :mod:`mchern.cfun` reads them from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import prod
-from typing import Iterable, Mapping, Sequence, Union
+from math import lcm, prod
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .modsys import MarkedLocus, ModificationSystem, json_int, json_object
 from .ring import LPolynomial, MotivicClass
@@ -70,6 +72,30 @@ class IntersectionPoint:
 
 
 Event = Union[GenericPoint, PointOnCurve, IntersectionPoint]
+
+
+def _references(event: Event) -> tuple[int, ...]:
+    if isinstance(event, PointOnCurve):
+        return (event.curve,)
+    if isinstance(event, IntersectionPoint):
+        return (event.a, event.b)
+    return ()
+
+
+def swap_last_two(program: tuple[Event, ...]) -> Optional[tuple[Event, ...]]:
+    """Exchange the final two events when they are independent.
+
+    The last event is independent of the one before it when it does not
+    reference the curve that event creates; neither event can reference
+    the other's curve, so no index remapping is needed.
+    """
+    if len(program) < 2:
+        return None
+    first, second = program[-2], program[-1]
+    created = len(program) - 1  # curve index made by the first of the two
+    if created in _references(second) or first == second:
+        return None
+    return program[:-2] + (second, first)
 
 
 class ChowClass:
@@ -183,13 +209,22 @@ class RelativeArrangement:
                 )
         if len(key) > 2:
             raise ValueError(f"unknown stratum of depth {len(key)}: no triple points")
-        if len(key) == 2 and key not in self.pairs:
+        if len(key) == 2 and key not in self._pair_set:
             raise ValueError(f"unknown stratum: curves {key[0]} and {key[1]} do not meet")
         return key
+
+    @cached_property
+    def _pair_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.pairs)
 
     def weight(self, key: tuple[int, ...]) -> Fraction:
         """Stringy weight 1 / prod (mu_i + 1): the weight 1 / prod [P^mu_i] at L = 1."""
         return Fraction(1, prod(self.mus[j] + 1 for j in key))
+
+    @property
+    def weighted_unit(self) -> dict[tuple[int, ...], Fraction]:
+        """Every stratum, the open one included, with its stringy weight."""
+        return {key: self.weight(key) for key in ((),) + self.strata}
 
     def euler(self, key: tuple[int, ...]) -> int:
         """Euler number of a curve stratum (2 minus its crossings) or a crossing (1)."""
@@ -322,48 +357,36 @@ class SurfaceModel:
         root_order = tuple(dict.fromkeys(roots.values()))
         return RelativeArrangement(stage, curves, mus, pairs, meets, roots, root_order)
 
-    def csm_stratum(self, subset: Iterable[int], relative_to: int = 0) -> ChowClass:
-        """CSM class of the locus on exactly the given arrangement curves.
+    def csm(self, weights: Mapping, stage: int = 0) -> ChowClass:
+        """CSM class of the function sum weights[S] * 1_S on the stage's strata.
 
-        The closure of a curve stratum is a rational curve, so its CSM
-        class is its Chow class plus 2[pt]; removing the stratum's
-        boundary points subtracts [pt] each.  The empty subset is computed
-        by inclusion-exclusion against the whole surface.
+        ``weights`` holds an int or Fraction per stratum, keyed as
+        :attr:`~mchern.cfun.ConstructibleFunction.weights`; every key is checked.
+        With f0 the open stratum's value this is f0 c(S) + sum (f_S - f0) csm(S),
+        where csm is [pt] for a crossing and, for a curve stratum (t,), its proper
+        transform (e_t minus the e of each later center on t) plus its Euler
+        number times [pt].  Integer arithmetic over one common denominator.
         """
-        return self._csm(self.relative(relative_to), subset)
+        rel = self.relative(stage)
+        den = lcm(*(w.denominator for w in weights.values()))
+        num = {rel.check(key): w.numerator * (den // w.denominator) for key, w in weights.items()}
+        f0 = num.pop((), 0)
+        excess = {key: num.get(key, 0) - f0 for key in rel.strata}
+        chern = self.chern_class()  # integral
+        top = f0 * int(chern.top)
+        curves = [f0 * int(c) for c in chern.curves]
+        for s, through in enumerate(self._through, start=1):
+            curves[s] += excess.get((s,), 0) - sum(excess[(t,)] for t in through if t > stage)
+        pt = f0 * int(chern.points) + sum(w * rel.euler(key) for key, w in excess.items())
+        return ChowClass(Fraction(top, den), [Fraction(c, den) for c in curves], Fraction(pt, den))
 
-    def _csm(self, rel: RelativeArrangement, subset: Iterable[int]) -> ChowClass:
-        key = rel.check(subset)
-        if not key:
-            return self._excess_class(rel, dict.fromkeys(rel.strata, -1))
-        pt = ChowClass.point(self.k)
-        if len(key) == 2:
-            return pt
-        return self.curve_class(key[0]) + rel.euler(key) * pt
+    def csm_stratum(self, subset: Iterable[int], relative_to: int = 0) -> ChowClass:
+        """CSM class of the locus on exactly the given arrangement curves."""
+        return self.csm({tuple(subset): 1}, relative_to)
 
     def stringy_class(self, relative_to: int = 0) -> ChowClass:
-        """Weighted CSM sum over the strata of the relative arrangement.
-
-        The open stratum has weight 1 and is the whole surface minus the
-        others, so each other stratum enters with its excess weight - 1.
-        """
-        rel = self.relative(relative_to)
-        return self._excess_class(rel, {key: rel.weight(key) - 1 for key in rel.strata})
-
-    def _excess_class(self, rel: RelativeArrangement, excess: Mapping) -> ChowClass:
-        """chern + sum excess[key] * csm(key) over the strata, written out in coordinates.
-
-        Every stratum adds w * euler to [pt]; a curve stratum (t,) also adds
-        its proper transform, w at e_t and -w at each later center on t.
-        """
-        chern = self.chern_class()
-        curves = list(chern.curves)
-        for s, through in enumerate(self._through, start=1):
-            curves[s] += excess.get((s,), 0) - sum(
-                excess[(t,)] for t in through if t > rel.stage
-            )
-        points = chern.points + sum(w * rel.euler(key) for key, w in excess.items())
-        return ChowClass(chern.top, curves, points)
+        """CSM class of the weighted unit: each stratum weighted by 1 / prod (mu_i + 1)."""
+        return self.csm(self.relative(relative_to).weighted_unit, relative_to)
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
@@ -382,7 +405,7 @@ class SurfaceModel:
         rel = self.relative(0)
         if base_point not in rel.root_order:
             raise ValueError(f"unknown anchor {base_point!r}")
-        return rel.fiber_integral({key: rel.weight(key) for key in rel.strata})[base_point]
+        return rel.fiber_integral(rel.weighted_unit)[base_point]
 
     # -- export to the abstract side ---------------------------------------------------
 

@@ -1,6 +1,6 @@
 import pytest
 
-from mchern.corpus import surface_corpus
+from corpus import surface_corpus
 from mchern.surface import SurfaceModel
 
 

@@ -4,8 +4,9 @@ The surface corpus enumerates blow-up programs breadth-first, trying
 every admissible event type at every step (generic point, a point on
 each existing curve, each crossing), and truncates at a size cap so the
 sweep stays desk-scale.  Order-swap pairs pick programs whose final two
-events are independent and exchange them; the geometry downstairs cannot
-tell the difference, which the tests verify exactly.
+events are independent and exchange them with
+:func:`mchern.surface.swap_last_two`; the geometry downstairs cannot tell
+the difference, which the tests verify exactly.
 
 The chain builders insert a chain of rational curves into a trivial
 system one curve at a time, as codimension-1 centers.  Every inserted
@@ -16,12 +17,19 @@ minimal resolution; two insertion orders must produce identical systems.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .blowup import BlowupCenter, blow_up
-from .modsys import ModificationSystem
-from .ring import LPolynomial, MotivicClass
-from .surface import Event, GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
+from mchern.blowup import BlowupCenter, blow_up
+from mchern.modsys import ModificationSystem
+from mchern.ring import LPolynomial, MotivicClass
+from mchern.surface import (
+    Event,
+    GenericPoint,
+    IntersectionPoint,
+    PointOnCurve,
+    SurfaceModel,
+    swap_last_two,
+)
 
 
 def event_choices(surface: SurfaceModel) -> list[Event]:
@@ -46,30 +54,6 @@ def surface_corpus(max_events: int = 6, limit: int = 500) -> list[tuple[Event, .
             for event in event_choices(surface):
                 queue.append((events + (event,), surface.apply_event(event)))
     return programs
-
-
-def _references(event: Event) -> tuple[int, ...]:
-    if isinstance(event, PointOnCurve):
-        return (event.curve,)
-    if isinstance(event, IntersectionPoint):
-        return (event.a, event.b)
-    return ()
-
-
-def swap_last_two(program: tuple[Event, ...]) -> Optional[tuple[Event, ...]]:
-    """Exchange the final two events when they are independent.
-
-    The last event is independent of the one before it when it does not
-    reference the curve that event creates; neither event can reference
-    the other's curve, so no index remapping is needed.
-    """
-    if len(program) < 2:
-        return None
-    first, second = program[-2], program[-1]
-    created = len(program) - 1  # curve index made by the first of the two
-    if created in _references(second) or first == second:
-        return None
-    return program[:-2] + (second, first)
 
 
 def order_swap_pairs(

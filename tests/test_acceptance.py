@@ -10,7 +10,7 @@ import random
 
 from mchern import cfun
 from mchern.blowup import blow_up, total_class_delta_matches, verify_invariance
-from mchern.corpus import (
+from corpus import (
     chain_two_orders,
     final_transposition,
     order_swap_pairs,

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from mchern import cfun
 from mchern.cfun import BaseFunction, ConstructibleFunction
-from mchern.surface import GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
+from mchern.surface import ChowClass, GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
 
 K1 = SurfaceModel((GenericPoint(),))
 NESTED = SurfaceModel((GenericPoint(), PointOnCurve(1)))
@@ -127,6 +128,40 @@ class TestUnitPushforward:
         assert "p7" not in NESTED.relative(0).root_order
         base = cfun.pushforward(NESTED, cfun.weighted_unit(NESTED, 0))
         assert base.value_at("p7") == base.generic_value == 1
+
+
+def random_function(rng: random.Random, surface: SurfaceModel, stage: int):
+    """Seeded rational weights on a random subset of the strata, the open one always."""
+    weights = {frozenset(): Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 7))}
+    for key in surface.relative(stage).strata:
+        if rng.random() < 0.7:
+            weights[frozenset(key)] = Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+    return ConstructibleFunction(weights)
+
+
+class TestNaturality:
+    def test_csm_commutes_with_pushforward(self, corpus_surfaces):
+        # MacPherson: f_* c_SM(phi) = c_SM(f_* phi), and downstairs
+        # c_SM(g + sum corr_p 1_p) = g c(S_m) + sum corr_p [pt]
+        rng = random.Random(7)
+        cases = 0
+        for s in corpus_surfaces[:300]:
+            for m in range(s.k + 1):
+                f = random_function(rng, s, m)
+                base = cfun.pushforward(s, f, m)
+                stage = s.stage_model(m)
+                expected = base.generic_value * stage.chern_class()
+                for correction in base.corrections.values():
+                    expected = expected + correction * ChowClass.point(m)
+                assert s.pushforward(s.csm(f.weights, m), m) == expected
+                cases += 1
+        assert cases > 1000
+
+    def test_csm_checks_every_key(self):
+        with pytest.raises(ValueError, match="do not meet"):
+            CHAIN.csm(ConstructibleFunction.indicator((1, 2)).weights)
+        with pytest.raises(ValueError, match="not in the stage-1 arrangement"):
+            CHAIN.csm({frozenset((1,)): 1}, 1)
 
 
 class TestBaseFunction:

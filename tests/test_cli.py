@@ -378,6 +378,19 @@ MALFORMED = {
         "program",
         _with(ONE_DIVISOR_PROGRAM, ["initial", "strata", 1, "class"],
               {"numerator": "1 + L", "denominators": []})),
+    "locus-name-int": (
+        "program",
+        _with(_with(ONE_DIVISOR_PROGRAM, ["steps"], []), ["initial", "loci"],
+              [{"name": 5, "strata": []}, {"name": "U", "strata": []}])),
+    "divisor-id-int": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"],
+              ONE_DIVISOR_PROGRAM["initial"]["divisors"] + [{"id": 5, "mu": 0}])),
+    "divisor-id-bool": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"],
+              ONE_DIVISOR_PROGRAM["initial"]["divisors"] + [{"id": True, "mu": 0}])),
+    "label-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "label"], {"x": 1})),
     "bounds-unknown-key": ("bounds", "dmax=1"),
     "count-negative": ("invariance", ["--count", "-5"]),
     "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
@@ -417,6 +430,19 @@ def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, cas
         assert case.split("-")[0] in err
     if kind in ("motivic", "program") and case.endswith("unknown-key"):
         assert "unknown motivic class key 'denominators'" in err
+
+
+@pytest.mark.parametrize("case, field", [
+    ("locus-name-int", "locus name"),
+    ("divisor-id-int", "divisor id"),
+    ("divisor-id-bool", "divisor id"),
+    ("label-object", "label"),
+])
+def test_string_fields_name_the_field(capsys, tmp_path, case, field):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(MALFORMED[case][1]))
+    assert main(["blowup", "run", "--program", str(path)]) == 2
+    assert f"{field} must be a string" in capsys.readouterr().err
 
 
 def test_unexpected_exception_is_one_line_exit_three(capsys, monkeypatch):

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mchern.corpus import (
+from corpus import (
     final_transposition,
     order_swap_pairs,
-    swap_last_two,
     systems_isomorphic_under,
 )
 from mchern.blowup import BlowupCenter, BlowupProgram, run_program
@@ -17,6 +16,7 @@ from mchern.surface import (
     IntersectionPoint,
     PointOnCurve,
     SurfaceModel,
+    swap_last_two,
 )
 
 NESTED2 = (GenericPoint(), PointOnCurve(1))
@@ -161,6 +161,16 @@ class TestCsmStrata:
                     if j in (a, b):
                         closure = closure + ChowClass.point(s.k)
                 assert closure == s.curve_class(j) + 2 * ChowClass.point(s.k)
+
+    def test_curve_strata_match_proper_transforms(self, corpus_surfaces):
+        # reference independent of csm: the proper transform from curve_class,
+        # plus the stratum's Euler number in points
+        for s in corpus_surfaces[:200]:
+            for m in range(s.k + 1):
+                rel = s.relative(m)
+                for j in rel.curves:
+                    expected = s.curve_class(j) + rel.euler((j,)) * ChowClass.point(s.k)
+                    assert s.csm_stratum((j,), m) == expected
 
 
 class TestStringy:
