@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -71,12 +72,27 @@ def _bound(args_value, name: str) -> int:
     return value
 
 
-def load_payload(path: str, expected_kind: str) -> dict:
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ScenarioError(f"repeated JSON key {key!r}")
+    return obj
+
+
+def read_payload(path: str, expected_kind: str) -> tuple[dict, str]:
+    """The payload of one input file and the sha256 of the bytes it was parsed from."""
+    data = _read(path)
+    try:
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
@@ -87,7 +103,11 @@ def load_payload(path: str, expected_kind: str) -> dict:
         obj = obj.get("payload", {})
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected a JSON object")
-    return obj
+    return obj, hashlib.sha256(data).hexdigest()
+
+
+def load_payload(path: str, expected_kind: str) -> dict:
+    return read_payload(path, expected_kind)[0]
 
 
 def build_report(command: str, inputs: dict, results: dict, status: str, seed=None) -> dict:
@@ -120,8 +140,6 @@ def cmd_verify_identity(args) -> dict:
     which = args.identity
     d_max = _bound(args.d_max, "d_max")
     mu_max = _bound(args.mu_max, "mu_max")
-    if d_max < 1 or mu_max < 0:
-        raise ScenarioError("need d_max >= 1 and mu_max >= 0")
     result = sweep_identities(
         d_max, mu_max, which=which, mu0_offset=args.mu0_offset
     )
@@ -160,10 +178,9 @@ def cmd_verify_invariance(args) -> dict:
 
 
 def cmd_blowup_run(args) -> dict:
-    path = args.program
-    if path is None:
+    if args.program is None:
         raise ScenarioError("blowup run needs --program or --scenario")
-    payload = load_payload(path, "program")
+    payload, digest = read_payload(args.program, "program")
     program = program_from_json(payload)
     problems = program.initial.validate()
     for locus in program.loci.values():
@@ -189,18 +206,17 @@ def cmd_blowup_run(args) -> dict:
     if args.emit_snapshots:
         results["snapshots"] = [system_to_json(s) for s in outcome.snapshots]
     status = PASS if outcome.all_checks_passed else FAIL
-    inputs = {"program": _digest_file(path)}
-    return build_report("blowup run", inputs, results, status)
+    return build_report("blowup run", {"program": digest}, results, status)
 
 
 # -- surface -----------------------------------------------------------------------
 
 
 def _load_surface(args) -> tuple[SurfaceModel, str]:
-    path = args.program
-    if path is None:
+    if args.program is None:
         raise ScenarioError("surface commands need --program or --scenario")
-    return SurfaceModel(events_from_json(load_payload(path, "surface"))), path
+    payload, digest = read_payload(args.program, "surface")
+    return SurfaceModel(events_from_json(payload)), digest
 
 
 def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
@@ -229,9 +245,7 @@ def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
 
 
 def cmd_surface_verify(args) -> dict:
-    surface, path = _load_surface(args)
-    if args.stage is not None and not 0 <= args.stage <= surface.k:
-        raise ScenarioError(f"stage {args.stage} out of range 0..{surface.k}")
+    surface, digest = _load_surface(args)
     stages = [args.stage] if args.stage is not None else list(range(surface.k + 1))
     results: dict = {"k": surface.k, "stages": {}}
     ok = True
@@ -248,12 +262,12 @@ def cmd_surface_verify(args) -> dict:
         results["order_swap"] = "push-forwards equal" if same else "push-forwards differ"
         ok = ok and same
     status = PASS if ok else FAIL
-    inputs = {"program": _digest_file(path), "stage": args.stage}
+    inputs = {"program": digest, "stage": args.stage}
     return build_report("surface verify-main", inputs, results, status)
 
 
 def cmd_surface_report(args) -> dict:
-    surface, path = _load_surface(args)
+    surface, digest = _load_surface(args)
     stringy = surface.stringy_class(0)
     unit = cfun.pushforward(surface, cfun.weighted_unit(surface, 0), 0)
     results = {
@@ -271,22 +285,26 @@ def cmd_surface_report(args) -> dict:
             anchor: str(unit.value_at(anchor)) for anchor in surface.relative(0).root_order
         },
     }
-    inputs = {"program": _digest_file(path)}
-    return build_report("surface report", inputs, results, PASS)
+    return build_report("surface report", {"program": digest}, results, PASS)
 
 
 # -- cfun ------------------------------------------------------------------------
 
 
 def cmd_cfun_push(args) -> dict:
-    surface, spath = _load_surface(args)
-    function = cfun.function_from_json(load_payload(args.function, "function"))
-    base = cfun.pushforward(surface, function, args.stage or 0)
+    surface, digest = _load_surface(args)
+    payload, function_digest = read_payload(args.function, "function")
+    function = cfun.function_from_json(payload)
+    stage = args.stage or 0
+    zero = {frozenset(entry["subset"]) for entry in payload["strata"]} - function.weights.keys()
+    if zero:  # zero weights leave the function, so pushforward would not check them
+        surface.relative(stage).fiber_integral(dict.fromkeys(zero, 0))
+    base = cfun.pushforward(surface, function, stage)
     results = {
         "function": cfun.function_to_json(function),
         "pushforward": base.to_json(),
     }
-    inputs = {"program": _digest_file(spath), "function": _digest_file(args.function)}
+    inputs = {"program": digest, "function": function_digest}
     return build_report("cfun push", inputs, results, PASS)
 
 
@@ -296,13 +314,10 @@ def cmd_cfun_push(args) -> dict:
 def cmd_motivic_eval(args) -> dict:
     text = args.class_spec
     if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read {text[1:]}: {exc}") from exc
+        # decoded as a text-mode read would decode it, newlines included
+        text = io.TextIOWrapper(io.BytesIO(_read(text[1:])), encoding="utf-8").read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         obj = text  # allow a bare polynomial expression
     value = MotivicClass.from_json(obj)
@@ -316,14 +331,6 @@ def cmd_motivic_eval(args) -> dict:
 
 
 # -- plumbing --------------------------------------------------------------------
-
-
-def _digest_file(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser):

@@ -68,40 +68,34 @@ def _subset_products(mus: Sequence[int]) -> list[LPolynomial]:
     return out
 
 
-def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
-    """Check the weighted stratum sum against [P^(sum mu + d - 1)] exactly."""
+def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
+    """sum_I [H_I] * prod_{i not in I} [P^mu_i] over all 2^k subsets I."""
     if len(mus) != frame.k:
         raise ValueError(f"expected {frame.k} multiplicities, got {len(mus)}")
     d, k = frame.d, frame.k
     prods = _subset_products(mus)
     full = (1 << k) - 1
     strat = [_stratum_poly(d, k, size) for size in range(k + 1)]
-    lhs = LPolynomial.zero()
+    num = LPolynomial.zero()
     for mask in range(1 << k):
-        lhs = lhs + strat[mask.bit_count()] * prods[full ^ mask]
-    rhs = projective_poly(sum(mus) + d - 1 + mu0_offset)
-    return lhs == rhs
+        num = num + strat[mask.bit_count()] * prods[full ^ mask]
+    return num
+
+
+def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
+    """Check the weighted stratum sum against [P^(sum mu + d - 1)] exactly."""
+    return _weighted_numerator(frame, mus) == projective_poly(sum(mus) + frame.d - 1 + mu0_offset)
 
 
 def verify_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
     """Check the localized form: weighted strata sum to 1 / prod [P^mu_j]."""
-    if len(mus) != frame.k:
-        raise ValueError(f"expected {frame.k} multiplicities, got {len(mus)}")
-    d, k = frame.d, frame.k
-    mu0 = sum(mus) + d - 1 + mu0_offset
+    # Over the common denominator [P^mu0] * prod_j [P^mu_j], the term for
+    # subset I contributes [H_I] * prod_{i not in I} [P^mu_i] on top.
+    num = _weighted_numerator(frame, mus)
+    mu0 = sum(mus) + frame.d - 1 + mu0_offset
     if mu0 < 0:
         return False
-    prods = _subset_products(mus)
-    full = (1 << k) - 1
-    strat = [_stratum_poly(d, k, size) for size in range(k + 1)]
-    # Sum over the common denominator [P^mu0] * prod_j [P^mu_j]: the term for
-    # subset I contributes [H_I] * prod_{i not in I} [P^mu_i] on top.
-    num = LPolynomial.zero()
-    for mask in range(1 << k):
-        num = num + strat[mask.bit_count()] * prods[full ^ mask]
-    lhs = MotivicClass(num, (mu0, *mus))
-    rhs = MotivicClass(LPolynomial.one(), mus)
-    return lhs == rhs
+    return MotivicClass(num, (mu0, *mus)) == MotivicClass(LPolynomial.one(), mus)
 
 
 def stratum_euler(d: int, k: int, size: int) -> int:
@@ -160,7 +154,6 @@ def sweep_identities(
     mu_max: int,
     *,
     which: str = "both",
-    include_euler: bool = True,
     mu0_offset: int = 0,
 ) -> SweepResult:
     """Exhaustive sweep over 1 <= d <= d_max, 0 <= k <= d, mu in {0..mu_max}^k.
@@ -187,7 +180,7 @@ def sweep_identities(
                         ok = verify_simplex(frame, key[1], mu0_offset=mu0_offset)
                     if ok and which in ("simplexcor", "both"):
                         ok = verify_simplexcor(frame, key[1], mu0_offset=mu0_offset)
-                        if ok and include_euler:
+                        if ok:
                             ok = euler_shadow_simplexcor(frame, key[1], mu0_offset=mu0_offset)
                     cache[key] = ok
                 if not ok:

@@ -99,18 +99,18 @@ def swap_last_two(program: tuple[Event, ...]) -> Optional[tuple[Event, ...]]:
 
 
 class ChowClass:
-    """Graded rational vector over the basis ([Z]; h, e_1..e_k; [pt])."""
+    """Graded rational vector over the basis ([Z]; h, e_1..e_k; [pt]).
+
+    Coordinates stay the exact ints or Fractions their producer made (an int
+    and the equal Fraction compare, hash and print alike); push-forward slices.
+    """
 
     __slots__ = ("top", "curves", "points")
 
     def __init__(self, top, curves: Sequence, points):
-        self.top = Fraction(top)
-        self.curves = tuple(Fraction(c) for c in curves)
-        self.points = Fraction(points)
-
-    @property
-    def basis_size(self) -> int:
-        return len(self.curves)
+        self.top = top
+        self.curves = tuple(curves)
+        self.points = points
 
     @classmethod
     def point(cls, k: int) -> "ChowClass":
@@ -373,11 +373,11 @@ class SurfaceModel:
         f0 = num.pop((), 0)
         excess = {key: num.get(key, 0) - f0 for key in rel.strata}
         chern = self.chern_class()  # integral
-        top = f0 * int(chern.top)
-        curves = [f0 * int(c) for c in chern.curves]
+        top = f0 * chern.top
+        curves = [f0 * c for c in chern.curves]
         for s, through in enumerate(self._through, start=1):
             curves[s] += excess.get((s,), 0) - sum(excess[(t,)] for t in through if t > stage)
-        pt = f0 * int(chern.points) + sum(w * rel.euler(key) for key, w in excess.items())
+        pt = f0 * chern.points + sum(w * rel.euler(key) for key, w in excess.items())
         return ChowClass(Fraction(top, den), [Fraction(c, den) for c in curves], Fraction(pt, den))
 
     def csm_stratum(self, subset: Iterable[int], relative_to: int = 0) -> ChowClass:
@@ -392,7 +392,7 @@ class SurfaceModel:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
         if not 0 <= to_stage <= self.k:
             raise ValueError(f"stage {to_stage} out of range 0..{self.k}")
-        if cls.basis_size != self.k + 1:
+        if len(cls.curves) != self.k + 1:
             raise ValueError("class does not live on this surface")
         return ChowClass(cls.top, cls.curves[: to_stage + 1], cls.points)
 

