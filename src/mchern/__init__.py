@@ -15,7 +15,7 @@ from .blowup import (
     run_program,
     verify_invariance,
 )
-from .cfun import BaseFunction, ConstructibleFunction, verify_unit_pushforward, weighted_unit
+from .cfun import BaseFunction, weighted_unit
 from .modsys import Divisor, MarkedLocus, ModificationSystem
 from .ring import LPolynomial, MotivicClass, affine_class, projective_class, torus_class
 from .strata import (
@@ -41,7 +41,6 @@ __all__ = [
     "BlowupError",
     "BlowupProgram",
     "ChowClass",
-    "ConstructibleFunction",
     "Divisor",
     "FiberFrame",
     "GenericPoint",
@@ -63,6 +62,5 @@ __all__ = [
     "verify_invariance",
     "verify_simplex",
     "verify_simplexcor",
-    "verify_unit_pushforward",
     "weighted_unit",
 ]

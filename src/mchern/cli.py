@@ -8,10 +8,6 @@ the exit code.  Reports are JSON with sorted keys; all randomness is seeded
 and the seed is recorded, so re-running a command reproduces the report byte
 for byte.  Wall-clock timings are only attached on request (--timings) and
 are never part of the digest.
-
-Default sweep sizes can be overridden with the environment variable
-``MC_SWEEP_BOUNDS``, e.g. ``MC_SWEEP_BOUNDS="d_max=4,mu_max=2,count=50"``;
-an unknown key or a negative bound is an input error.
 """
 
 from __future__ import annotations
@@ -33,12 +29,6 @@ from .sampling import random_invariance_case
 from .strata import sweep_identities
 from .surface import SurfaceModel, events_from_json, events_to_json, swap_last_two
 
-DEFAULT_BOUNDS = {
-    "d_max": 6,
-    "mu_max": 4,
-    "count": 200,
-    "max_divisors": 8,
-}
 DEFAULT_SEED = 101
 
 PASS, FAIL = "pass", "fail"
@@ -48,25 +38,7 @@ class ScenarioError(ValueError):
     pass
 
 
-def sweep_bounds() -> dict:
-    bounds = dict(DEFAULT_BOUNDS)
-    raw = os.environ.get("MC_SWEEP_BOUNDS", "")
-    for chunk in filter(None, (part.strip() for part in raw.split(","))):
-        if "=" not in chunk:
-            raise ScenarioError(f"bad MC_SWEEP_BOUNDS entry {chunk!r}")
-        key, _, value = chunk.partition("=")
-        key = key.strip()
-        if key not in DEFAULT_BOUNDS:
-            raise ScenarioError(f"unknown MC_SWEEP_BOUNDS key {key!r}")
-        try:
-            bounds[key] = int(value)
-        except ValueError:
-            raise ScenarioError(f"bad MC_SWEEP_BOUNDS value {chunk!r}") from None
-    return bounds
-
-
-def _bound(args_value, name: str) -> int:
-    value = args_value if args_value is not None else sweep_bounds()[name]
+def _bound(value: int, name: str) -> int:
     if value < 0:
         raise ScenarioError(f"sweep bound {name} must be nonnegative, got {value}")
     return value
@@ -296,9 +268,6 @@ def cmd_cfun_push(args) -> dict:
     payload, function_digest = read_payload(args.function, "function")
     function = cfun.function_from_json(payload)
     stage = args.stage or 0
-    zero = {frozenset(entry["subset"]) for entry in payload["strata"]} - function.weights.keys()
-    if zero:  # zero weights leave the function, so pushforward would not check them
-        surface.relative(stage).fiber_integral(dict.fromkeys(zero, 0))
     base = cfun.pushforward(surface, function, stage)
     results = {
         "function": cfun.function_to_json(function),
@@ -350,15 +319,15 @@ def make_parser() -> argparse.ArgumentParser:
     for name in ("simplex", "simplexcor"):
         vp = vsub.add_parser(name)
         vp.set_defaults(run=cmd_verify_identity)
-        vp.add_argument("--d-max", type=int, default=None)
-        vp.add_argument("--mu-max", type=int, default=None)
+        vp.add_argument("--d-max", type=int, default=6)
+        vp.add_argument("--mu-max", type=int, default=4)
         vp.add_argument("--mu0-offset", type=int, default=0)
         _add_common(vp)
     vinv = vsub.add_parser("invariance")
     vinv.set_defaults(run=cmd_verify_invariance)
-    vinv.add_argument("--count", type=int, default=None)
+    vinv.add_argument("--count", type=int, default=200)
     vinv.add_argument("--seed", type=int, default=None)
-    vinv.add_argument("--max-divisors", type=int, default=None)
+    vinv.add_argument("--max-divisors", type=int, default=8)
     _add_common(vinv)
 
     blowup = sub.add_parser("blowup", help="run blow-up programs")

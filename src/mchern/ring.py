@@ -187,11 +187,11 @@ class LPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    _TERM_RE = re.compile(r"^(?:(?P<coeff>\d+)\*?)?(?P<var>L)?(?:\^(?P<exp>\d+))?$")
+    _TERM_RE = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>L)?(?:\^(?P<exp>\d+))?")
 
     @classmethod
     def from_text(cls, text: str) -> "LPolynomial":
-        s = text.replace(" ", "")
+        s = "".join(text.split())  # all whitespace is insignificant
         if s in ("", "0"):
             return cls.zero()
         tokens = re.findall(r"[+-]?[^+-]+", s)
@@ -205,7 +205,7 @@ class LPolynomial:
             elif token[0] == "-":
                 sign = -1
                 token = token[1:]
-            m = cls._TERM_RE.match(token)
+            m = cls._TERM_RE.fullmatch(token)
             if not m or not token:
                 raise ValueError(f"cannot parse term {token!r} in {text!r}")
             coeff, var, exp = m.group("coeff"), m.group("var"), m.group("exp")

@@ -234,15 +234,28 @@ class RelativeArrangement:
         """The point of the stage surface a curve or crossing stratum contracts to."""
         return self.roots[key[0]]
 
-    def fiber_integral(self, weights: Mapping) -> dict[str, Fraction]:
+    def keyed(self, f: Mapping) -> dict[tuple[int, ...], Fraction]:
+        """A constructible function ``{curve subset: weight}`` with each key :meth:`check`-ed.
+
+        Zero weights stay.  A stratum given twice, say as ``(1, 2)`` and
+        ``(2, 1)``, is a ValueError.
+        """
+        out: dict[tuple[int, ...], Fraction] = {}
+        for subset, value in f.items():
+            key = self.check(subset)
+            if key in out:
+                raise ValueError(f"duplicate stratum {list(key)!r}")
+            out[key] = value
+        return out
+
+    def fiber_integral(self, weights: Mapping[tuple[int, ...], Fraction]) -> dict[str, Fraction]:
         """Per contracted point, the sum of weight times Euler number over its fiber.
 
-        ``weights`` maps curve subsets to values; every subset is checked, and
-        the open stratum lies over no contracted point.
+        ``weights`` is keyed as :meth:`keyed` returns it; the open stratum lies
+        over no contracted point.
         """
         totals = {root: Fraction(0) for root in self.root_order}
-        for subset, value in weights.items():
-            key = self.check(subset)
+        for key, value in weights.items():
             if key:
                 totals[self.root(key)] += value * self.euler(key)
         return totals
@@ -360,16 +373,17 @@ class SurfaceModel:
     def csm(self, weights: Mapping, stage: int = 0) -> ChowClass:
         """CSM class of the function sum weights[S] * 1_S on the stage's strata.
 
-        ``weights`` holds an int or Fraction per stratum, keyed as
-        :attr:`~mchern.cfun.ConstructibleFunction.weights`; every key is checked.
-        With f0 the open stratum's value this is f0 c(S) + sum (f_S - f0) csm(S),
-        where csm is [pt] for a crossing and, for a curve stratum (t,), its proper
-        transform (e_t minus the e of each later center on t) plus its Euler
-        number times [pt].  Integer arithmetic over one common denominator.
+        ``weights`` maps curve subsets to ints or Fractions and is read through
+        :meth:`RelativeArrangement.keyed`.  With f0 the open stratum's value
+        this is f0 c(S) + sum (f_S - f0) csm(S), where csm is [pt] for a
+        crossing and, for a curve stratum (t,), its proper transform (e_t minus
+        the e of each later center on t) plus its Euler number times [pt].
+        Integer arithmetic over one common denominator.
         """
         rel = self.relative(stage)
+        weights = rel.keyed(weights)
         den = lcm(*(w.denominator for w in weights.values()))
-        num = {rel.check(key): w.numerator * (den // w.denominator) for key, w in weights.items()}
+        num = {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
         f0 = num.pop((), 0)
         excess = {key: num.get(key, 0) - f0 for key in rel.strata}
         chern = self.chern_class()  # integral

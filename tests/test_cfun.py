@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mchern import cfun
-from mchern.cfun import BaseFunction, ConstructibleFunction
+from mchern.cfun import BaseFunction
 from mchern.surface import ChowClass, GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
 
 K1 = SurfaceModel((GenericPoint(),))
@@ -12,31 +12,27 @@ NESTED = SurfaceModel((GenericPoint(), PointOnCurve(1)))
 CHAIN = SurfaceModel((GenericPoint(), PointOnCurve(1), IntersectionPoint(1, 2)))
 
 
-class TestConstructibleFunction:
-    def test_zero_weights_dropped(self):
-        f = ConstructibleFunction({frozenset((1,)): 0, frozenset(): 1})
-        assert f.weights == {frozenset(): 1}
+def closed_curve(surface: SurfaceModel, j: int) -> dict:
+    """Indicator of the whole curve j: its open stratum plus its crossings."""
+    return {(j,): 1, **{pair: 1 for pair in surface.relative(0).pairs if j in pair}}
 
-    def test_linear_structure(self):
-        f = ConstructibleFunction.indicator((1,))
-        g = ConstructibleFunction.indicator(())
-        combo = Fraction(1, 2) * f + 3 * g
-        assert combo.weights[frozenset((1,))] == Fraction(1, 2)
-        assert combo.weights[frozenset()] == 3
-        assert (f - f).weights == {}
+
+class TestConstructibleFunction:
+    """A constructible function is a mapping from curve subsets to weights."""
 
     def test_indicator_closed_curve(self):
-        f = ConstructibleFunction.indicator_closed_curve(CHAIN, 1)
-        assert f.weights == {
-            frozenset((1,)): 1,
-            frozenset((1, 3)): 1,
-        }
+        f = closed_curve(CHAIN, 1)
+        assert f == {(1,): 1, (1, 3): 1}
+        assert CHAIN.relative(0).keyed(f) == f
+
+    def test_keys_checked_and_zeros_kept(self):
+        rel = NESTED.relative(0)
+        assert rel.keyed({frozenset((2, 1)): 0, frozenset(): 1}) == {(1, 2): 0, (): 1}
 
 
 class TestPushforward:
     def test_closed_curve_gives_full_euler(self):
-        f = ConstructibleFunction.indicator_closed_curve(K1, 1)
-        base = cfun.pushforward(K1, f)
+        base = cfun.pushforward(K1, closed_curve(K1, 1))
         assert base.generic_value == 0
         assert base.value_at("p1") == 2
 
@@ -47,23 +43,32 @@ class TestPushforward:
         assert base.value_at("p1") == 1
 
     def test_open_complement(self):
-        base = cfun.pushforward(K1, ConstructibleFunction.indicator(()))
+        base = cfun.pushforward(K1, {(): 1})
         assert base.generic_value == 1
         assert base.value_at("p1") == 0
         assert base.corrections == {"p1": -1}
 
     def test_unknown_stratum(self):
         with pytest.raises(ValueError, match="unknown stratum"):
-            cfun.pushforward(K1, ConstructibleFunction.indicator((4,)))
+            cfun.pushforward(K1, {(4,): 1})
         with pytest.raises(ValueError, match="do not meet"):
-            cfun.pushforward(CHAIN, ConstructibleFunction.indicator((1, 2)))
+            cfun.pushforward(CHAIN, {(1, 2): 1})
+
+    def test_zero_weight_key_is_checked(self):
+        with pytest.raises(ValueError, match="unknown stratum"):
+            cfun.pushforward(K1, {(4,): 0})
+
+    def test_stratum_given_twice(self):
+        # one stratum written twice is an input error, not a doubled weight
+        with pytest.raises(ValueError, match=r"duplicate stratum \[1, 2\]"):
+            cfun.pushforward(NESTED, {(1, 2): 1, (2, 1): 1})
+        with pytest.raises(ValueError, match=r"duplicate stratum \[\]"):
+            cfun.pushforward(NESTED, {(): 1, frozenset(): 1})
 
     def test_linearity(self):
-        f = ConstructibleFunction.indicator((1,))
-        g = ConstructibleFunction.indicator(())
-        combo = cfun.pushforward(NESTED, 2 * f + Fraction(1, 3) * g)
-        single_f = cfun.pushforward(NESTED, f)
-        single_g = cfun.pushforward(NESTED, g)
+        combo = cfun.pushforward(NESTED, {(1,): 2, (): Fraction(1, 3)})
+        single_f = cfun.pushforward(NESTED, {(1,): 1})
+        single_g = cfun.pushforward(NESTED, {(): 1})
         for point in ("p1", "generic-ish"):
             assert combo.value_at(point) == 2 * single_f.value_at(point) + Fraction(
                 1, 3
@@ -75,7 +80,7 @@ class TestPushforward:
         for s in corpus_surfaces[:60]:
             rel = s.relative(0)
             for j in rel.curves:
-                base = cfun.pushforward(s, ConstructibleFunction.indicator_closed_curve(s, j))
+                base = cfun.pushforward(s, closed_curve(s, j))
                 assert base.generic_value == 0
                 for root in rel.root_order:
                     if rel.roots[j] == root:
@@ -86,16 +91,13 @@ class TestPushforward:
 
 class TestWeightedUnit:
     def test_plane(self):
-        f = cfun.weighted_unit(SurfaceModel(), 0)
-        assert f.weights == {frozenset(): 1}
+        assert cfun.weighted_unit(SurfaceModel(), 0) == {(): 1}
 
     def test_k1(self):
-        f = cfun.weighted_unit(K1, 0)
-        assert f.weights == {frozenset(): 1, frozenset((1,)): Fraction(1, 2)}
+        assert cfun.weighted_unit(K1, 0) == {(): 1, (1,): Fraction(1, 2)}
 
     def test_nested(self):
-        f = cfun.weighted_unit(NESTED, 0)
-        assert sorted(f.weights.values()) == [
+        assert sorted(cfun.weighted_unit(NESTED, 0).values()) == [
             Fraction(1, 6),
             Fraction(1, 3),
             Fraction(1, 2),
@@ -107,18 +109,18 @@ class TestUnitPushforward:
     def test_small_surfaces(self):
         for s in (SurfaceModel(), K1, NESTED, CHAIN):
             for m in range(s.k + 1):
-                assert cfun.verify_unit_pushforward(s, m)
+                assert cfun.pushforward(s, cfun.weighted_unit(s, m), m).is_constant(1)
 
     def test_identity_stage_trivial(self):
-        assert cfun.verify_unit_pushforward(K1, 1)
+        assert cfun.pushforward(K1, cfun.weighted_unit(K1, 1), 1).is_constant(1)
 
     def test_restricted_to_fiber_is_indicator(self):
         rel = NESTED.relative(0)
-        f = ConstructibleFunction({
+        f = {
             key: weight
-            for key, weight in cfun.weighted_unit(NESTED, 0).weights.items()
-            if key and rel.root(tuple(sorted(key))) == "p1"
-        })
+            for key, weight in cfun.weighted_unit(NESTED, 0).items()
+            if key and rel.root(key) == "p1"
+        }
         base = cfun.pushforward(NESTED, f)
         assert base.generic_value == 0
         assert base.value_at("p1") == 1
@@ -136,7 +138,7 @@ def random_function(rng: random.Random, surface: SurfaceModel, stage: int):
     for key in surface.relative(stage).strata:
         if rng.random() < 0.7:
             weights[frozenset(key)] = Fraction(rng.randint(-6, 6), rng.randint(1, 9))
-    return ConstructibleFunction(weights)
+    return weights
 
 
 class TestNaturality:
@@ -153,15 +155,21 @@ class TestNaturality:
                 expected = base.generic_value * stage.chern_class()
                 for correction in base.corrections.values():
                     expected = expected + correction * ChowClass.point(m)
-                assert s.pushforward(s.csm(f.weights, m), m) == expected
+                assert s.pushforward(s.csm(f, m), m) == expected
                 cases += 1
         assert cases > 1000
 
     def test_csm_checks_every_key(self):
         with pytest.raises(ValueError, match="do not meet"):
-            CHAIN.csm(ConstructibleFunction.indicator((1, 2)).weights)
+            CHAIN.csm({(1, 2): 1})
         with pytest.raises(ValueError, match="not in the stage-1 arrangement"):
             CHAIN.csm({frozenset((1,)): 1}, 1)
+
+    def test_csm_rejects_a_stratum_given_twice(self):
+        # csm and the push-forward read one checked mapping, so the square
+        # cannot count a crossing once on one side and twice on the other
+        with pytest.raises(ValueError, match="duplicate stratum"):
+            NESTED.csm({(1, 2): 1, (2, 1): 1})
 
 
 class TestBaseFunction:

@@ -99,17 +99,6 @@ class TestVerify:
         assert report["seed"] == 9
         assert report["results"]["failures"] == []
 
-    def test_env_bounds_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MC_SWEEP_BOUNDS", "d_max=2,mu_max=1")
-        assert main(["verify", "simplex", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["results"]["d_max"] == 2
-        assert report["results"]["cases"] == 10
-
-    def test_env_bounds_malformed(self, capsys, monkeypatch):
-        monkeypatch.setenv("MC_SWEEP_BOUNDS", "d_max")
-        assert main(["verify", "simplex"]) == 2
-
 
 class TestBlowupRun:
     def test_program_passes(self, capsys, program_file):
@@ -283,6 +272,30 @@ class TestMotivicEval:
         assert report["results"]["canonical"] == "1 + L"
 
 
+# every kind of whitespace is insignificant in a bare polynomial
+WHITESPACE = {
+    "trailing-newline": ("1 + L\n", "1 + L"),
+    "newline-before-term": ("1\n+ L", "1 + L"),
+    "two-trailing-newlines": ("1+L\n\n", "1 + L"),
+    "trailing-crlf": ("1 + L\r\n", "1 + L"),
+    "trailing-tab": ("1 + L\t", "1 + L"),
+    "newline-before-exponent": ("L\n^2", "L^2"),
+}
+
+
+@pytest.mark.parametrize("via_file", [False, True], ids=["inline", "file"])
+@pytest.mark.parametrize("case", WHITESPACE)
+def test_whitespace_in_bare_polynomial(capsys, tmp_path, case, via_file):
+    text, canonical = WHITESPACE[case]
+    spec = text
+    if via_file:
+        path = tmp_path / "class.txt"
+        path.write_bytes(text.encode())
+        spec = f"@{path}"
+    assert main(["motivic", "eval", spec, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["canonical"] == canonical
+
+
 class TestReportDeterminism:
     def test_byte_identical_reruns(self, capsys):
         args = ["verify", "invariance", "--count", "10", "--seed", "3", "--json"]
@@ -415,16 +428,13 @@ MALFORMED = {
         _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"],
               ONE_DIVISOR_PROGRAM["initial"]["divisors"] + [{"id": True, "mu": 0}])),
     "label-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "label"], {"x": 1})),
-    "bounds-unknown-key": ("bounds", "dmax=1"),
     "count-negative": ("invariance", ["--count", "-5"]),
     "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
-    "bounds-count-negative": ("invariance-bounds", "count=-5"),
-    "bounds-max-divisors-negative": ("invariance-bounds", "max_divisors=-1"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, case):
+def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
     kind, payload = MALFORMED[case]
     surface = tmp_path / "surface.json"
     surface.write_text(json.dumps(SURFACE))
@@ -435,18 +445,14 @@ def test_malformed_input_is_one_line_exit_two(capsys, monkeypatch, tmp_path, cas
         "surface": ["surface", "report", "--program", str(path)],
         "function": ["cfun", "push", "--program", str(surface), "--function", str(path)],
         "motivic": ["motivic", "eval", json.dumps(payload)],
-        "bounds": ["verify", "simplex"],
-        "invariance-bounds": ["verify", "invariance"],
         "invariance": ["verify", "invariance"],
     }[kind]
     if kind == "invariance":
         argv += payload
-    if kind.endswith("bounds"):
-        monkeypatch.setenv("MC_SWEEP_BOUNDS", payload)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if kind.startswith("invariance"):
+    if kind == "invariance":
         bound = "count" if "count" in str(payload) else "max_divisors"
         assert f"sweep bound {bound} must be nonnegative" in err
     if kind == "surface":

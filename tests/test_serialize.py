@@ -171,11 +171,16 @@ class TestSurfaceJson:
 
 class TestFunctionJson:
     def test_roundtrip(self):
-        f = cfun.ConstructibleFunction(
-            {frozenset(): 1, frozenset((1,)): Fraction(1, 2)}
-        )
+        f = {frozenset(): 1, frozenset((1,)): Fraction(1, 2)}
         again = cfun.function_from_json(cfun.function_to_json(f))
         assert again == f
+
+    def test_zero_weights(self):
+        # decoded, a zero weight is kept; encoded, it is left out
+        wire = {"strata": [{"subset": [], "weight": "1"}, {"subset": [1], "weight": "0"}]}
+        f = cfun.function_from_json(wire)
+        assert f == {frozenset(): 1, frozenset((1,)): 0}
+        assert cfun.function_to_json(f) == {"strata": [{"subset": [], "weight": "1"}]}
 
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
