@@ -13,6 +13,7 @@ are never part of the digest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -242,15 +243,16 @@ def cmd_surface_report(args) -> dict:
     surface, digest = _load_surface(args)
     stringy = surface.stringy_class(0)
     unit = cfun.pushforward(surface, cfun.weighted_unit(surface, 0), 0)
+    rendered = stringy.to_json()  # pushforward to stage m keeps curves[: m + 1]
     results = {
         "events": events_to_json(surface.events)["events"],
         "k": surface.k,
         "discrepancies": list(surface.discrepancies),
         "incidence": [list(p) for p in surface.meeting_pairs()],
         "chern": surface.chern_class().to_json(),
-        "weighted_stratum_class": stringy.to_json(),
+        "weighted_stratum_class": rendered,
         "pushforwards": {
-            str(m): surface.pushforward(stringy, m).to_json()
+            str(m): {**rendered, "curves": rendered["curves"][: m + 1]}
             for m in range(surface.k + 1)
         },
         "fiber_profiles": {
@@ -307,6 +309,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--timings", action="store_true", help="attach wall-clock timings")
 
 
+@functools.cache  # built on first use; ``run`` names a cmd_* function, looked up per call
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mchern",
@@ -318,13 +321,13 @@ def make_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="identity", required=True)
     for name in ("simplex", "simplexcor"):
         vp = vsub.add_parser(name)
-        vp.set_defaults(run=cmd_verify_identity)
+        vp.set_defaults(run="cmd_verify_identity")
         vp.add_argument("--d-max", type=int, default=6)
         vp.add_argument("--mu-max", type=int, default=4)
         vp.add_argument("--mu0-offset", type=int, default=0)
         _add_common(vp)
     vinv = vsub.add_parser("invariance")
-    vinv.set_defaults(run=cmd_verify_invariance)
+    vinv.set_defaults(run="cmd_verify_invariance")
     vinv.add_argument("--count", type=int, default=200)
     vinv.add_argument("--seed", type=int, default=None)
     vinv.add_argument("--max-divisors", type=int, default=8)
@@ -333,7 +336,7 @@ def make_parser() -> argparse.ArgumentParser:
     blowup = sub.add_parser("blowup", help="run blow-up programs")
     bsub = blowup.add_subparsers(dest="action", required=True)
     brun = bsub.add_parser("run")
-    brun.set_defaults(run=cmd_blowup_run)
+    brun.set_defaults(run="cmd_blowup_run")
     brun.add_argument("--program", "--scenario")
     brun.add_argument("--emit-snapshots", action="store_true")
     _add_common(brun)
@@ -341,19 +344,19 @@ def make_parser() -> argparse.ArgumentParser:
     surf = sub.add_parser("surface", help="plane blow-up surfaces")
     ssub = surf.add_subparsers(dest="action", required=True)
     sver = ssub.add_parser("verify-main")
-    sver.set_defaults(run=cmd_surface_verify)
+    sver.set_defaults(run="cmd_surface_verify")
     sver.add_argument("--program", "--scenario")
     sver.add_argument("--stage", type=int, default=None)
     _add_common(sver)
     srep = ssub.add_parser("report")
-    srep.set_defaults(run=cmd_surface_report)
+    srep.set_defaults(run="cmd_surface_report")
     srep.add_argument("--program", "--scenario")
     _add_common(srep)
 
     cf = sub.add_parser("cfun", help="constructible functions")
     csub = cf.add_subparsers(dest="action", required=True)
     cpush = csub.add_parser("push")
-    cpush.set_defaults(run=cmd_cfun_push)
+    cpush.set_defaults(run="cmd_cfun_push")
     cpush.add_argument("--program", "--scenario")
     cpush.add_argument("--function", required=True)
     cpush.add_argument("--stage", type=int, default=None)
@@ -362,7 +365,7 @@ def make_parser() -> argparse.ArgumentParser:
     mot = sub.add_parser("motivic", help="evaluate classes")
     msub = mot.add_subparsers(dest="action", required=True)
     meval = msub.add_parser("eval")
-    meval.set_defaults(run=cmd_motivic_eval)
+    meval.set_defaults(run="cmd_motivic_eval")
     meval.add_argument("class_spec", help="class JSON, bare polynomial, or @file")
     meval.add_argument("--at", type=int, action="append")
     meval.add_argument("--euler", action="store_true")
@@ -375,7 +378,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     args = make_parser().parse_args(argv)
     try:
-        report = args.run(args)
+        report = globals()[args.run](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,7 +107,12 @@ class ModificationSystem:
         )
 
     def mu_of_mask(self, mask: int) -> tuple[int, ...]:
-        return tuple(d.mu for i, d in enumerate(self.divisors) if mask >> i & 1)
+        divs, mus = self.divisors, []
+        mask &= (1 << len(divs)) - 1  # bits past the last divisor name none
+        while mask:  # one step per set bit, lowest first
+            mus.append(divs[(mask & -mask).bit_length() - 1].mu)
+            mask &= mask - 1
+        return tuple(mus)
 
     def stratum(self, key: SubsetKey) -> MotivicClass:
         return self.strata.get(self.mask_of(key), MotivicClass.zero())

@@ -7,16 +7,16 @@ classes
     [P^mu] = 1 + L + ... + L^mu.
 
 A :class:`MotivicClass` is an exact fraction ``num / prod_i [P^mu_i]``:
-an integer-polynomial numerator together with a multiset of localization
+an integer-polynomial numerator together with a sorted tuple of localization
 exponents.  Equality is decided by cross-multiplication, so no canonical
 reduced form is ever required; :meth:`MotivicClass.reduced` cancels
 denominator factors that divide the numerator exactly when a compact
 representative is wanted (reports, printing).
 
 :meth:`MotivicClass.sum` adds many classes by a balanced pairwise merge
-tree over their denominators, scaling each side up by the factors it
-lacks; ``+`` goes through it too.  Multiplying or exactly dividing by one
-``[P^mu]`` takes O(n) additions, by ``(L-1)[P^mu] = L^(mu+1) - 1``.
+tree over their denominators, scaling each side by the factors it lacks;
+``+`` goes through it, and ``==`` cross-multiplies by the same lacks.  One
+``[P^mu]`` multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``.
 
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
@@ -26,7 +26,6 @@ freely shared between threads or tasks.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -255,12 +254,23 @@ def _div_projective(p: Sequence[int], mu: int) -> Optional[list[int]]:
     return None if any(q[cut:]) else q[:cut]
 
 
-def _merge(a: tuple[Counter, list[int]], b: tuple[Counter, list[int]]) -> tuple[Counter, list[int]]:
-    """The sum of two fractions over the max-multiplicity union of their denominators."""
+def _union_lacks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The max-multiplicity union of two sorted exponent tuples and what a and b each lack of it."""
+    lack_a, lack_b = list(b), []  # each exponent of a cancels one equal exponent of b
+    for mu in a:
+        if mu in lack_a:
+            lack_a.remove(mu)
+        else:
+            lack_b.append(mu)
+    return tuple(sorted(a + tuple(lack_a))), lack_a, lack_b
+
+
+def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
+    """The sum of two (sorted denominator, numerator coefficients) fractions over their union."""
     (da, na), (db, nb) = a, b
-    union = da | db
-    na = reduce(_mul_projective, (union - da).elements(), na)
-    nb = reduce(_mul_projective, (union - db).elements(), nb)
+    union, lack_a, lack_b = _union_lacks(da, db)
+    na = reduce(_mul_projective, lack_a, na)
+    nb = reduce(_mul_projective, lack_b, nb)
     if len(na) < len(nb):
         na, nb = nb, na
     na[: len(nb)] = map(add, na, nb)
@@ -338,12 +348,12 @@ class MotivicClass:
         if len(nums) == 1:
             ((den, num),) = nums.items()
             return cls(num, den)
-        level = [(Counter(den), list(num.coeffs)) for den, num in nums.items()]
+        level = [(den, list(num.coeffs)) for den, num in nums.items()]
         while len(level) > 1:
             merged = [_merge(a, b) for a, b in zip(level[::2], level[1::2])]
             level = merged + level[len(merged) * 2 :]
-        den, num = level[0] if level else (Counter(), [])
-        return cls(LPolynomial(num), den.elements())
+        den, num = level[0] if level else ((), [])
+        return cls(LPolynomial(num), den)
 
     def __add__(self, other) -> "MotivicClass":
         other = self._coerce(other)
@@ -380,9 +390,9 @@ class MotivicClass:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ca, cb = Counter(self.den), Counter(o.den)
-        left = reduce(_mul_projective, (cb - ca).elements(), list(self.num.coeffs))
-        right = reduce(_mul_projective, (ca - cb).elements(), list(o.num.coeffs))
+        _, lack_self, lack_o = _union_lacks(self.den, o.den)
+        left = reduce(_mul_projective, lack_self, list(self.num.coeffs))
+        right = reduce(_mul_projective, lack_o, list(o.num.coeffs))
         return left == right
 
     __hash__ = None  # equality is cross-multiplicative; no stable hash

@@ -264,7 +264,7 @@ class RelativeArrangement:
 class SurfaceModel:
     """The surface obtained from the plane by a sequence of point blow-ups."""
 
-    __slots__ = ("events", "_through", "_pairs")
+    __slots__ = ("events", "_through", "_pairs", "_last_relative")
 
     def __init__(self, events: Iterable[Event] = ()):
         self.events: tuple[Event, ...] = tuple(events)
@@ -290,6 +290,7 @@ class SurfaceModel:
             through.append(center)
         self._through: tuple[tuple[int, ...], ...] = tuple(through)
         self._pairs: frozenset[tuple[int, int]] = frozenset(pairs)
+        self._last_relative: Optional[RelativeArrangement] = None
 
     @classmethod
     def plane(cls) -> "SurfaceModel":
@@ -342,6 +343,9 @@ class SurfaceModel:
         return ChowClass(0, curves, 0)
 
     def relative(self, stage: int) -> RelativeArrangement:
+        """The arrangement down to ``stage``; the last one is kept and shared, so never mutate it."""
+        if (last := self._last_relative) is not None and last.stage == stage:
+            return last
         if not 0 <= stage <= self.k:
             raise ValueError(f"stage {stage} out of range 0..{self.k}")
         curves = tuple(range(stage + 1, self.k + 1))
@@ -368,7 +372,9 @@ class SurfaceModel:
             meets[a] += 1
             meets[b] += 1
         root_order = tuple(dict.fromkeys(roots.values()))
-        return RelativeArrangement(stage, curves, mus, pairs, meets, roots, root_order)
+        rel = RelativeArrangement(stage, curves, mus, pairs, meets, roots, root_order)
+        self._last_relative = rel  # read once per call: a racing store cannot swap stages
+        return rel
 
     def csm(self, weights: Mapping, stage: int = 0) -> ChowClass:
         """CSM class of the function sum weights[S] * 1_S on the stage's strata.

@@ -11,6 +11,7 @@ import pytest
 
 from mchern.cli import main
 from mchern.modsys import Divisor
+from mchern.surface import SurfaceModel, events_from_json
 
 PLANE_CLASS = {"numerator": "1 + L + L^2", "denominator": []}
 
@@ -212,6 +213,17 @@ class TestSurfaceCommands:
         assert results["pushforwards"]["0"] == {"top": "1", "curves": ["3"], "points": "3"}
         assert results["fiber_profiles"] == {"p1": "1"}
 
+    def test_report_pushforwards_truncate_as_pushforward_does(self, capsys, surface_file):
+        assert main(["surface", "report", "--program", surface_file, "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        with open(surface_file) as handle:
+            surface = SurfaceModel(events_from_json(json.load(handle)))
+        stringy = surface.stringy_class(0)
+        assert results["weighted_stratum_class"] == stringy.to_json()
+        assert results["pushforwards"] == {
+            str(m): surface.pushforward(stringy, m).to_json() for m in range(surface.k + 1)
+        }
+
     def test_invalid_event_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"events": [{"type": "on_curve", "curve": 3}]}))
@@ -294,6 +306,28 @@ def test_whitespace_in_bare_polynomial(capsys, tmp_path, case, via_file):
         spec = f"@{path}"
     assert main(["motivic", "eval", spec, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["canonical"] == canonical
+
+
+class TestRepeatedCalls:
+    """One process may run many commands; nothing from one reaches the next."""
+
+    def test_appended_option_does_not_grow(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["motivic", "eval", "1", "--at", "2", "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert [key for key in json.loads(outs[1])["results"] if key.startswith("at_")] == ["at_2"]
+
+    def test_omitted_stage_is_stage_zero_again(self, capsys, surface_file, tmp_path):
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"strata": [{"subset": [3], "weight": "1"}]}))
+        push = ["cfun", "push", "--program", surface_file, "--function", str(fn), "--json"]
+        outs = []
+        for extra in ([], ["--stage", "1"], []):
+            assert main(push + extra) == 0
+            outs.append(json.loads(capsys.readouterr().out)["results"]["pushforward"])
+        assert outs[0] == outs[2] != outs[1]
 
 
 class TestReportDeterminism:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mchern.modsys import Divisor, MarkedLocus, ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass, projective_class
@@ -52,6 +54,22 @@ class TestConstruction:
     def test_zero_strata_dropped(self):
         system = ModificationSystem(2, (("a", 1),), {(): PLANE_CLASS, ("a",): MotivicClass.zero()})
         assert system.strata.keys() == {0}
+
+
+def scanned_mu_of_mask(system, mask):
+    """Reference: test every divisor's bit."""
+    return tuple(d.mu for i, d in enumerate(system.divisors) if mask >> i & 1)
+
+
+class TestMuOfMask:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=10), st.integers(0, 1 << 12))
+    @example([3], 0)
+    def test_matches_the_scan_over_every_divisor(self, mus, extra):
+        n = len(mus)
+        system = ModificationSystem(2, [(f"d{i}", mu) for i, mu in enumerate(mus)], {})
+        # none, the top divisor, all of them, bits past the last one, and one drawn
+        for mask in (0, 1 << (n - 1), (1 << n) - 1, 1 << n, (1 << (n + 2)) - 1, extra):
+            assert system.mu_of_mask(mask) == scanned_mu_of_mask(system, mask)
 
 
 class TestValidate:

@@ -12,6 +12,7 @@ from mchern.ring import (
     MotivicClass,
     _div_projective,
     _mul_projective,
+    _union_lacks,
     affine_class,
     projective_class,
     projective_poly,
@@ -312,6 +313,56 @@ class TestMergeTree:
         monkeypatch.setattr(ring, "_div_projective", refuse)
         got = MotivicClass.sum(terms)
         assert (got.num.coeffs, got.den) == (expected.num.coeffs, expected.den)
+
+
+def dense_poly(mus):
+    return LPolynomial(dense_product(mus))
+
+
+def cross_equal(a, b):
+    """== by dense cross-multiplication with the cofactors Counter finds."""
+    ca, cb = Counter(a.den), Counter(b.den)
+    left = convolve(list(a.num.coeffs), dense_product((cb - ca).elements()))
+    right = convolve(list(b.num.coeffs), dense_product((ca - cb).elements()))
+    return left == right
+
+
+# sorted exponent tuples over a small range, so repeats on both sides are common
+sorted_dens = st.lists(st.integers(1, 4), max_size=8).map(lambda xs: tuple(sorted(xs)))
+
+
+class TestSortedDenominators:
+    @settings(max_examples=200)
+    @given(sorted_dens, sorted_dens)
+    @example((), ())
+    @example((), (2, 2))
+    @example((1, 2, 2), (1, 2, 2))
+    @example((1, 1, 2), (1, 2, 2))
+    def test_union_lacks_match_counter(self, a, b):
+        ca, cb = Counter(a), Counter(b)
+        union, lack_a, lack_b = _union_lacks(a, b)
+        assert union == tuple(sorted((ca | cb).elements()))
+        assert Counter(lack_a) == (ca | cb) - ca
+        assert Counter(lack_b) == (ca | cb) - cb
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-5, 5), max_size=6).map(LPolynomial),
+        sorted_dens,
+        sorted_dens,
+        sorted_dens,
+        st.integers(-2, 2),
+    )
+    @example(LPolynomial.one(), (), (1, 1, 2), (1, 2, 2), 0)
+    @example(LPolynomial.one(), (), (1, 1, 2), (1, 2, 2), 1)
+    def test_eq_matches_counter_cross_multiplication(self, p, common, x, y, shift):
+        # p / common written over two larger denominators, then one side moved
+        a = MotivicClass(p * dense_poly(x), common + x)
+        b = MotivicClass(p * dense_poly(y) + shift, common + y)
+        assert (a == b) is cross_equal(a, b)
+        assert (a == b) is (b == a)
+        if shift == 0:
+            assert a == b
 
 
 class TestProjectiveKernels:

@@ -8,6 +8,7 @@ from corpus import (
     systems_isomorphic_under,
 )
 from mchern.blowup import BlowupCenter, BlowupProgram, run_program
+from mchern.cli import verify_surface_stage
 from mchern.modsys import ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass
 from mchern.surface import (
@@ -15,6 +16,7 @@ from mchern.surface import (
     GenericPoint,
     IntersectionPoint,
     PointOnCurve,
+    RelativeArrangement,
     SurfaceModel,
     swap_last_two,
 )
@@ -222,6 +224,26 @@ class TestStringy:
         assert rel.pairs == ((2, 3),)
         rel0 = s.relative(0)
         assert rel0.mus == {1: 1, 2: 2, 3: 4}
+
+    def test_relative_kept_for_its_stage_only(self):
+        s = SurfaceModel(CHAIN3 + (PointOnCurve(3),))
+        for m in (2, 2, 0, 4, 2, 0, 0):
+            assert s.relative(m) == SurfaceModel(s.events).relative(m)
+        assert s.relative(0) is s.relative(0)
+
+    def test_verify_stage_derives_one_arrangement(self, monkeypatch):
+        built = []
+
+        class Counting(RelativeArrangement):
+            def __init__(self, *fields):
+                super().__init__(*fields)
+                built.append(self.stage)
+
+        monkeypatch.setattr("mchern.surface.RelativeArrangement", Counting)
+        s = SurfaceModel(CHAIN3 + (GenericPoint(),))
+        for m in range(s.k + 1):
+            assert all(verify_surface_stage(s, m).values())
+        assert built == list(range(s.k + 1))
 
 
 class TestPushforward:
