@@ -36,6 +36,8 @@ class Divisor:
     mu: int
 
     def __post_init__(self):
+        if type(self.mu) is not int:
+            raise ValueError(f"divisor {self.ident!r} multiplicity {self.mu!r} is not an integer")
         if self.mu < 0:
             raise ValueError(f"divisor {self.ident!r} has negative multiplicity")
 
@@ -155,8 +157,9 @@ class ModificationSystem:
 
     def chi(self, locus: MarkedLocus) -> MotivicClass:
         """Weighted stratum sum; with the full locus this is the base class."""
+        # a mu = 0 divisor weighs [P^0] = 1, which is no denominator factor
         return MotivicClass.sum(
-            MotivicClass(cls.num, cls.den + self.mu_of_mask(mask))
+            MotivicClass._of(cls.num, tuple(sorted(filter(None, cls.den + self.mu_of_mask(mask)))))
             for mask, cls in sorted(locus.strata.items())
         )
 

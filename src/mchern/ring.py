@@ -48,6 +48,15 @@ class LPolynomial:
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     @classmethod
+    def _of(cls, cs: list[int]) -> "LPolynomial":
+        """Trusted constructor for a fresh list of ints: trims trailing zeros, checks nothing."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
+    @classmethod
     def zero(cls) -> "LPolynomial":
         return cls(())
 
@@ -95,12 +104,12 @@ class LPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return LPolynomial(out)
+        return LPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LPolynomial":
-        return LPolynomial(tuple(-c for c in self.coeffs))
+        return LPolynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "LPolynomial") -> "LPolynomial":
         if isinstance(other, int):
@@ -112,7 +121,7 @@ class LPolynomial:
 
     def __mul__(self, other: Union["LPolynomial", int]) -> "LPolynomial":
         if isinstance(other, int):
-            return LPolynomial(tuple(c * other for c in self.coeffs))
+            return LPolynomial._of([c * other for c in self.coeffs])
         if not isinstance(other, LPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -123,7 +132,7 @@ class LPolynomial:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return LPolynomial(out)
+        return LPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -254,6 +263,14 @@ def _div_projective(p: Sequence[int], mu: int) -> Optional[list[int]]:
     return None if any(q[cut:]) else q[:cut]
 
 
+def _add_coeffs(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of a + b, written into the longer of the two lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    a[: len(b)] = map(add, a, b)
+    return a
+
+
 def _union_lacks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
     """The max-multiplicity union of two sorted exponent tuples and what a and b each lack of it."""
     lack_a, lack_b = list(b), []  # each exponent of a cancels one equal exponent of b
@@ -271,10 +288,7 @@ def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
     union, lack_a, lack_b = _union_lacks(da, db)
     na = reduce(_mul_projective, lack_a, na)
     nb = reduce(_mul_projective, lack_b, nb)
-    if len(na) < len(nb):
-        na, nb = nb, na
-    na[: len(nb)] = map(add, na, nb)
-    return union, na
+    return union, _add_coeffs(na, nb)
 
 
 class MotivicClass:
@@ -301,6 +315,14 @@ class MotivicClass:
                 ds.append(mu)
         self.num = num
         self.den: tuple[int, ...] = tuple(sorted(ds))
+
+    @classmethod
+    def _of(cls, num: LPolynomial, den: tuple[int, ...]) -> "MotivicClass":
+        """Trusted constructor: ``den`` is already a sorted tuple of positive ints."""
+        m = object.__new__(cls)
+        m.num = num
+        m.den = den
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -347,13 +369,13 @@ class MotivicClass:
             nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
         if len(nums) == 1:
             ((den, num),) = nums.items()
-            return cls(num, den)
+            return cls._of(num, den)
         level = [(den, list(num.coeffs)) for den, num in nums.items()]
         while len(level) > 1:
             merged = [_merge(a, b) for a, b in zip(level[::2], level[1::2])]
             level = merged + level[len(merged) * 2 :]
         den, num = level[0] if level else ((), [])
-        return cls(LPolynomial(num), den)
+        return cls._of(LPolynomial._of(num), den)
 
     def __add__(self, other) -> "MotivicClass":
         other = self._coerce(other)
@@ -364,7 +386,7 @@ class MotivicClass:
     __radd__ = __add__
 
     def __neg__(self) -> "MotivicClass":
-        return MotivicClass(-self.num, self.den)
+        return MotivicClass._of(-self.num, self.den)
 
     def __sub__(self, other) -> "MotivicClass":
         other = self._coerce(other)
@@ -382,7 +404,7 @@ class MotivicClass:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MotivicClass(self.num * other.num, self.den + other.den)
+        return MotivicClass._of(self.num * other.num, tuple(sorted(self.den + other.den)))
 
     __rmul__ = __mul__
 
@@ -445,7 +467,7 @@ class MotivicClass:
                 remaining.append(mu)
             else:
                 num = quot
-        return MotivicClass(LPolynomial(num), remaining)
+        return MotivicClass._of(LPolynomial._of(num), tuple(reversed(remaining)))
 
     # -- presentation --------------------------------------------------------
 

@@ -14,19 +14,19 @@ Two identities over these classes drive the blow-up bookkeeping:
 * simplexcor:  sum_I [H_I] / ([P^mu0] * prod_{i in I} [P^mu_i])
                  =  1 / prod_j [P^mu_j],   with mu0 = sum mu + d - 1.
 
-Both are verified exactly by brute force over all 2^k subsets.  The
-``mu0_offset`` hooks perturb mu0 so that a harness can confirm the
-identities really require the exact weight.
+Both are verified exactly; grouped by |I|, the sums need only the elementary
+symmetric polynomials of the [P^mu_i], O(k^2) linear products.  ``mu0_offset``
+perturbs mu0 so a harness can confirm the identities need the exact weight.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
-from .ring import LPolynomial, MotivicClass, projective_poly
+from .ring import LPolynomial, MotivicClass, _add_coeffs, _mul_projective, projective_poly
 
 
 @dataclass(frozen=True)
@@ -57,29 +57,24 @@ def hyperplane_stratum_class(frame: FiberFrame, size: int) -> MotivicClass:
     return MotivicClass(_stratum_poly(frame.d, frame.k, size))
 
 
-def _subset_products(mus: Sequence[int]) -> list[LPolynomial]:
-    """prod_{i in mask} [P^mu_i] for every bitmask over ``mus``."""
-    k = len(mus)
-    ps = [projective_poly(mu) for mu in mus]
-    out = [LPolynomial.one()] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] * ps[low.bit_length() - 1]
-    return out
-
-
 def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
-    """sum_I [H_I] * prod_{i not in I} [P^mu_i] over all 2^k subsets I."""
+    """sum_I [H_I] * prod_{i not in I} [P^mu_i], grouped by j = k - |I|.
+
+    Group j is [H_(k-j)] * e_j([P^mu_1], ..., [P^mu_k]), so the sum is
+    L^(d-k) * sum_{j>=1} (L-1)^(j-1) e_j + [P^(d-k-1)], taken by Horner's
+    rule in L - 1; its two parts occupy disjoint degrees.
+    """
     if len(mus) != frame.k:
         raise ValueError(f"expected {frame.k} multiplicities, got {len(mus)}")
-    d, k = frame.d, frame.k
-    prods = _subset_products(mus)
-    full = (1 << k) - 1
-    strat = [_stratum_poly(d, k, size) for size in range(k + 1)]
-    num = LPolynomial.zero()
-    for mask in range(1 << k):
-        num = num + strat[mask.bit_count()] * prods[full ^ mask]
-    return num
+    e = [[1]]
+    for mu in mus:  # e_j += e_(j-1) * [P^mu], top j first
+        e.append(_mul_projective(e[-1], mu))
+        for j in range(len(e) - 2, 0, -1):
+            e[j] = _add_coeffs(e[j], _mul_projective(e[j - 1], mu))
+    acc: list[int] = []
+    for ej in reversed(e[1:]):  # acc <- acc * (L - 1) + e_j
+        acc = _add_coeffs(list(map(sub, [0, *acc], [*acc, 0])), ej)
+    return LPolynomial([1] * (frame.d - frame.k) + acc)
 
 
 def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
@@ -111,21 +106,19 @@ def stratum_euler(d: int, k: int, size: int) -> int:
 
 
 def euler_shadow_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
-    """The simplexcor identity after Euler specialization, as exact rationals."""
+    """The simplexcor identity at L = 1, where [P^mu] becomes mu + 1, over Z.
+
+    Times (mu0 + 1) * prod_j (mu_j + 1) it reads
+    sum_s stratum_euler(d, k, s) * e_(k-s)(mu_1 + 1, ..., mu_k + 1) = mu0 + 1.
+    """
     d, k = frame.d, frame.k
     mu0 = sum(mus) + d - 1 + mu0_offset
-    lhs = Fraction(0)
-    for subset in itertools.chain.from_iterable(
-        itertools.combinations(range(k), size) for size in range(k + 1)
-    ):
-        den = mu0 + 1
-        for i in subset:
-            den *= mus[i] + 1
-        lhs += Fraction(stratum_euler(d, k, len(subset)), den)
-    rhs = Fraction(1)
+    if mu0 < 0:
+        return False
+    e = [1]
     for mu in mus:
-        rhs /= mu + 1
-    return lhs == rhs
+        e = [a + b * (mu + 1) for a, b in zip([*e, 0], [0, *e])]
+    return sum(stratum_euler(d, k, s) * e[k - s] for s in range(k + 1)) == mu0 + 1
 
 
 @dataclass(frozen=True)

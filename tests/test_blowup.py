@@ -65,6 +65,10 @@ class TestSingleBlowup:
         assert system.stratum((result.fresh_id,)) == projective_class(1)
         assert system.stratum(()) == PLANE - projective_class(1)
         assert system.total_class() == PLANE
+        # the mu = 0 weight [P^0] = 1 is dropped from chi's denominators
+        fresh = system.mask_of(result.fresh_id)
+        assert system.chi(MarkedLocus("E", {fresh: system.strata[fresh]})).den == ()
+        assert system.chi(system.full_locus()) == PLANE
 
     def test_fresh_id_collision_avoided(self):
         system = ModificationSystem(2, (("exc0", 1),), {(): PLANE})

@@ -98,3 +98,37 @@ def test_report_digest_is_pinned(command, input_paths, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == command
     assert report["digest"] == digest
+
+
+# Identity sweeps, including perturbed weights that must fail (exit 1).
+SWEEP_GOLDEN = {
+    "simplex": (
+        ["verify", "simplex", "--d-max", "6", "--mu-max", "4"],
+        0,
+        "e09113876f1a7dafbe9e3d551cc05cdcdaa179abce7723820ec11d9cec502c6e",
+    ),
+    "simplexcor": (
+        ["verify", "simplexcor", "--d-max", "6", "--mu-max", "3"],
+        0,
+        "c68a26cc597be2949dba4ece9757604bff5ae8d2b704ac05ce9fa49e9fb86564",
+    ),
+    "simplex mu0+1": (
+        ["verify", "simplex", "--d-max", "4", "--mu-max", "2", "--mu0-offset", "1"],
+        1,
+        "255de521d2ff0f0d646ea78dd0282df9eeb29caadb9b55aeaad6df5fcd545614",
+    ),
+    "simplexcor mu0-1": (
+        ["verify", "simplexcor", "--d-max", "4", "--mu-max", "2", "--mu0-offset", "-1"],
+        1,
+        "a497a1a945fac756e626218b5c8bb90527c859b4a9f10696ad9cf6665d1f2264",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_sweep_digest_is_pinned(name, capsys):
+    argv, code, digest = SWEEP_GOLDEN[name]
+    assert main(argv + ["--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == " ".join(argv[:2])
+    assert report["digest"] == digest

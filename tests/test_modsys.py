@@ -51,6 +51,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Divisor("a", -1)
 
+    def test_non_integer_mu_rejected(self):
+        for mu in (1.0, True, "1"):
+            with pytest.raises(ValueError, match="not an integer"):
+                Divisor("a", mu)
+
+    def test_chi_denominator_sorted_without_zero_weights(self):
+        system = ModificationSystem(3, (("a", 0), ("b", 2), ("c", 1)), {(): MotivicClass.one()})
+        mask = system.mask_of(("a", "b", "c"))
+        term = system.chi(MarkedLocus("p", {mask: MotivicClass(LPolynomial.one(), (1,))}))
+        assert term.den == (1, 1, 2)
+
     def test_zero_strata_dropped(self):
         system = ModificationSystem(2, (("a", 1),), {(): PLANE_CLASS, ("a",): MotivicClass.zero()})
         assert system.strata.keys() == {0}

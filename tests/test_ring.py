@@ -365,6 +365,30 @@ class TestSortedDenominators:
             assert a == b
 
 
+def assert_well_formed(value):
+    """The fields equal what the checking public constructors make of them."""
+    assert type(value.den) is tuple
+    assert value.den == MotivicClass(value.num, value.den).den
+    assert value.num.coeffs == LPolynomial(value.num.coeffs).coeffs
+
+
+class TestTrustedConstructors:
+    @settings(max_examples=150, deadline=None)
+    @given(classes, classes, st.integers(-3, 3))
+    @example(MotivicClass(LPolynomial((0, 1)), (3, 1)), MotivicClass(LPolynomial((0, -1)), (2,)), 0)
+    def test_results_are_well_formed(self, a, b, c):
+        sums = (a + b, a - b, MotivicClass.sum((a, b, a)))
+        for value in (*sums, -a, a * b, b * a, a * c, (a * b).reduced()):
+            assert_well_formed(value)
+        for poly in (a.num + b.num, a.num - a.num, -a.num, a.num * b.num, a.num * 0, a.num * c):
+            assert poly.coeffs == LPolynomial(poly.coeffs).coeffs
+
+    def test_reduced_keeps_the_denominator_ascending(self):
+        value = MotivicClass(LPolynomial((1, 1)), (3, 1, 2, 2)).reduced()
+        assert value.den == (2, 2, 3)
+        assert_well_formed(value)
+
+
 class TestProjectiveKernels:
     @given(coeff_lists.map(LPolynomial), st.integers(0, 6))
     def test_sliding_window_multiply(self, c, mu):

@@ -3,10 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mchern import strata
 from mchern.ring import MotivicClass, affine_class, projective_class, torus_class
 from mchern.strata import (
     FiberFrame,
+    _weighted_numerator,
     euler_shadow_simplexcor,
     hyperplane_stratum_class,
     stratum_euler,
@@ -72,6 +76,32 @@ def brute_force_simplex_lhs(d, k, mus):
     return total
 
 
+def fraction_euler_shadow(d, k, mus, mu0_offset=0):
+    """Independent oracle: the Euler-specialized simplexcor as a Fraction subset sum."""
+    mu0 = sum(mus) + d - 1 + mu0_offset
+    if mu0 < 0:
+        return False
+    lhs = Fraction(0)
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(range(k), size) for size in range(k + 1)
+    ):
+        den = mu0 + 1
+        for i in subset:
+            den *= mus[i] + 1
+        lhs += Fraction(stratum_euler(d, k, len(subset)), den)
+    rhs = Fraction(1)
+    for mu in mus:
+        rhs /= mu + 1
+    return lhs == rhs
+
+
+def multisets(d_max, mu_max):
+    for d in range(1, d_max + 1):
+        for k in range(d + 1):
+            for mus in itertools.combinations_with_replacement(range(mu_max + 1), k):
+                yield d, k, mus
+
+
 class TestSimplex:
     def test_frozen_examples(self):
         assert verify_simplex(FiberFrame(2, 1), (1,))
@@ -84,9 +114,33 @@ class TestSimplex:
         assert lhs == projective_class(2)
 
     def test_matches_brute_force_oracle(self):
-        for d, k, mus in [(3, 2, (1, 2)), (4, 3, (0, 1, 2)), (2, 2, (3, 0))]:
-            assert brute_force_simplex_lhs(d, k, mus) == projective_class(sum(mus) + d - 1)
+        # the numerator itself, not only the verdict; both sides are symmetric
+        # in the mu_i, so sorted tuples cover every case
+        for d, k, mus in multisets(6, 3):
+            expected = brute_force_simplex_lhs(d, k, mus)
+            assert expected == projective_class(sum(mus) + d - 1)
+            assert _weighted_numerator(FiberFrame(d, k), mus) == expected.num
             assert verify_simplex(FiberFrame(d, k), mus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=8), st.integers(0, 3))
+    def test_numerator_matches_brute_force_property(self, mus, extra):
+        d, k = len(mus) + extra or 1, len(mus)
+        expected = brute_force_simplex_lhs(d, k, mus)
+        assert _weighted_numerator(FiberFrame(d, k), mus) == expected.num
+
+    def test_linear_kernel_count_is_quadratic(self, monkeypatch):
+        # a subset loop would need 2^k products; the e_j recursion needs k(k+1)/2
+        calls, mul_projective = [], strata._mul_projective
+
+        def counting(c, mu):
+            calls.append(mu)
+            return mul_projective(c, mu)
+
+        monkeypatch.setattr(strata, "_mul_projective", counting)
+        k = 12
+        assert verify_simplex(FiberFrame(k, k), tuple(range(k)))
+        assert 0 < len(calls) <= k * (k + 1) // 2 + 1
 
     def test_perturbed_weight_fails(self):
         assert not verify_simplex(FiberFrame(2, 1), (1,), mu0_offset=1)
@@ -120,6 +174,20 @@ class TestSimplexcor:
         lhs = Fraction(1, 3) + Fraction(1, 6)
         assert lhs == Fraction(1, 2)
         assert not euler_shadow_simplexcor(FiberFrame(2, 1), (1,), mu0_offset=1)
+
+    def test_euler_shadow_matches_fraction_oracle(self):
+        for d, k, mus in multisets(7, 3):
+            for offset in range(-3, 3):
+                frame = FiberFrame(d, k)
+                got = euler_shadow_simplexcor(frame, mus, mu0_offset=offset)
+                assert got == fraction_euler_shadow(d, k, mus, offset), (d, k, mus, offset)
+                assert got == (offset == 0)
+
+    def test_euler_shadow_negative_mu0_fails(self):
+        # mu0 = -1 makes the weight [P^mu0] evaluate to 0 at L = 1
+        assert not euler_shadow_simplexcor(FiberFrame(1, 0), (), mu0_offset=-1)
+        assert not euler_shadow_simplexcor(FiberFrame(1, 0), (), mu0_offset=-2)
+        assert not verify_simplexcor(FiberFrame(1, 0), (), mu0_offset=-1)
 
 
 class TestSweep:
