@@ -112,26 +112,24 @@ class BlowupResult:
 
 
 def _center_masks(system: ModificationSystem, center: BlowupCenter) -> tuple[int, dict[int, MotivicClass]]:
-    k0_mask = system.mask_of(tuple(center.containing))
-    strata = {}
-    for key, cls in center.center_strata.items():
-        mask = system.mask_of(tuple(key))
-        if not cls.is_zero():
-            strata[mask] = cls
-    return k0_mask, strata
+    """The mask of K0 and the center's nonzero classes by stratum mask.
 
-
-def validate_center(system: ModificationSystem, center: BlowupCenter) -> list[str]:
-    """Admissibility of the center against the current system."""
-    problems: list[str] = []
+    Raises :class:`BlowupError` naming every way the center is inadmissible
+    against the current system.
+    """
     n, d = system.ambient_dim, center.codim
     if not 1 <= d <= n:
-        problems.append(f"codimension {d} outside 1..{n}")
-        return problems
+        raise BlowupError(f"codimension {d} outside 1..{n}")
     try:
-        k0_mask, strata = _center_masks(system, center)
+        k0_mask = system.mask_of(tuple(center.containing))
+        strata = {}
+        for key, cls in center.center_strata.items():
+            mask = system.mask_of(tuple(key))
+            if not cls.is_zero():
+                strata[mask] = cls
     except ValueError as exc:
-        return [str(exc)]
+        raise BlowupError(str(exc)) from None
+    problems: list[str] = []
     if k0_mask.bit_count() > d:
         problems.append(
             f"center lies on {k0_mask.bit_count()} divisors, more than its codimension {d}"
@@ -146,7 +144,9 @@ def validate_center(system: ModificationSystem, center: BlowupCenter) -> list[st
             problems.append(
                 f"center stratum {ids} would create strata deeper than dimension {n}"
             )
-    return problems
+    if problems:
+        raise BlowupError("; ".join(problems))
+    return k0_mask, strata
 
 
 def _locus_center_data(
@@ -202,7 +202,7 @@ def _transform_strata(
             if sub == 0:
                 break
             sub = (sub - 1) & k0_mask
-    return {m: c for m, c in out.items() if not c.is_zero()}
+    return out
 
 
 def blow_up(
@@ -213,9 +213,6 @@ def blow_up(
     fresh_id: Optional[str] = None,
 ) -> BlowupResult:
     """Apply one blow-up, transforming the system and any marked loci."""
-    problems = validate_center(system, center)
-    if problems:
-        raise BlowupError("; ".join(problems))
     k0_mask, center_strata = _center_masks(system, center)
     loci = list(loci)
     locus_data = {

@@ -419,12 +419,6 @@ class MotivicClass:
 
     __hash__ = None  # equality is cross-multiplicative; no stable hash
 
-    def div_by_projective(self, mu: int) -> "MotivicClass":
-        """Divide by [P^mu], i.e. append mu to the denominator multiset."""
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-        return MotivicClass(self.num, self.den + (mu,))
-
     # -- specializations ----------------------------------------------------
 
     def euler_specialize(self) -> Fraction:
@@ -443,19 +437,7 @@ class MotivicClass:
             den *= projective_poly(mu).evaluate(q)
         return Fraction(self.num.evaluate(q), den)
 
-    # -- polynomiality and reduction ----------------------------------------
-
-    def as_polynomial(self) -> Optional[LPolynomial]:
-        """The quotient num / prod [P^mu] when it is exact over Z, else None.
-
-        The factors are monic, so their product divides the numerator exactly
-        when :meth:`reduced` cancels every one of them.
-        """
-        red = self.reduced()
-        return None if red.den else red.num
-
-    def is_polynomial(self) -> bool:
-        return self.as_polynomial() is not None
+    # -- reduction ----------------------------------------------------------
 
     def reduced(self) -> "MotivicClass":
         """Cancel denominator factors dividing the numerator exactly."""

@@ -17,12 +17,15 @@ Two identities over these classes drive the blow-up bookkeeping:
 Both are verified exactly; grouped by |I|, the sums need only the elementary
 symmetric polynomials of the [P^mu_i], O(k^2) linear products.  ``mu0_offset``
 perturbs mu0 so a harness can confirm the identities need the exact weight.
+:func:`sweep_identities` checks one identity on every multiset of
+multiplicities once, and counts cases as tuples in product order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from operator import sub
 from typing import Optional, Sequence
 
@@ -128,9 +131,6 @@ class Counterexample:
     k: int
     mus: tuple[int, ...]
 
-    def describe(self) -> str:
-        return f"{self.identity} fails at d={self.d}, k={self.k}, mus={list(self.mus)}"
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -146,37 +146,35 @@ def sweep_identities(
     d_max: int,
     mu_max: int,
     *,
-    which: str = "both",
+    which: str,
     mu0_offset: int = 0,
 ) -> SweepResult:
     """Exhaustive sweep over 1 <= d <= d_max, 0 <= k <= d, mu in {0..mu_max}^k.
 
-    Results are cached per multiplicity multiset: both identities are
-    symmetric under permuting the mu_i, so sorted tuples decide every case.
+    ``which`` is ``"simplex"`` or ``"simplexcor"``.  Both identities are
+    symmetric in the mu_i, so each multiset is checked once, as its sorted
+    tuple.  That tuple comes first among its permutations in product order,
+    so the first failing multiset is the first failing tuple, and ``cases``
+    counts the tuples up to it: those of the earlier (d, k) blocks, plus its
+    rank as a base-(mu_max + 1) number, plus one.
     """
     if d_max < 1 or mu_max < 0:
         raise ValueError("need d_max >= 1 and mu_max >= 0")
-    if which not in ("simplex", "simplexcor", "both"):
+    if which not in ("simplex", "simplexcor"):
         raise ValueError(f"unknown identity selector {which!r}")
-    cache: dict[tuple[int, tuple[int, ...]], bool] = {}
+    base = mu_max + 1
     cases = 0
     for d in range(1, d_max + 1):
         for k in range(0, d + 1):
-            for mus in itertools.product(range(mu_max + 1), repeat=k):
-                cases += 1
-                key = (d, tuple(sorted(mus)))
-                ok = cache.get(key)
-                if ok is None:
-                    frame = FiberFrame(d, k)
-                    ok = True
-                    if which in ("simplex", "both"):
-                        ok = verify_simplex(frame, key[1], mu0_offset=mu0_offset)
-                    if ok and which in ("simplexcor", "both"):
-                        ok = verify_simplexcor(frame, key[1], mu0_offset=mu0_offset)
-                        if ok:
-                            ok = euler_shadow_simplexcor(frame, key[1], mu0_offset=mu0_offset)
-                    cache[key] = ok
+            frame = FiberFrame(d, k)
+            for mus in itertools.combinations_with_replacement(range(base), k):
+                if which == "simplex":
+                    ok = verify_simplex(frame, mus, mu0_offset=mu0_offset)
+                else:
+                    ok = verify_simplexcor(frame, mus, mu0_offset=mu0_offset)
+                    ok = ok and euler_shadow_simplexcor(frame, mus, mu0_offset=mu0_offset)
                 if not ok:
-                    name = which if which != "both" else "simplex/simplexcor"
-                    return SweepResult(cases, Counterexample(name, d, k, tuple(mus)))
+                    rank = reduce(lambda r, mu: r * base + mu, mus, 0)
+                    return SweepResult(cases + rank + 1, Counterexample(which, d, k, mus))
+            cases += base**k
     return SweepResult(cases, None)

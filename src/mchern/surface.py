@@ -304,16 +304,8 @@ class SurfaceModel:
     def discrepancies(self) -> tuple[int, ...]:
         return tuple(self.relative(0).mus.values())
 
-    def anchor_of(self, curve: int) -> str:
-        if not 1 <= curve <= self.k:
-            raise ValueError(f"invalid curve index {curve}")
-        return self.relative(0).roots[curve]
-
     def meeting_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._pairs))
-
-    def pair_meets(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._pairs
 
     # -- construction -----------------------------------------------------------
 
@@ -330,17 +322,6 @@ class SurfaceModel:
     def chern_class(self) -> ChowClass:
         """[Z] + c_1 + c_2 with c_1 = 3h - sum e_i and c_2 = (3 + k)[pt]."""
         return ChowClass(1, (3,) + (-1,) * self.k, 3 + self.k)
-
-    def curve_class(self, j: int) -> ChowClass:
-        """Proper-transform class of the j-th exceptional curve."""
-        if not 1 <= j <= self.k:
-            raise ValueError(f"invalid curve index {j}")
-        curves = [0] * (self.k + 1)
-        curves[j] = 1
-        for s, through in enumerate(self._through, start=1):
-            if j in through:
-                curves[s] = -1
-        return ChowClass(0, curves, 0)
 
     def relative(self, stage: int) -> RelativeArrangement:
         """The arrangement down to ``stage``; the last one is kept and shared, so never mutate it."""

@@ -131,6 +131,27 @@ class TestCenterValidation:
         with pytest.raises(BlowupError, match="deeper"):
             blow_up(first.system, bad)
 
+    def test_center_on_more_divisors_than_codim_rejected(self):
+        first = blow_up(trivial_plane(), point_center())
+        second = blow_up(first.system, point_center(on={first.fresh_id}))
+        both = frozenset({first.fresh_id, second.fresh_id})  # their crossing point
+        bad = BlowupCenter(codim=1, containing=both, center_strata={both: MotivicClass.one()})
+        with pytest.raises(BlowupError) as info:
+            blow_up(second.system, bad)
+        assert str(info.value) == "center lies on 2 divisors, more than its codimension 1"
+
+    def test_every_problem_is_reported_in_order(self):
+        first = blow_up(trivial_plane(), point_center())
+        second = blow_up(first.system, point_center())  # two disjoint points
+        both = frozenset({first.fresh_id, second.fresh_id})
+        bad = BlowupCenter(codim=1, containing=both, center_strata={both: MotivicClass.one()})
+        with pytest.raises(BlowupError) as info:
+            blow_up(second.system, bad)
+        assert str(info.value) == (
+            "center lies on 2 divisors, more than its codimension 1; "
+            "center is nonzero on the empty stratum ('exc0', 'exc1')"
+        )
+
 
 class TestBookkeepingInvariants:
     def test_total_class_update(self):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchern import strata
-from mchern.ring import MotivicClass, affine_class, projective_class, torus_class
+from mchern.ring import LPolynomial, MotivicClass, affine_class, projective_class, torus_class
 from mchern.strata import (
+    Counterexample,
     FiberFrame,
+    SweepResult,
     _weighted_numerator,
     euler_shadow_simplexcor,
     hyperplane_stratum_class,
@@ -158,10 +160,9 @@ class TestSimplexcor:
 
     def test_d2_by_hand(self):
         # L/[P^2] + 1/([P^2][P^1]) = 1/[P^1]
-        lhs = affine_class(1).div_by_projective(2) + MotivicClass.one().div_by_projective(
-            2
-        ).div_by_projective(1)
-        assert lhs == MotivicClass.one().div_by_projective(1)
+        one = LPolynomial.one()
+        lhs = MotivicClass(LPolynomial((0, 1)), (2,)) + MotivicClass(one, (2, 1))
+        assert lhs == MotivicClass(one, (1,))
 
     def test_perturbed_weight_fails(self):
         assert not verify_simplexcor(FiberFrame(2, 1), (1,), mu0_offset=1)
@@ -190,30 +191,109 @@ class TestSimplexcor:
         assert not verify_simplexcor(FiberFrame(1, 0), (), mu0_offset=-1)
 
 
+def reference_sweep(d_max, mu_max, which, mu0_offset=0):
+    """The product-order walk over every mu tuple, cached per multiset.
+
+    It calls the identities through the module, as the sweep does, so a
+    patched identity reaches both.
+    """
+    cache = {}
+    cases = 0
+    for d in range(1, d_max + 1):
+        for k in range(d + 1):
+            for mus in itertools.product(range(mu_max + 1), repeat=k):
+                cases += 1
+                key = (d, tuple(sorted(mus)))
+                ok = cache.get(key)
+                if ok is None:
+                    frame = FiberFrame(d, k)
+                    if which == "simplex":
+                        ok = strata.verify_simplex(frame, key[1], mu0_offset=mu0_offset)
+                    else:
+                        ok = strata.verify_simplexcor(frame, key[1], mu0_offset=mu0_offset)
+                        ok = ok and strata.euler_shadow_simplexcor(frame, key[1], mu0_offset=mu0_offset)
+                    cache[key] = ok
+                if not ok:
+                    return SweepResult(cases, Counterexample(which, d, k, mus))
+    return SweepResult(cases, None)
+
+
+IDENTITY_FUNCTION = {"simplex": "verify_simplex", "simplexcor": "verify_simplexcor"}
+
+
 class TestSweep:
     def test_small_sweep_counts_all_tuples(self):
-        result = sweep_identities(3, 2)
-        # sum over d<=3, k<=d of 3^k tuples: 4 + 13 + 40
-        assert result.cases == 57
-        assert result.passed
+        for which in ("simplex", "simplexcor"):
+            result = sweep_identities(3, 2, which=which)
+            # sum over d<=3, k<=d of 3^k tuples: 4 + 13 + 40
+            assert result.cases == 57
+            assert result.passed
 
     def test_degenerate_bound(self):
-        assert sweep_identities(1, 0).passed
+        assert sweep_identities(1, 0, which="simplex").passed
+        assert sweep_identities(1, 0, which="simplexcor").passed
 
     def test_perturbed_sweep_reports_counterexample(self):
         result = sweep_identities(3, 2, which="simplexcor", mu0_offset=1)
         assert not result.passed
-        assert result.counterexample.identity == "simplexcor"
-        assert "fails at" in result.counterexample.describe()
+        assert result.counterexample == Counterexample("simplexcor", 1, 0, ())
+        assert result.cases == 1
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            sweep_identities(0, 2)
-        with pytest.raises(ValueError):
-            sweep_identities(2, 2, which="nonsense")
+            sweep_identities(0, 2, which="simplex")
+        for which in ("nonsense", "both"):
+            with pytest.raises(ValueError, match="unknown identity selector"):
+                sweep_identities(2, 2, which=which)
+
+    @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
+    def test_matches_reference_walk(self, which):
+        for d_max in range(1, 6):
+            for mu_max in range(4):
+                for offset in range(-3, 3):
+                    got = sweep_identities(d_max, mu_max, which=which, mu0_offset=offset)
+                    want = reference_sweep(d_max, mu_max, which, offset)
+                    assert got == want, (d_max, mu_max, offset)
+
+    @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
+    def test_injected_fault_matches_reference_walk(self, which, monkeypatch):
+        # a real mu0_offset fails at the first case, so only a fault on one
+        # multiset reaches a counterexample with a nonzero rank
+        name = IDENTITY_FUNCTION[which]
+        real = getattr(strata, name)
+        cases = []
+        for target in list(multisets(5, 3))[::3]:
+            d_t, _, mus_t = target
+
+            def faulty(frame, mus, *, mu0_offset=0):
+                if (frame.d, tuple(sorted(mus))) == (d_t, mus_t):
+                    return False
+                return real(frame, mus, mu0_offset=mu0_offset)
+
+            monkeypatch.setattr(strata, name, faulty)
+            got = sweep_identities(5, 3, which=which)
+            assert got == reference_sweep(5, 3, which), target
+            assert got.counterexample.mus == mus_t
+            cases.append(got.cases)
+        assert max(cases) > 1000  # 452 tuples precede the d = 5 block
+
+    @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
+    def test_one_verification_per_multiset(self, which, monkeypatch):
+        name = IDENTITY_FUNCTION[which]
+        real, seen = getattr(strata, name), []
+
+        def counting(frame, mus, *, mu0_offset=0):
+            seen.append((frame.d, tuple(mus)))
+            return real(frame, mus, mu0_offset=mu0_offset)
+
+        monkeypatch.setattr(strata, name, counting)
+        d_max, mu_max = 6, 3
+        assert sweep_identities(d_max, mu_max, which=which).passed
+        expected = sum(comb(mu_max + k, k) for d in range(1, d_max + 1) for k in range(d + 1))
+        assert len(seen) == expected == len(set(seen))
 
     def test_permuted_tuples_agree(self):
-        # the sweep caches by sorted multiset; spot-check that permutations
+        # the sweep checks only sorted multisets; spot-check that permutations
         # genuinely evaluate equal
         for mus in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
             assert verify_simplex(FiberFrame(4, 3), mus)

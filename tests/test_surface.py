@@ -25,6 +25,30 @@ NESTED2 = (GenericPoint(), PointOnCurve(1))
 CHAIN3 = (GenericPoint(), PointOnCurve(1), IntersectionPoint(1, 2))
 
 
+def curve_class(s, j):
+    """Proper transform of curve j: e_j minus the e of each later center on j.
+
+    Read from the events alone, as an oracle independent of the CSM route.
+    """
+    curves = [0] * (s.k + 1)
+    curves[j] = 1
+    for n, event in enumerate(s.events, start=1):
+        if isinstance(event, PointOnCurve):
+            on = (event.curve,)
+        elif isinstance(event, IntersectionPoint):
+            on = (event.a, event.b)
+        else:
+            on = ()
+        if j in on:
+            curves[n] = -1
+    return ChowClass(0, curves, 0)
+
+
+def anchors(s):
+    """The base points over which the curves lie, in first-seen order."""
+    return tuple(dict.fromkeys(s.relative(0).roots.values()))
+
+
 class TestChowClass:
     def test_vector_arithmetic(self):
         a = ChowClass(1, (3, -1), 4)
@@ -56,29 +80,23 @@ class TestEvents:
         s = SurfaceModel(CHAIN3)
         assert s.k == 3
         assert s.discrepancies == (1, 2, 4)
-        assert s.curve_class(1) == ChowClass(0, (0, 1, -1, -1), 0)
-        assert s.curve_class(2) == ChowClass(0, (0, 0, 1, -1), 0)
-        assert s.curve_class(3) == ChowClass(0, (0, 0, 0, 1), 0)
+        assert curve_class(s, 1) == ChowClass(0, (0, 1, -1, -1), 0)
+        assert curve_class(s, 2) == ChowClass(0, (0, 0, 1, -1), 0)
+        assert curve_class(s, 3) == ChowClass(0, (0, 0, 0, 1), 0)
         assert s.meeting_pairs() == ((1, 3), (2, 3))
-        assert tuple(dict.fromkeys(map(s.anchor_of, range(1, s.k + 1)))) == ("p1",)
+        assert anchors(s) == ("p1",)
 
     def test_first_blowup(self):
         s = SurfaceModel((GenericPoint(),))
         assert s.k == 1
         assert s.discrepancies == (1,)
         assert s.meeting_pairs() == ()
-        assert s.curve_class(1) == ChowClass(0, (0, 1), 0)
+        assert curve_class(s, 1) == ChowClass(0, (0, 1), 0)
 
     def test_two_anchors(self):
         s = SurfaceModel((GenericPoint(), GenericPoint(), PointOnCurve(2)))
-        assert tuple(dict.fromkeys(map(s.anchor_of, range(1, s.k + 1)))) == ("p1", "p2")
-        assert s.anchor_of(3) == "p2"
-
-    def test_anchor_of_rejects_out_of_range(self):
-        s = SurfaceModel(CHAIN3)
-        for j in (0, -1, s.k + 1):
-            with pytest.raises(ValueError, match="invalid curve index"):
-                s.anchor_of(j)
+        assert anchors(s) == ("p1", "p2")
+        assert s.relative(0).roots[3] == "p2"
 
     def test_invalid_curve_index(self):
         with pytest.raises(ValueError, match="invalid curve"):
@@ -90,7 +108,7 @@ class TestEvents:
 
     def test_pair_destroyed_after_blowup(self):
         s = SurfaceModel(CHAIN3)
-        assert not s.pair_meets(1, 2)
+        assert (1, 2) not in s.meeting_pairs()
         with pytest.raises(ValueError, match="do not meet"):
             s.apply_event(IntersectionPoint(1, 2))
 
@@ -171,7 +189,7 @@ class TestCsmStrata:
                 for a, b in s.meeting_pairs():
                     if j in (a, b):
                         closure = closure + ChowClass.point(s.k)
-                assert closure == s.curve_class(j) + 2 * ChowClass.point(s.k)
+                assert closure == curve_class(s, j) + 2 * ChowClass.point(s.k)
 
     def test_curve_strata_match_proper_transforms(self, corpus_surfaces):
         # reference independent of csm: the proper transform from curve_class,
@@ -180,7 +198,7 @@ class TestCsmStrata:
             for m in range(s.k + 1):
                 rel = s.relative(m)
                 for j in rel.curves:
-                    expected = s.curve_class(j) + rel.euler((j,)) * ChowClass.point(s.k)
+                    expected = curve_class(s, j) + rel.euler((j,)) * ChowClass.point(s.k)
                     assert s.csm_stratum((j,), m) == expected
 
 
