@@ -21,6 +21,7 @@ import os
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cfun
 from .blowup import audited_step, chi_values, program_from_json, run_program
@@ -92,12 +93,51 @@ def build_report(command: str, inputs: dict, results: dict, status: str, seed=No
     return body
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALAR_TEXT = {  # json's text for each scalar, by exact type: a bool is not written as an int
+    str: _quote, int: int.__repr__, type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda x: _NON_FINITE.get(repr(x)) or float.__repr__(x),
+}
+
+
+def _write_json(obj, newline_indent: str, write) -> None:
+    """Write a dict, list or tuple in pieces, as ``json.dumps(obj, sort_keys=True, indent=2)``."""
+    inner = newline_indent + "  "
+    sep, comma = ("{" if isinstance(obj, dict) else "[") + inner, "," + inner
+    if isinstance(obj, dict):
+        for key, value in sorted(obj.items()):  # _quote raises TypeError on a non-str key
+            text = _SCALAR_TEXT.get(type(value))
+            write(sep + _quote(key) + ": " + (text(value) if text else ""))
+            if text is None:
+                _write_json(value, inner, write)
+            sep = comma
+        return write(newline_indent + "}" if obj else "{}")
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    first = type(obj[0]) if obj else None
+    if first is str or (first is int and set(map(type, obj)) == {int}):
+        try:  # the whole list in one C-level pass; _quote rejects a later non-str
+            return write(sep + comma.join(map(_SCALAR_TEXT[first], obj)) + newline_indent + "]")
+        except TypeError:
+            pass
+    for value in obj:
+        text = _SCALAR_TEXT.get(type(value))
+        write(sep + (text(value) if text else ""))
+        if text is None:
+            _write_json(value, inner, write)
+        sep = comma
+    write(newline_indent + "]" if obj else "[]")
+
+
 def emit(report: dict, args, started: float) -> None:
     if getattr(args, "timings", False):
         report = dict(report)
         report["timings"] = {"wall_seconds": round(time.monotonic() - started, 6)}
     if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True, indent=2))
+        chunks: list[str] = []
+        _write_json(report, "\n", chunks.append)
+        print("".join(chunks))
     else:
         print(f"{report['command']}: {report['status']}")
         for key, value in sorted(report["results"].items()):

@@ -66,9 +66,9 @@ class IntersectionPoint:
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError("intersection event needs two distinct curves")
-        if self.a > self.b:
-            object.__setattr__(self, "a", self.b)
-            object.__setattr__(self, "b", self.a)
+        a, b = sorted((self.a, self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 Event = Union[GenericPoint, PointOnCurve, IntersectionPoint]

@@ -5,10 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mchern import cli
 from mchern.cli import main
 from mchern.modsys import Divisor
 from mchern.surface import SurfaceModel, events_from_json
@@ -224,6 +228,18 @@ class TestSurfaceCommands:
             str(m): surface.pushforward(stringy, m).to_json() for m in range(surface.k + 1)
         }
 
+    def test_report_on_a_descending_pair(self, capsys, surface_file, tmp_path):
+        # surface_file is the same program with the pair written as [1, 2]
+        path = tmp_path / "descending.json"
+        events = [{"type": "generic"}, {"type": "on_curve", "curve": 1}]
+        path.write_text(json.dumps({"events": events + [{"type": "intersection", "pair": [2, 1]}]}))
+        results = []
+        for program in (surface_file, str(path)):
+            assert main(["surface", "report", "--program", program, "--json"]) == 0
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert results[1] == results[0]
+        assert results[1]["events"][2] == {"type": "intersection", "pair": [1, 2]}
+
     def test_invalid_event_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"events": [{"type": "on_curve", "curve": 3}]}))
@@ -347,6 +363,83 @@ class TestReportDeterminism:
         timed = json.loads(capsys.readouterr().out)
         assert "timings" in timed and "timings" not in plain
         assert timed["digest"] == plain["digest"]
+
+
+def _write_json_text(obj) -> str:
+    chunks = []
+    cli._write_json(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+@pytest.fixture
+def layout_commands(tmp_path, surface_file, program_file):
+    # a k = 120 chain, so curve lists are long and take the one-pass str route
+    chain = tmp_path / "chain.json"
+    events = [{"type": "generic"}] + [{"type": "on_curve", "curve": j} for j in range(1, 120)]
+    chain.write_text(json.dumps({"events": events}))
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"strata": [{"subset": [1], "weight": "1/2"}]}))
+    return {
+        "verify simplex": ["verify", "simplex", "--d-max", "3", "--mu-max", "2"],
+        "verify invariance": ["verify", "invariance", "--count", "5", "--seed", "4"],
+        "blowup run": ["blowup", "run", "--program", program_file, "--emit-snapshots"],
+        "surface verify-main": ["surface", "verify-main", "--program", surface_file],
+        "surface report": ["surface", "report", "--program", str(chain)],
+        "cfun push": ["cfun", "push", "--program", str(chain), "--function", str(fn)],
+        "motivic eval": ["motivic", "eval", '{"numerator": "1 + 2*L + L^2", "denominator": [1]}',
+                         "--euler", "--at", "2"],
+    }
+
+
+@pytest.mark.parametrize("timings", [False, True], ids=["plain", "timings"])
+@pytest.mark.parametrize(
+    "command",
+    ["verify simplex", "verify invariance", "blowup run", "surface verify-main",
+     "surface report", "cfun push", "motivic eval"],
+)
+def test_json_output_is_the_indented_dump(capsys, layout_commands, command, timings):
+    argv = layout_commands[command] + ["--json"] + (["--timings"] if timings else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert ("timings" in json.loads(out)) == timings
+
+
+_TEXT = st.text(st.characters(exclude_categories=()))  # control characters and lone surrogates too
+_INTS = st.integers(-(2**130), 2**130)
+# homogeneous scalar lists are leaves too, so the one-pass list route is reached at any depth
+_JSON_LEAVES = (
+    st.none() | st.booleans() | _INTS | st.floats(allow_nan=True) | _TEXT
+    | st.lists(_TEXT) | st.lists(_INTS | st.booleans())
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(_TEXT, children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREES)
+@example(["x", 1, None])
+@example([1, True])
+@example([True, 1])
+@example((float("nan"), float("inf"), -float("inf"), -0.0))
+@example({"": [], "a": {}, "b": ()})
+def test_json_writer_equals_json_dumps(tree):
+    # the writer starts at a container, as every report is a dict
+    assert _write_json_text([tree]) == json.dumps([tree], sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "x"}, Fraction(1, 2), set(), ["x", set()], [1, Fraction(1, 2)], {"a": {2: 3}}],
+    ids=["int-key", "fraction", "set", "set-after-str", "fraction-after-int", "nested-int-key"],
+)
+def test_json_writer_rejects_non_str_keys_and_non_json_values(value):
+    with pytest.raises(TypeError):
+        _write_json_text(value)
 
 
 class TestEntryPoint:

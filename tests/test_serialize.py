@@ -162,6 +162,11 @@ class TestSurfaceJson:
         assert again == events
         assert SurfaceModel(again).k == 3
 
+    def test_descending_pair_is_written_ascending(self):
+        events = [{"type": "generic"}, {"type": "on_curve", "curve": 1}]
+        wire = {"events": events + [{"type": "intersection", "pair": [2, 1]}]}
+        assert events_to_json(events_from_json(wire))["events"][2]["pair"] == [1, 2]
+
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             events_from_json({"events": [{"type": "on_curve"}]})

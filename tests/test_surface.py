@@ -106,6 +106,12 @@ class TestEvents:
         with pytest.raises(ValueError, match="do not meet"):
             SurfaceModel((GenericPoint(), GenericPoint(), IntersectionPoint(1, 2)))
 
+    def test_intersection_pair_is_unordered(self):
+        assert IntersectionPoint(2, 1) == IntersectionPoint(1, 2)
+        assert (IntersectionPoint(3, 1).a, IntersectionPoint(3, 1).b) == (1, 3)
+        with pytest.raises(ValueError, match="distinct"):
+            IntersectionPoint(2, 2)
+
     def test_pair_destroyed_after_blowup(self):
         s = SurfaceModel(CHAIN3)
         assert (1, 2) not in s.meeting_pairs()
