@@ -25,11 +25,10 @@ and for subsets {0} u N containing the fresh index
 
 with [H_i] the fiber stratum class from :mod:`mchern.strata`.  Marked
 loci transform by the same two rules applied to their own center data.
-The weighted functional chi is invariant under this transformation.
-:func:`audited_step` blows a step up once, with the caller's loci, and
-checks that exactly on the result, locus by locus, with the full locus
-read off the new system; :func:`run_program` and
-:func:`verify_invariance` both go through it.
+The weighted functional chi is invariant under this transformation by a
+local argument, and :func:`audited_step` checks it locally: it blows a step
+up once and sums only the strata that step replaced.  :func:`run_program`
+and :func:`verify_invariance` both go through it.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .modsys import (
     MarkedLocus,
     ModificationSystem,
     json_int,
+    json_list,
     json_object,
     strata_from_json,
     subset_from_json,
@@ -222,17 +222,15 @@ def blow_up(
 
     if fresh_id is None:
         step = len(system.divisors)
-        fresh_id = f"exc{step}"
-        while fresh_id in system.idents:
+        while f"exc{step}" in system.idents:
             step += 1
-            fresh_id = f"exc{step}"
+        fresh_id = f"exc{step}"
     elif fresh_id in system.idents:
         raise BlowupError(f"fresh divisor id {fresh_id!r} already in use")
 
     d = center.codim
     k0_size = k0_mask.bit_count()
-    mu0 = sum(system.divisors[i].mu for i in range(len(system.divisors)) if k0_mask >> i & 1)
-    mu0 += d - 1
+    mu0 = sum(system.mu_of_mask(k0_mask)) + d - 1
     frame = FiberFrame(d, k0_size)
     fiber = [hyperplane_stratum_class(frame, size) for size in range(k0_size + 1)]
     new_bit = 1 << len(system.divisors)
@@ -270,35 +268,38 @@ class StepAudit:
     fiber_complete: bool
 
 
-def chi_values(system: ModificationSystem, loci: Iterable[MarkedLocus]) -> list[MotivicClass]:
-    """chi of the full locus, then of each given locus, in order."""
-    return [system.chi(system.full_locus()), *(system.chi(locus) for locus in loci)]
+def step_difference(old: Mapping[int, MotivicClass], new: Mapping[int, MotivicClass]) -> dict:
+    """``new[m] - old[m]`` (absent is 0) on every mask of either map whose class object changed."""
+    diff = {m: cls - old[m] if m in old else cls for m, cls in new.items() if old.get(m) is not cls}
+    diff.update((m, -cls) for m, cls in old.items() if m not in new)
+    return diff
 
 
 def audited_step(
     system: ModificationSystem,
     center: BlowupCenter,
     loci: Iterable[MarkedLocus],
-    before: list[MotivicClass],
     index: int = 0,
-) -> tuple[BlowupResult, StepAudit, list[MotivicClass]]:
-    """Blow up once with the given loci and audit that result.
+) -> tuple[BlowupResult, StepAudit]:
+    """Blow up once with the given loci and audit only the strata the step replaced.
 
-    ``before`` is :func:`chi_values` of ``system`` and ``loci``.  The full
-    locus after the step is ``result.system.full_locus()``: the full locus
-    before it, transformed with the center's own data.  The values after are
-    returned so that the next step can take them as its ``before``.
+    :func:`blow_up` only appends the fresh divisor, so old masks keep their weights:
+    chi after minus chi before is chi of :func:`step_difference` in the new
+    system, and the step keeps chi iff that is zero for its strata and each locus.
     """
+    loci = list(loci)
     result = blow_up(system, center, loci)
-    after = chi_values(result.system, result.loci.values())
+    after = result.system
+    diffs = [step_difference(system.strata, after.strata)]
+    diffs += [step_difference(u.strata, result.loci[u.name].strata) for u in loci]
     audit = StepAudit(
         index,
         result.fresh_id,
-        after == before,
-        total_class_delta_matches(system, result.system, center),
-        fiber_completeness_holds(result.system, center, result.fresh_id),
+        all(after.chi(MarkedLocus("step", diff)).is_zero() for diff in diffs),
+        total_class_delta_matches(system, after, center),
+        fiber_completeness_holds(after, center, result.fresh_id),
     )
-    return result, audit, after
+    return result, audit
 
 
 def verify_invariance(
@@ -306,21 +307,16 @@ def verify_invariance(
     center: BlowupCenter,
     loci: Iterable[MarkedLocus] = (),
 ) -> bool:
-    """chi before equals chi after, for the full locus and every given locus.
-
-    The step is blown up once, with the given loci, and checked on that result.
-    """
-    loci = list(loci)
-    _, audit, _ = audited_step(system, center, loci, chi_values(system, loci))
-    return audit.invariance_ok
+    """chi before equals chi after, for the full locus and every given locus."""
+    return audited_step(system, center, loci)[1].invariance_ok
 
 
 def total_class_delta_matches(
     before: ModificationSystem, after: ModificationSystem, center: BlowupCenter
 ) -> bool:
-    """Blow-up trades S for a P^(d-1)-bundle over it, on total classes."""
+    """Blow-up trades S for a P^(d-1)-bundle over it: the replaced strata gain that much."""
     gained = center.total_class() * (projective_class(center.codim - 1) - 1)
-    return after.total_class() == before.total_class() + gained
+    return MotivicClass.sum(step_difference(before.strata, after.strata).values()) == gained
 
 
 def fiber_completeness_holds(
@@ -361,23 +357,23 @@ def run_program(program: BlowupProgram) -> ProgramResult:
     """Left fold of blow_up over the steps, with per-step snapshots and audits.
 
     Each step is blown up once, with the program's loci, and audited on that
-    result; the chi values after one step are the values before the next.
+    result; chi of the full locus is summed once, on the final system.
     Errors raised by a step are re-raised with the step index attached.
     """
     system = program.initial
     loci = dict(program.loci)
-    chis = chi_values(system, loci.values())
     snapshots = [system]
     audits: list[StepAudit] = []
     for index, step in enumerate(program.steps):
         try:
-            result, audit, chis = audited_step(system, step, loci.values(), chis, index)
+            result, audit = audited_step(system, step, loci.values(), index)
         except BlowupError as exc:
             raise BlowupError(f"step {index}: {exc}") from exc
         audits.append(audit)
         system, loci = result.system, result.loci
         snapshots.append(system)
-    return ProgramResult(system, loci, tuple(snapshots), tuple(audits), chis[0])
+    final_chi = system.chi(system.full_locus())
+    return ProgramResult(system, loci, tuple(snapshots), tuple(audits), final_chi)
 
 
 # -- JSON wire format ------------------------------------------------------------
@@ -436,7 +432,7 @@ def center_to_json(center: BlowupCenter) -> dict:
 def program_from_json(obj: Mapping) -> BlowupProgram:
     try:
         system, loci = system_from_json(obj["initial"])
-        steps = tuple(center_from_json(step) for step in obj.get("steps", ()))
+        steps = tuple(map(center_from_json, json_list(obj.get("steps", []), "steps")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed program object: {exc}") from exc
     return BlowupProgram(system, steps, loci)

@@ -24,7 +24,7 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cfun
-from .blowup import audited_step, chi_values, program_from_json, run_program
+from .blowup import audited_step, program_from_json, run_program
 from .modsys import system_to_json
 from .ring import MotivicClass
 from .sampling import random_invariance_case
@@ -67,7 +67,7 @@ def read_payload(path: str, expected_kind: str) -> tuple[dict, str]:
     data = _read(path)
     try:
         obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # also JSON too deep for the parser
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
         if obj["kind"] != expected_kind:
@@ -178,7 +178,7 @@ def cmd_verify_invariance(args) -> dict:
     failures = []
     for index in range(count):
         system, center, loci = random_invariance_case(rng, max_divisors=max_divisors)
-        _, audit, _ = audited_step(system, center, loci, chi_values(system, loci))
+        _, audit = audited_step(system, center, loci)
         if not (audit.invariance_ok and audit.total_class_ok):
             failures.append(index)
     results = {"cases": count, "max_divisors": max_divisors, "failures": failures}
@@ -329,7 +329,7 @@ def cmd_motivic_eval(args) -> dict:
         text = io.TextIOWrapper(io.BytesIO(_read(text[1:])), encoding="utf-8").read()
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # also JSON too deep for the parser
         obj = text  # allow a bare polynomial expression
     value = MotivicClass.from_json(obj)
     results: dict = {"class": value.to_json(), "canonical": str(value)}

@@ -223,6 +223,12 @@ def json_object(value, what: str) -> Mapping:
     return value
 
 
+def json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def subset_from_json(value, item: type = str) -> frozenset:
     """A JSON list of distinct ids of type ``item``."""
     if not isinstance(value, list) or any(type(i) is not item for i in value):
@@ -237,10 +243,8 @@ def strata_from_json(
     entries, value: str = "class", decode=MotivicClass.from_json, item: type = str
 ) -> dict[frozenset, object]:
     """Decode ``[{"subset": [...], value: ...}, ...]``, keyed by subset; no subset twice."""
-    if not isinstance(entries, list):
-        raise ValueError(f"strata must be a JSON list, got {type(entries).__name__}")
     out: dict[frozenset, object] = {}
-    for entry in entries:
+    for entry in json_list(entries, "strata"):
         subset = subset_from_json(entry["subset"], item)
         if subset in out:
             raise ValueError(f"duplicate stratum {sorted(subset)!r}")
@@ -280,10 +284,10 @@ def system_to_json(
 def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, MarkedLocus]]:
     obj = json_object(obj, "system")
     try:
-        divisors = [
-            (json_str(d["id"], "divisor id"), json_int(d["mu"], "mu"))
-            for d in obj.get("divisors", ())
-        ]
+        divisors = []
+        for entry in json_list(obj.get("divisors", []), "divisors"):
+            entry = json_object(entry, "divisor")
+            divisors.append((json_str(entry["id"], "divisor id"), json_int(entry["mu"], "mu")))
         ambient = obj.get("ambient_class")
         system = ModificationSystem(
             json_int(obj["ambient_dim"], "ambient_dim"),
@@ -293,7 +297,7 @@ def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, Marked
             label=json_str(obj.get("label", ""), "label"),
         )
         loci: dict[str, MarkedLocus] = {}
-        for entry in obj.get("loci", ()):
+        for entry in json_list(obj.get("loci", []), "loci"):
             name = json_str(json_object(entry, "locus")["name"], "locus name")
             if name in loci:
                 raise ValueError(f"duplicate locus {name!r}")

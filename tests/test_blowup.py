@@ -7,9 +7,12 @@ from mchern.blowup import (
     BlowupError,
     BlowupProgram,
     LocusRule,
+    _transform_strata,
+    audited_step,
     blow_up,
     fiber_completeness_holds,
     run_program,
+    step_difference,
     total_class_delta_matches,
     verify_invariance,
 )
@@ -317,3 +320,100 @@ class TestPrograms:
                     break
                 system = blow_up(system, center).system
             assert system.chi(system.full_locus()) == PLANE
+
+
+def point_chain(rng, length):
+    """A point of the plane, then points each on the newest divisor or on its crossing
+    with the one before.  Locus U is the plane; V, a line, draws its rule per step."""
+
+    def center(on):
+        rules = {
+            "U": LocusRule.contains(),
+            "V": rng.choice((LocusRule.contains(), LocusRule.disjoint())),
+        }
+        return BlowupCenter(2, frozenset(on), {frozenset(on): MotivicClass.one()}, rules)
+
+    steps = [center(())]
+    for n in range(length - 1):
+        steps.append(center({f"exc{n}", f"exc{n - 1}"} if n and rng.random() < 0.4 else {f"exc{n}"}))
+    loci = {"U": MarkedLocus("U", {0: PLANE}), "V": MarkedLocus("V", {0: projective_class(1)})}
+    return BlowupProgram(trivial_plane(), tuple(steps), loci)
+
+
+def assert_local_audit_matches_resum(system, center, loci):
+    """The local difference's chi is chi after minus chi before, the full re-sum."""
+    result = blow_up(system, center, loci)
+    after = result.system
+    assert after.divisors[:-1] == system.divisors  # old masks keep their weights
+    pairs = [(system.full_locus(), after.full_locus())]
+    pairs += [(locus, result.loci[locus.name]) for locus in loci]
+    for old, new in pairs:
+        local = after.chi(MarkedLocus(old.name, step_difference(old.strata, new.strata)))
+        assert local == after.chi(new) - system.chi(old)
+    return result
+
+
+class TestLocalAudit:
+    def test_random_cases_match_full_resum(self):
+        for seed in range(200):
+            system, center, loci = random_invariance_case(random.Random(seed), max_divisors=6)
+            assert_local_audit_matches_resum(system, center, loci)
+
+    def test_chain_steps_match_full_resum(self):
+        rng = random.Random(7)
+        for _ in range(4):
+            program = point_chain(rng, 14)
+            system, loci = program.initial, list(program.loci.values())
+            for center in program.steps:
+                result = assert_local_audit_matches_resum(system, center, loci)
+                system, loci = result.system, list(result.loci.values())
+            assert run_program(program).all_checks_passed
+
+    def test_difference_walks_every_mask(self):
+        one, two = MotivicClass.one(), MotivicClass.from_int(2)
+        old = {0: PLANE, 1: one, 2: one}
+        new = {0: PLANE, 1: two, 4: one}
+        diff = step_difference(old, new)
+        assert sorted(diff) == [1, 2, 4]
+        assert diff[1] == 1 and diff[2] == -1 and diff[4] == 1
+
+    def test_corrupting_a_stratum_away_from_the_center_fails_the_step(self, monkeypatch):
+        def corrupt(old, center_data, *rest):
+            out = _transform_strata(old, center_data, *rest)
+            far = min((m for m in old if m not in center_data), default=None)
+            if far is not None:
+                out[far] = out[far] + out[far]
+            return out
+
+        monkeypatch.setattr("mchern.blowup._transform_strata", corrupt)
+        # step 0 has no stratum away from its center; steps 1 and 2 each double one
+        centers = (point_center(), point_center(on={"exc0"}), point_center())
+        outcome = run_program(BlowupProgram(trivial_plane(), centers))
+        first, *later = outcome.audits
+        assert first.invariance_ok and first.total_class_ok
+        for audit in later:
+            assert not audit.invariance_ok and not audit.total_class_ok
+            assert audit.fiber_complete
+        _, audit = audited_step(outcome.snapshots[1], centers[1], ())
+        assert not audit.invariance_ok and not audit.total_class_ok
+        assert not verify_invariance(outcome.snapshots[1], centers[1])
+
+    def test_corrupting_a_locus_away_from_the_center_fails_chi_only(self, monkeypatch):
+        system = blow_up(trivial_plane(), point_center()).system
+        locus = system.full_locus("U")
+        center = BlowupCenter(
+            2, frozenset({"exc0"}), {frozenset({"exc0"}): MotivicClass.one()},
+            {"U": LocusRule.contains()},
+        )
+        assert audited_step(system, center, [locus])[1].invariance_ok
+
+        def corrupt(old, *rest):
+            out = _transform_strata(old, *rest)
+            if old is locus.strata:  # the open stratum, away from the point on exc0
+                out[0] = out[0] + out[0]
+            return out
+
+        monkeypatch.setattr("mchern.blowup._transform_strata", corrupt)
+        _, audit = audited_step(system, center, [locus])
+        assert not audit.invariance_ok
+        assert audit.total_class_ok and audit.fiber_complete

@@ -127,6 +127,28 @@ class TestBlowupRun:
         assert step["chi_invariant"] is False
         assert step["total_class_ok"] is True and step["fiber_complete"] is True
 
+    def test_long_point_chain_passes(self, capsys, tmp_path):
+        # a point of the plane, then 119 points each on the newest divisor; with
+        # local audits the run costs a fraction of a second (no timing asserted)
+        def step(on):
+            return {"codim": 2, "containing": on, "center_strata": [{"subset": on, "class": "1"}]}
+
+        payload = {
+            "initial": {
+                "ambient_dim": 2,
+                "divisors": [],
+                "strata": [{"subset": [], "class": PLANE_CLASS}],
+                "ambient_class": PLANE_CLASS,
+            },
+            "steps": [step([])] + [step([f"exc{j}"]) for j in range(119)],
+        }
+        path = tmp_path / "prog120.json"
+        path.write_text(json.dumps(payload))
+        assert main(["blowup", "run", "--program", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass" and len(report["results"]["steps"]) == 120
+        assert report["results"]["final_chi"] == PLANE_CLASS
+
     @pytest.mark.parametrize("exponent", [1.5, True])
     def test_non_integer_exponent_is_input_error(self, capsys, program_file, tmp_path, exponent):
         payload = json.loads(open(program_file).read())
@@ -555,6 +577,13 @@ MALFORMED = {
         _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"],
               ONE_DIVISOR_PROGRAM["initial"]["divisors"] + [{"id": True, "mu": 0}])),
     "label-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "label"], {"x": 1})),
+    "steps-empty-string": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps"], "")),
+    "steps-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps"], {})),
+    "steps-int": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps"], 0)),
+    "divisors-empty-string": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"], "")),
+    "divisors-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"], {})),
+    "divisor-pair": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors"], [["e", 1]])),
+    "loci-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "loci"], {})),
     "count-negative": ("invariance", ["--count", "-5"]),
     "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
 }
@@ -582,11 +611,36 @@ def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
     if kind == "invariance":
         bound = "count" if "count" in str(payload) else "max_divisors"
         assert f"sweep bound {bound} must be nonnegative" in err
-    if kind == "surface":
-        # each surface case is named after the field it breaks
+    if kind == "surface" or case.startswith(("steps-", "divisor", "loci-")):
+        # each of these cases is named after the field it breaks
         assert case.split("-")[0] in err
     if kind in ("motivic", "program") and case.endswith("unknown-key"):
         assert "unknown motivic class key 'denominators'" in err
+
+
+DEEP = "[" * 100000
+
+
+@pytest.mark.parametrize("route", ["program", "surface", "function", "motivic", "motivic-file"])
+def test_deeply_nested_json_is_one_line_exit_two(capsys, tmp_path, route):
+    # the parser's recursion limit is an input error, not an internal one
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(SURFACE))
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    argv = {
+        "program": ["blowup", "run", "--program", str(path)],
+        "surface": ["surface", "report", "--program", str(path)],
+        "function": ["cfun", "push", "--program", str(surface), "--function", str(path)],
+        "motivic": ["motivic", "eval", DEEP],
+        "motivic-file": ["motivic", "eval", f"@{path}"],
+    }[route]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # a payload file is reported as too deep; a class text falls back, like any text
+    # that is not JSON, to the polynomial parser, which rejects it
+    assert ("cannot parse" if route.startswith("motivic") else "maximum recursion depth") in err
 
 
 # Raw texts, since json.dumps cannot write a key twice; the last value alone is valid.
