@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
 from .ring import MotivicClass
@@ -165,13 +166,12 @@ class ModificationSystem:
 
     def euler_chi(self, locus: MarkedLocus) -> Fraction:
         """Euler-specialized functional: the weights [P^mu] become mu + 1."""
-        total = Fraction(0)
-        for mask, cls in locus.strata.items():
-            weight = 1
-            for mu in self.mu_of_mask(mask):
-                weight *= mu + 1
-            total += cls.euler_specialize() / weight
-        return total
+        terms = [  # (numerator at L = 1, integer weight of the stratum's divisors and class)
+            (cls.num.evaluate(1), prod(mu + 1 for mu in cls.den + self.mu_of_mask(mask)))
+            for mask, cls in locus.strata.items()
+        ]
+        den = lcm(*(weight for _, weight in terms))  # summed in integers, one Fraction
+        return Fraction(sum(num * (den // weight) for num, weight in terms), den)
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""

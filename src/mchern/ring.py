@@ -204,7 +204,7 @@ class LPolynomial:
             return cls.zero()
         tokens = re.findall(r"[+-]?[^+-]+", s)
         if "".join(tokens) != s:
-            raise ValueError(f"cannot parse polynomial {text!r}")
+            raise ValueError(f"cannot parse polynomial {_clip(text)}")
         coeffs: dict[int, int] = {}
         for token in tokens:
             sign = 1
@@ -214,13 +214,11 @@ class LPolynomial:
                 sign = -1
                 token = token[1:]
             m = cls._TERM_RE.fullmatch(token)
-            if not m or not token:
-                raise ValueError(f"cannot parse term {token!r} in {text!r}")
-            coeff, var, exp = m.group("coeff"), m.group("var"), m.group("exp")
-            if coeff is None and var is None:
-                raise ValueError(f"cannot parse term {token!r} in {text!r}")
+            coeff, var, exp = m.group("coeff", "var", "exp") if m else (None, None, None)
+            if coeff is None and var is None:  # also no match, or an empty term
+                raise ValueError(f"cannot parse term {_clip(token)} in {_clip(text)}")
             if exp is not None and var is None:
-                raise ValueError(f"exponent without L in term {token!r}")
+                raise ValueError(f"exponent without L in term {_clip(token)}")
             e = int(exp) if exp is not None else (1 if var else 0)
             coeffs[e] = coeffs.get(e, 0) + sign * int(coeff or 1)
         out = [0] * (max(coeffs) + 1)
@@ -233,6 +231,11 @@ class LPolynomial:
 
     def __repr__(self) -> str:
         return f"LPolynomial({self.to_text()!r})"
+
+
+def _clip(text: str, limit: int = 40) -> str:
+    """``text`` quoted, or its first ``limit`` characters quoted and its length named."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 @lru_cache(maxsize=None)

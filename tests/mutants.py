@@ -1,0 +1,141 @@
+"""Mutation checks: does the test suite notice a deliberately broken verifier?
+
+Run by hand from the repository root (pytest does not collect this file):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py euler      # only mutants whose name contains "euler"
+
+Each mutant names a file, a snippet that occurs exactly once in it, its
+replacement, and the tests that should fail.  For each mutant the ``src``
+and ``tests`` trees are copied to a fresh temporary directory, the snippet
+is replaced there, and ``pytest -x`` runs the named tests on the copy.  The
+working tree is never modified.  A mutant whose tests still pass survives.
+First the named tests are run once on an unmodified copy, which must pass.
+
+Exit status: 0 every mutant is killed, 1 a mutant survived, 2 a snippet is
+missing or repeated, or the unmodified tests fail.
+
+Equivalent mutants (changes that cannot alter any result) are listed with
+the reason, and not run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "fiber sum drops the open stratum",
+        "src/mchern/cli.py",
+        "MotivicClass.sum([system.stratum(0)] + fiber_chi)",
+        "MotivicClass.sum(fiber_chi)",
+        ("tests/test_cli.py::TestSurfaceCommands",),
+    ),
+    Mutant(
+        "fiber sum drops one fiber",
+        "src/mchern/cli.py",
+        "MotivicClass.sum([system.stratum(0)] + fiber_chi)",
+        "MotivicClass.sum([system.stratum(0)] + fiber_chi[1:])",
+        ("tests/test_cli.py::TestSurfaceCommands",),
+    ),
+    Mutant(
+        "euler_chi ignores the class denominators",
+        "src/mchern/modsys.py",
+        "prod(mu + 1 for mu in cls.den + self.mu_of_mask(mask))",
+        "prod(mu + 1 for mu in self.mu_of_mask(mask))",
+        ("tests/test_modsys.py",),
+    ),
+    Mutant(
+        "fiber_completeness_holds always passes",
+        "src/mchern/blowup.py",
+        "return total == center.total_class() * projective_class(center.codim - 1)",
+        "return True",
+        ("tests/test_cli.py::TestBlowupRun",),
+    ),
+    Mutant(
+        "from_text quotes the whole text again",
+        "src/mchern/ring.py",
+        'raise ValueError(f"cannot parse term {_clip(token)} in {_clip(text)}")',
+        'raise ValueError(f"cannot parse term {_clip(token)} in {text!r}")',
+        ("tests/test_cli.py::test_unparsable_class_text_error_is_clipped", "tests/test_ring.py"),
+    ),
+)
+
+EQUIVALENT = (
+    (
+        "_div_projective accumulates every residue class",
+        "src/mchern/ring.py",
+        "for r in range(min(step, n + 1 - step)):",
+        "for r in range(step):",
+        "a residue r >= n + 1 - step has at most one entry in q[r::step], "
+        "and accumulate leaves a one-entry slice as it is",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tests_pass(tree: Path, tests: tuple[str, ...]) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    return done.returncode == 0
+
+
+def _run(tests: tuple[str, ...], mutant: Mutant | None = None) -> bool:
+    with tempfile.TemporaryDirectory(prefix="mchern-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if mutant is not None:
+            target = tree / mutant.path
+            text = target.read_text()
+            target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        return _tests_pass(tree, tests)
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    for m in chosen:
+        count = (ROOT / m.path).read_text().count(m.snippet)
+        if count != 1:
+            print(f"snippet of {m.name!r} occurs {count} times in {m.path}", file=sys.stderr)
+            return 2
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    if tests and not _run(tests):
+        print(f"the unmodified tests fail: {' '.join(tests)}", file=sys.stderr)
+        return 2
+    survivors = 0
+    for m in chosen:
+        survived = _run(m.tests, m)
+        survivors += survived
+        print(f"{'SURVIVED' if survived else 'killed  '}  {m.name}  ({m.path})")
+    for name, path, _, _, reason in EQUIVALENT:
+        print(f"equivalent  {name}  ({path}): {reason}")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchern import cli
+from mchern import blowup, cli
 from mchern.cli import main
 from mchern.modsys import Divisor
 from mchern.surface import SurfaceModel, events_from_json
@@ -127,6 +127,19 @@ class TestBlowupRun:
         assert step["chi_invariant"] is False
         assert step["total_class_ok"] is True and step["fiber_complete"] is True
 
+    def test_incomplete_fiber_exits_one(self, capsys, monkeypatch, program_file, tmp_path):
+        payload = json.loads(open(program_file).read())
+        payload["steps"] = payload["steps"][:1]
+        path = tmp_path / "one_step.json"
+        path.write_text(json.dumps(payload))
+        original = blowup.hyperplane_stratum_class
+        monkeypatch.setattr(blowup, "hyperplane_stratum_class", lambda *a: original(*a) + 1)
+        assert main(["blowup", "run", "--program", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        [step] = report["results"]["steps"]
+        assert step["fiber_complete"] is False
+
     def test_long_point_chain_passes(self, capsys, tmp_path):
         # a point of the plane, then 119 points each on the newest divisor; with
         # local audits the run costs a fraction of a second (no timing asserted)
@@ -217,6 +230,48 @@ class TestSurfaceCommands:
 
     def test_verify_main_single_stage(self, capsys, surface_file):
         assert main(["surface", "verify-main", "--program", surface_file, "--stage", "2"]) == 0
+
+    @staticmethod
+    def corrupt_export(monkeypatch, pick):
+        """Export systems where one stratum, chosen by ``pick``, gains 1 everywhere it appears."""
+        original = SurfaceModel.export_modification_system
+
+        def export(self, relative_to=0):
+            system, loci = original(self, relative_to)
+            mask = pick(loci)
+            if mask is not None:
+                system.strata[mask] += 1
+                for locus in loci.values():
+                    if mask in locus.strata:
+                        locus.strata[mask] = system.strata[mask]
+            return system, loci
+
+        monkeypatch.setattr(SurfaceModel, "export_modification_system", export)
+
+    def test_verify_main_catches_a_corrupt_fiber(self, capsys, monkeypatch, surface_file):
+        def first_curve_of_first_fiber(loci):
+            fibers = sorted(name for name in loci if name != "full")
+            if fibers:
+                return min(mask for mask in loci[fibers[0]].strata if mask.bit_count() == 1)
+            return None
+
+        self.corrupt_export(monkeypatch, first_curve_of_first_fiber)
+        assert main(["surface", "verify-main", "--program", surface_file, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        stages = report["results"]["stages"]
+        for m in ("0", "1", "2"):  # stage 3 is the top surface: nothing is contracted
+            assert stages[m]["fiber_chi_one"] is False
+            assert stages[m]["chi_matches_stage_class"] is False
+        assert all(stages["3"].values())
+
+    def test_verify_main_catches_a_corrupt_open_stratum(self, capsys, monkeypatch, surface_file):
+        self.corrupt_export(monkeypatch, lambda loci: 0)
+        assert main(["surface", "verify-main", "--program", surface_file, "--json"]) == 1
+        stages = json.loads(capsys.readouterr().out)["results"]["stages"]
+        for checks in stages.values():
+            assert checks["chi_matches_stage_class"] is False and checks["euler_chi"] is False
+            assert checks["fiber_chi_one"] is True
 
     def test_stage_out_of_range(self, capsys, surface_file):
         assert main(["surface", "verify-main", "--program", surface_file, "--stage", "9"]) == 2
@@ -641,6 +696,14 @@ def test_deeply_nested_json_is_one_line_exit_two(capsys, tmp_path, route):
     # a payload file is reported as too deep; a class text falls back, like any text
     # that is not JSON, to the polynomial parser, which rejects it
     assert ("cannot parse" if route.startswith("motivic") else "maximum recursion depth") in err
+
+
+def test_unparsable_class_text_error_is_clipped(capsys):
+    # the parser quotes a prefix of a long text and names its length, once per quote
+    assert main(["motivic", "eval", DEEP]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse") and err.count("\n") == 1
+    assert len(err) < 300 and "(100000 characters)" in err
 
 
 # Raw texts, since json.dumps cannot write a key twice; the last value alone is valid.

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mchern.modsys import Divisor, MarkedLocus, ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass, projective_class
-from mchern.sampling import random_locus, random_system
+from mchern.sampling import random_invariance_case, random_locus, random_system
 
 
 PLANE_CLASS = MotivicClass(LPolynomial((1, 1, 1)))
@@ -162,6 +162,25 @@ class TestChi:
                 system, loci = surface.export_modification_system(m)
                 for locus in loci.values():
                     assert system.euler_chi(locus) == system.chi(locus).euler_specialize()
+        # stratum classes with denominators, whose weights enter the integer sum too
+        rng, with_dens = random.Random(13), 0
+
+        def with_den(cls):
+            return MotivicClass(cls.num, [rng.randint(0, 4) for _ in range(rng.randint(0, 3))])
+
+        for _ in range(100):
+            plain, _, plain_loci = random_invariance_case(rng, max_divisors=6)
+            system = ModificationSystem(
+                plain.ambient_dim, plain.divisors, {m: with_den(c) for m, c in plain.strata.items()}
+            )
+            loci = [system.full_locus()] + [
+                MarkedLocus(u.name, {m: with_den(c) for m, c in u.strata.items()}) for u in plain_loci
+            ]
+            with_dens += any(cls.den for cls in system.strata.values())
+            for locus in loci:
+                assert system.euler_chi(locus) == system.chi(locus).euler_specialize()
+            assert system.euler_chi(MarkedLocus("empty", {})) == 0
+        assert with_dens > 50
 
 
 class TestFullLocus:

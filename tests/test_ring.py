@@ -71,6 +71,21 @@ class TestLPolynomial:
         assert p.evaluate(1) == 0
         assert p.evaluate(Fraction(1, 2)) == Fraction(1, 4)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 + x", "cannot parse term 'x' in '1 + x'"),
+            ("L^", "cannot parse term 'L^' in 'L^'"),
+            ("1 +", "cannot parse polynomial '1 +'"),
+            ("2^3", "exponent without L in term '2^3'"),
+            ("1 + " + "x" * 50, "cannot parse term '" + "x" * 40 + "'... (50 characters) in '1 + x"),
+        ],
+    )
+    def test_parse_errors_quote_at_most_a_prefix(self, text, message):
+        with pytest.raises(ValueError) as err:
+            LPolynomial.from_text(text)
+        assert str(err.value).startswith(message)
+
 
 class TestConstructors:
     def test_projective_class(self):

@@ -350,6 +350,23 @@ class TestExport:
                     else:
                         assert system.chi(locus) == MotivicClass.one()
 
+    def test_fiber_loci_partition_the_curve_strata(self, corpus_surfaces):
+        # verify_surface_stage builds chi(full) from the fibers; check it against the whole sum
+        for s in corpus_surfaces:
+            for m in range(s.k + 1):
+                system, loci = s.export_modification_system(m)
+                fibers = [locus for name, locus in loci.items() if name != "full"]
+                masks = [mask for locus in fibers for mask in locus.strata]
+                assert len(masks) == len(set(masks))
+                assert set(masks) == set(system.strata) - {0}
+                assert all(
+                    cls is system.strata[mask] for locus in fibers for mask, cls in locus.strata.items()
+                )
+                assembled = MotivicClass.sum(
+                    [system.stratum(0)] + [system.chi(locus).reduced() for locus in fibers]
+                )
+                assert assembled == system.chi(loci["full"])
+
     def test_more_divisors_than_a_machine_word(self):
         chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 70)))
         system, loci = chain.export_modification_system(0)
