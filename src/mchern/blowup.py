@@ -267,6 +267,11 @@ class StepAudit:
     total_class_ok: bool
     fiber_complete: bool
 
+    @property
+    def passed(self) -> bool:
+        """The one pass rule for a step: chi kept, total class and fresh fibers as expected."""
+        return self.invariance_ok and self.total_class_ok and self.fiber_complete
+
 
 def step_difference(old: Mapping[int, MotivicClass], new: Mapping[int, MotivicClass]) -> dict:
     """``new[m] - old[m]`` (absent is 0) on every mask of either map whose class object changed."""
@@ -283,21 +288,22 @@ def audited_step(
 ) -> tuple[BlowupResult, StepAudit]:
     """Blow up once with the given loci and audit only the strata the step replaced.
 
-    :func:`blow_up` only appends the fresh divisor, so old masks keep their weights:
-    chi after minus chi before is chi of :func:`step_difference` in the new
-    system, and the step keeps chi iff that is zero for its strata and each locus.
+    One :func:`step_difference` of the system feeds all three checks.  :func:`blow_up`
+    only appends the fresh divisor, so old masks keep their weights: chi after minus chi
+    before is chi of that difference in the new system, zero iff the step keeps chi.
+    Each locus is checked the same way on its own difference.
     """
     loci = list(loci)
     result = blow_up(system, center, loci)
     after = result.system
-    diffs = [step_difference(system.strata, after.strata)]
-    diffs += [step_difference(u.strata, result.loci[u.name].strata) for u in loci]
+    diff = step_difference(system.strata, after.strata)
+    diffs = [diff] + [step_difference(u.strata, result.loci[u.name].strata) for u in loci]
     audit = StepAudit(
         index,
         result.fresh_id,
-        all(after.chi(MarkedLocus("step", diff)).is_zero() for diff in diffs),
-        total_class_delta_matches(system, after, center),
-        fiber_completeness_holds(after, center, result.fresh_id),
+        all(after.chi(MarkedLocus("step", delta)).is_zero() for delta in diffs),
+        total_class_delta_matches(diff, center),
+        fiber_completeness_holds(diff, center, after.mask_of(result.fresh_id)),
     )
     return result, audit
 
@@ -311,20 +317,17 @@ def verify_invariance(
     return audited_step(system, center, loci)[1].invariance_ok
 
 
-def total_class_delta_matches(
-    before: ModificationSystem, after: ModificationSystem, center: BlowupCenter
-) -> bool:
-    """Blow-up trades S for a P^(d-1)-bundle over it: the replaced strata gain that much."""
+def total_class_delta_matches(diff: Mapping[int, MotivicClass], center: BlowupCenter) -> bool:
+    """Blow-up trades S for a P^(d-1)-bundle over it: the step's difference sums to that gain."""
     gained = center.total_class() * (projective_class(center.codim - 1) - 1)
-    return MotivicClass.sum(step_difference(before.strata, after.strata).values()) == gained
+    return MotivicClass.sum(diff.values()) == gained
 
 
 def fiber_completeness_holds(
-    after: ModificationSystem, center: BlowupCenter, fresh_id: str
+    diff: Mapping[int, MotivicClass], center: BlowupCenter, bit: int
 ) -> bool:
-    """Strata on the fresh divisor sum to [S] * [P^(d-1)]."""
-    bit = after.mask_of(fresh_id)
-    total = MotivicClass.sum(cls for mask, cls in after.strata.items() if mask & bit)
+    """Strata with the fresh ``bit`` (all new, so all in ``diff``) sum to [S] * [P^(d-1)]."""
+    total = MotivicClass.sum(cls for mask, cls in diff.items() if mask & bit)
     return total == center.total_class() * projective_class(center.codim - 1)
 
 
@@ -348,9 +351,8 @@ class ProgramResult:
 
     @property
     def all_checks_passed(self) -> bool:
-        return all(
-            a.invariance_ok and a.total_class_ok and a.fiber_complete for a in self.audits
-        )
+        """Every step audit passed (:attr:`StepAudit.passed`)."""
+        return all(a.passed for a in self.audits)
 
 
 def run_program(program: BlowupProgram) -> ProgramResult:

@@ -179,7 +179,7 @@ def cmd_verify_invariance(args) -> dict:
     for index in range(count):
         system, center, loci = random_invariance_case(rng, max_divisors=max_divisors)
         _, audit = audited_step(system, center, loci)
-        if not (audit.invariance_ok and audit.total_class_ok):
+        if not audit.passed:
             failures.append(index)
     results = {"cases": count, "max_divisors": max_divisors, "failures": failures}
     status = PASS if not failures else FAIL

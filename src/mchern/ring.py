@@ -195,7 +195,7 @@ class LPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    _TERM_RE = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>L)?(?:\^(?P<exp>\d+))?")
+    _TERM_RE = re.compile(r"(?:(?P<coeff>\d+)(?:\*(?=L))?)?(?P<var>L)?(?:\^(?P<exp>\d+))?")
 
     @classmethod
     def from_text(cls, text: str) -> "LPolynomial":

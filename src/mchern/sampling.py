@@ -68,18 +68,18 @@ def random_center(rng: random.Random, system: ModificationSystem) -> Optional[Bl
     count = len(system.divisors)
     idents = system.idents
 
-    candidates: list[frozenset[str]] = []
+    eligible_by_k0: dict[frozenset[str], list[frozenset[str]]] = {}
     max_k0 = min(count, d)
     for size in range(0, max_k0 + 1):
         for combo in itertools.combinations(range(count), size):
             k0 = frozenset(idents[i] for i in combo)
-            if _eligible_strata(system, k0, d):
-                candidates.append(k0)
-    if not candidates:
+            if eligible := _eligible_strata(system, k0, d):
+                eligible_by_k0[k0] = eligible
+    if not eligible_by_k0:
         return None
-    k0 = rng.choice(sorted(candidates, key=sorted))
+    k0 = rng.choice(sorted(eligible_by_k0, key=sorted))
 
-    eligible = _eligible_strata(system, k0, d)
+    eligible = eligible_by_k0[k0]
     chosen = [key for key in eligible if rng.random() < 0.6] or [rng.choice(eligible)]
     center_strata = {
         key: random_class(rng, nonzero=True, max_degree=1) for key in chosen

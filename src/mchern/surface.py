@@ -292,10 +292,6 @@ class SurfaceModel:
         self._pairs: frozenset[tuple[int, int]] = frozenset(pairs)
         self._last_relative: Optional[RelativeArrangement] = None
 
-    @classmethod
-    def plane(cls) -> "SurfaceModel":
-        return cls()
-
     @property
     def k(self) -> int:
         return len(self.events)
@@ -339,8 +335,6 @@ class SurfaceModel:
             mus[t] = 1 + sum(mus[c] for c in over)
             if over:
                 root = roots[over[0]]
-                if len(over) == 2 and roots[over[1]] != root:
-                    raise AssertionError("meeting curves must contract to one point")
             elif isinstance(self.events[t - 1], GenericPoint):
                 generics += 1
                 root = f"p{generics}"

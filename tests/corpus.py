@@ -46,7 +46,7 @@ def surface_corpus(max_events: int = 6, limit: int = 500) -> list[tuple[Event, .
     """Breadth-first enumeration of event programs, capped at ``limit``."""
     programs: list[tuple[Event, ...]] = []
     queue: deque[tuple[tuple[Event, ...], SurfaceModel]] = deque()
-    queue.append(((), SurfaceModel.plane()))
+    queue.append(((), SurfaceModel()))
     while queue and len(programs) < limit:
         events, surface = queue.popleft()
         programs.append(events)

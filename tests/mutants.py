@@ -76,6 +76,79 @@ MUTANTS = (
         'raise ValueError(f"cannot parse term {_clip(token)} in {text!r}")',
         ("tests/test_cli.py::test_unparsable_class_text_error_is_clipped", "tests/test_ring.py"),
     ),
+    Mutant(
+        "a step passes without fiber completeness",
+        "src/mchern/blowup.py",
+        "return self.invariance_ok and self.total_class_ok and self.fiber_complete",
+        "return self.invariance_ok and self.total_class_ok",
+        (
+            "tests/test_blowup.py::TestLocalAudit::test_a_step_passes_only_when_all_three_checks_hold",
+            "tests/test_cli.py::TestVerify::test_invariance_fails_a_case_with_an_incomplete_fiber",
+        ),
+    ),
+    Mutant(
+        "a step passes without the total-class check",
+        "src/mchern/blowup.py",
+        "return self.invariance_ok and self.total_class_ok and self.fiber_complete",
+        "return self.invariance_ok and self.fiber_complete",
+        ("tests/test_blowup.py::TestLocalAudit::test_a_step_passes_only_when_all_three_checks_hold",),
+    ),
+    Mutant(
+        "fiber_completeness_holds sums the whole step difference",
+        "src/mchern/blowup.py",
+        "MotivicClass.sum(cls for mask, cls in diff.items() if mask & bit)",
+        "MotivicClass.sum(diff.values())",
+        ("tests/test_blowup.py::TestBookkeepingInvariants",),
+    ),
+    Mutant(
+        "a '*' with no L after it is accepted again",
+        "src/mchern/ring.py",
+        r"(?:(?P<coeff>\d+)(?:\*(?=L))?)?",
+        r"(?:(?P<coeff>\d+)\*?)?",
+        ("tests/test_ring.py", "tests/test_cli.py::TestMotivicEval"),
+    ),
+    Mutant(
+        "mu0 adds d instead of d - 1",
+        "src/mchern/blowup.py",
+        "mu0 = sum(system.mu_of_mask(k0_mask)) + d - 1",
+        "mu0 = sum(system.mu_of_mask(k0_mask)) + d",
+        ("tests/test_blowup.py::TestSingleBlowup",),
+    ),
+    Mutant(
+        "step_difference drops the removed masks",
+        "src/mchern/blowup.py",
+        "    diff.update((m, -cls) for m, cls in old.items() if m not in new)\n",
+        "",
+        ("tests/test_blowup.py::TestLocalAudit::test_difference_walks_every_mask",),
+    ),
+    Mutant(
+        "IntersectionPoint keeps its pair unsorted",
+        "src/mchern/surface.py",
+        "a, b = sorted((self.a, self.b))",
+        "a, b = self.a, self.b",
+        ("tests/test_surface.py::TestEvents",),
+    ),
+    Mutant(
+        "keyed accepts a stratum given twice",
+        "src/mchern/surface.py",
+        "            if key in out:\n                raise ValueError(f\"duplicate stratum {list(key)!r}\")\n",
+        "",
+        ("tests/test_cfun.py",),
+    ),
+    Mutant(
+        "the JSON writer's list fast path trusts the first item's type",
+        "src/mchern/cli.py",
+        "(first is int and set(map(type, obj)) == {int})",
+        "first is int",
+        ("tests/test_cli.py::test_json_writer_equals_json_dumps",),
+    ),
+    Mutant(
+        "_union_lacks cancels no shared exponent",
+        "src/mchern/ring.py",
+        "        if mu in lack_a:\n",
+        "        if False:\n",
+        ("tests/test_ring.py",),
+    ),
 )
 
 EQUIVALENT = (

@@ -9,7 +9,13 @@ checklist (use ``pytest tests/test_acceptance.py -v -s``).
 import random
 
 from mchern import cfun
-from mchern.blowup import blow_up, total_class_delta_matches, verify_invariance
+from mchern.blowup import (
+    blow_up,
+    fiber_completeness_holds,
+    step_difference,
+    total_class_delta_matches,
+    verify_invariance,
+)
 from corpus import (
     chain_two_orders,
     final_transposition,
@@ -49,8 +55,10 @@ def test_acceptance_03_randomized_blowup_invariance():
         system, center, loci = random_invariance_case(rng, max_divisors=8, locus_count=2)
         ok = ok and verify_invariance(system, center, loci)
         result = blow_up(system, center)
-        ok = ok and total_class_delta_matches(system, result.system, center)
-    report(3, "200 seeded blow-ups: chi invariance and total-class bookkeeping", ok)
+        diff = step_difference(system.strata, result.system.strata)
+        ok = ok and total_class_delta_matches(diff, center)
+        ok = ok and fiber_completeness_holds(diff, center, result.system.mask_of(result.fresh_id))
+    report(3, "200 seeded blow-ups: chi invariance, total class and fiber completeness", ok)
 
 
 def test_acceptance_04_export_chi_matches_every_stage(corpus_surfaces):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from mchern.blowup import (
     BlowupError,
     BlowupProgram,
     LocusRule,
+    StepAudit,
     _transform_strata,
     audited_step,
     blow_up,
@@ -161,8 +163,9 @@ class TestBookkeepingInvariants:
         system = trivial_plane()
         center = point_center()
         result = blow_up(system, center)
-        assert total_class_delta_matches(system, result.system, center)
-        assert fiber_completeness_holds(result.system, center, result.fresh_id)
+        diff = step_difference(system.strata, result.system.strata)
+        assert total_class_delta_matches(diff, center)
+        assert fiber_completeness_holds(diff, center, result.system.mask_of(result.fresh_id))
 
     def test_multiplicity_rule(self):
         first = blow_up(trivial_plane(), point_center())
@@ -176,8 +179,9 @@ class TestBookkeepingInvariants:
         for _ in range(40):
             system, center, _ = random_invariance_case(rng, max_divisors=6)
             result = blow_up(system, center)
-            assert total_class_delta_matches(system, result.system, center)
-            assert fiber_completeness_holds(result.system, center, result.fresh_id)
+            diff = step_difference(system.strata, result.system.strata)
+            assert total_class_delta_matches(diff, center)
+            assert fiber_completeness_holds(diff, center, result.system.mask_of(result.fresh_id))
 
 
 class TestInvariance:
@@ -368,6 +372,50 @@ class TestLocalAudit:
                 result = assert_local_audit_matches_resum(system, center, loci)
                 system, loci = result.system, list(result.loci.values())
             assert run_program(program).all_checks_passed
+
+    def test_difference_feeds_the_bookkeeping_checks(self):
+        # oracle: the whole-system routes the two checks took before reading the difference
+        cases = [
+            random_invariance_case(random.Random(seed), max_divisors=6)[:2] for seed in range(100)
+        ]
+        rng = random.Random(11)
+        for _ in range(3):
+            program = point_chain(rng, 12)
+            system = program.initial
+            for center in program.steps:
+                cases.append((system, center))
+                system = blow_up(system, center).system
+        for before, center in cases:
+            result = blow_up(before, center)
+            after = result.system
+            diff = step_difference(before.strata, after.strata)
+            assert MotivicClass.sum(diff.values()) == after.total_class() - before.total_class()
+            bit = after.mask_of(result.fresh_id)
+            fresh = {m: c for m, c in diff.items() if m & bit}
+            expected = {m: c for m, c in after.strata.items() if m & bit}
+            assert fresh == expected
+            assert all(fresh[m] is c for m, c in expected.items())
+
+    def test_one_system_difference_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(old, new):
+            calls.append(1)
+            return step_difference(old, new)
+
+        monkeypatch.setattr("mchern.blowup.step_difference", counting)
+        for steps in (1, 5, 14):
+            program = point_chain(random.Random(steps), steps)
+            calls.clear()
+            assert run_program(program).all_checks_passed
+            assert len(calls) == steps * (1 + len(program.loci))
+        calls.clear()
+        run_program(BlowupProgram(trivial_plane(), (point_center(), point_center())))
+        assert len(calls) == 2
+
+    def test_a_step_passes_only_when_all_three_checks_hold(self):
+        for flags in itertools.product((True, False), repeat=3):
+            assert StepAudit(0, "exc0", *flags).passed is all(flags)
 
     def test_difference_walks_every_mask(self):
         one, two = MotivicClass.one(), MotivicClass.from_int(2)

@@ -104,6 +104,14 @@ class TestVerify:
         assert report["seed"] == 9
         assert report["results"]["failures"] == []
 
+    def test_invariance_fails_a_case_with_an_incomplete_fiber(self, capsys, monkeypatch):
+        # the case rule is StepAudit.passed, so fiber completeness counts as well
+        monkeypatch.setattr(blowup, "fiber_completeness_holds", lambda *args: False)
+        assert main(["verify", "invariance", "--count", "5", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        assert report["results"]["failures"] == [0, 1, 2, 3, 4]
+
 
 class TestBlowupRun:
     def test_program_passes(self, capsys, program_file):
@@ -366,6 +374,11 @@ class TestMotivicEval:
     def test_bad_class(self, capsys):
         assert main(["motivic", "eval", "[1, 2]"]) == 2
         assert main(["motivic", "eval", "L^"]) == 2
+
+    def test_star_needs_an_l_after_it(self, capsys):
+        assert main(["motivic", "eval", "2*"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_file_reads_like_text(self, capsys, tmp_path):
         # a CRLF file is read with universal newlines, as a text-mode open reads it

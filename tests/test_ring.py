@@ -78,6 +78,8 @@ class TestLPolynomial:
             ("L^", "cannot parse term 'L^' in 'L^'"),
             ("1 +", "cannot parse polynomial '1 +'"),
             ("2^3", "exponent without L in term '2^3'"),
+            ("2*", "cannot parse term '2*' in '2*'"),
+            ("1 + 3*", "cannot parse term '3*' in '1 + 3*'"),
             ("1 + " + "x" * 50, "cannot parse term '" + "x" * 40 + "'... (50 characters) in '1 + x"),
         ],
     )

@@ -25,6 +25,15 @@ NESTED2 = (GenericPoint(), PointOnCurve(1))
 CHAIN3 = (GenericPoint(), PointOnCurve(1), IntersectionPoint(1, 2))
 
 
+def center_curves(event):
+    """The curves an event's center lies on, read from the event alone."""
+    if isinstance(event, PointOnCurve):
+        return (event.curve,)
+    if isinstance(event, IntersectionPoint):
+        return (event.a, event.b)
+    return ()
+
+
 def curve_class(s, j):
     """Proper transform of curve j: e_j minus the e of each later center on j.
 
@@ -33,13 +42,7 @@ def curve_class(s, j):
     curves = [0] * (s.k + 1)
     curves[j] = 1
     for n, event in enumerate(s.events, start=1):
-        if isinstance(event, PointOnCurve):
-            on = (event.curve,)
-        elif isinstance(event, IntersectionPoint):
-            on = (event.a, event.b)
-        else:
-            on = ()
-        if j in on:
+        if j in center_curves(event):
             curves[n] = -1
     return ChowClass(0, curves, 0)
 
@@ -97,6 +100,18 @@ class TestEvents:
         s = SurfaceModel((GenericPoint(), GenericPoint(), PointOnCurve(2)))
         assert anchors(s) == ("p1", "p2")
         assert s.relative(0).roots[3] == "p2"
+
+    def test_meeting_curves_contract_to_one_point(self, corpus_surfaces):
+        # a center lies only on curves it then meets, so by induction they share a root
+        for s in corpus_surfaces:
+            for m in range(s.k + 1):
+                rel = s.relative(m)
+                for a, b in rel.pairs:
+                    assert rel.roots[a] == rel.roots[b]
+                for t in rel.curves:
+                    for c in center_curves(s.events[t - 1]):
+                        if c in rel.roots:
+                            assert rel.roots[t] == rel.roots[c]
 
     def test_invalid_curve_index(self):
         with pytest.raises(ValueError, match="invalid curve"):
