@@ -27,8 +27,10 @@ with [H_i] the fiber stratum class from :mod:`mchern.strata`.  Marked
 loci transform by the same two rules applied to their own center data.
 The weighted functional chi is invariant under this transformation by a
 local argument, and :func:`audited_step` checks it locally: it blows a step
-up once and sums only the strata that step replaced.  :func:`run_program`
-and :func:`verify_invariance` both go through it.
+up once and sums only the strata that step replaced, which gives the step's
+change of chi.  :func:`run_program` and :func:`verify_invariance` both go
+through it, and :func:`run_program` telescopes the final chi from those
+changes instead of summing the final system.
 """
 
 from __future__ import annotations
@@ -266,6 +268,7 @@ class StepAudit:
     invariance_ok: bool
     total_class_ok: bool
     fiber_complete: bool
+    chi_delta: MotivicClass  # chi(full) after the step minus chi(full) before it
 
     @property
     def passed(self) -> bool:
@@ -290,20 +293,24 @@ def audited_step(
 
     One :func:`step_difference` of the system feeds all three checks.  :func:`blow_up`
     only appends the fresh divisor, so old masks keep their weights: chi after minus chi
-    before is chi of that difference in the new system, zero iff the step keeps chi.
-    Each locus is checked the same way on its own difference.
+    before is chi of that difference in the new system, zero iff the step keeps chi.  The
+    audit keeps that value as ``chi_delta``.  Each locus is checked the same way on its own
+    difference.
     """
     loci = list(loci)
     result = blow_up(system, center, loci)
     after = result.system
     diff = step_difference(system.strata, after.strata)
-    diffs = [diff] + [step_difference(u.strata, result.loci[u.name].strata) for u in loci]
+    locus_diffs = [step_difference(u.strata, result.loci[u.name].strata) for u in loci]
+    chi_delta = after.chi(MarkedLocus("step", diff))
     audit = StepAudit(
         index,
         result.fresh_id,
-        all(after.chi(MarkedLocus("step", delta)).is_zero() for delta in diffs),
+        chi_delta.is_zero()
+        and all(after.chi(MarkedLocus("step", delta)).is_zero() for delta in locus_diffs),
         total_class_delta_matches(diff, center),
         fiber_completeness_holds(diff, center, after.mask_of(result.fresh_id)),
+        chi_delta,
     )
     return result, audit
 
@@ -359,8 +366,9 @@ def run_program(program: BlowupProgram) -> ProgramResult:
     """Left fold of blow_up over the steps, with per-step snapshots and audits.
 
     Each step is blown up once, with the program's loci, and audited on that
-    result; chi of the full locus is summed once, on the final system.
-    Errors raised by a step are re-raised with the step index attached.
+    result.  The final chi is telescoped: chi of the initial system plus each
+    step's nonzero ``chi_delta``, so the final system is never summed.  Errors
+    raised by a step are re-raised with the step index attached.
     """
     system = program.initial
     loci = dict(program.loci)
@@ -374,7 +382,8 @@ def run_program(program: BlowupProgram) -> ProgramResult:
         audits.append(audit)
         system, loci = result.system, result.loci
         snapshots.append(system)
-    final_chi = system.chi(system.full_locus())
+    deltas = [a.chi_delta for a in audits if not a.chi_delta.is_zero()]
+    final_chi = MotivicClass.sum([program.initial.chi(program.initial.full_locus())] + deltas)
     return ProgramResult(system, loci, tuple(snapshots), tuple(audits), final_chi)
 
 

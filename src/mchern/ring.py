@@ -8,15 +8,16 @@ classes
 
 A :class:`MotivicClass` is an exact fraction ``num / prod_i [P^mu_i]``:
 an integer-polynomial numerator together with a sorted tuple of localization
-exponents.  Equality is decided by cross-multiplication, so no canonical
-reduced form is ever required; :meth:`MotivicClass.reduced` cancels
-denominator factors that divide the numerator exactly when a compact
-representative is wanted (reports, printing).
+exponents.  Equality is decided by cross-multiplication.
+:meth:`MotivicClass.reduced` gives the canonical form that reports and
+printing use: the fraction in lowest terms over the cyclotomic factors
+Phi_d of the [P^mu], so equal classes print equal text.
 
 :meth:`MotivicClass.sum` adds many classes by a balanced pairwise merge
 tree over their denominators, scaling each side by the factors it lacks;
 ``+`` goes through it, and ``==`` cross-multiplies by the same lacks.  One
-``[P^mu]`` multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``.
+``[P^mu]`` multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``,
+and one cyclotomic ``Phi_d``, a quotient of such factors, in O(n) per factor.
 
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
@@ -26,9 +27,11 @@ freely shared between threads or tasks.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
+from math import prod
 from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -266,6 +269,61 @@ def _div_projective(p: Sequence[int], mu: int) -> Optional[list[int]]:
     return None if any(q[cut:]) else q[:cut]
 
 
+@lru_cache(maxsize=None)
+def _divisors_above_one(n: int) -> tuple[int, ...]:
+    """The d > 1 dividing n: [P^(n-1)] is the product of Phi_d over them."""
+    return tuple(d for d in range(2, n + 1) if n % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _phi_exponents(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(ups, downs): Phi_d = prod [P^mu] over ups / over downs (d > 1, Moebius inversion)."""
+    ups, downs = [], []
+    for e in _divisors_above_one(d):
+        primes = [p for p in _divisors_above_one(d // e) if len(_divisors_above_one(p)) == 1]
+        if prod(primes) == d // e:  # moebius(d/e) is 0 unless d/e is squarefree
+            (downs if len(primes) % 2 else ups).append(e - 1)
+    return tuple(ups), tuple(downs)
+
+
+def _mul_cyclotomic(c: list[int], d: int) -> list[int]:
+    """Coefficients of c * Phi_d; each division by a [P^mu] here is exact."""
+    ups, downs = _phi_exponents(d)
+    return reduce(_div_projective, downs, reduce(_mul_projective, ups, c))
+
+
+def _div_cyclotomic(p: list[int], d: int) -> Optional[list[int]]:
+    """Coefficients of p / Phi_d when the division is exact, else None."""
+    ups, downs = _phi_exponents(d)
+    p = reduce(_mul_projective, downs, p)
+    for mu in ups:
+        if (p := _div_projective(p, mu)) is None:
+            break
+    return p
+
+
+def _lowest_terms(num: list[int], mus: Iterable[int]) -> tuple[list[int], Counter]:
+    """num / prod [P^mu] in lowest terms: the numerator and the Phi_d left, unique for the value."""
+    phis = Counter(d for mu in mus for d in _divisors_above_one(mu + 1))
+    for d in phis:
+        while phis[d] and (quot := _div_cyclotomic(num, d)) is not None:
+            num, phis[d] = quot, phis[d] - 1
+    return num, +phis
+
+
+def _greedy_cover(num: list[int], phis: Counter) -> tuple[list[int], list[int]]:
+    """Cover the Phi_d by [P^mu]s, descending: the largest d left picks [P^(d-1)], whose
+    other factors cancel what they meet in the multiset, else multiply the numerator."""
+    cover = []
+    while phis:
+        d = max(phis)
+        factors = Counter(_divisors_above_one(d))
+        num = reduce(_mul_cyclotomic, factors - phis, num)
+        phis -= factors
+        cover.append(d - 1)
+    return num, cover
+
+
 def _add_coeffs(a: list[int], b: list[int]) -> list[int]:
     """Coefficients of a + b, written into the longer of the two lists."""
     if len(a) < len(b):
@@ -443,7 +501,11 @@ class MotivicClass:
     # -- reduction ----------------------------------------------------------
 
     def reduced(self) -> "MotivicClass":
-        """Cancel denominator factors dividing the numerator exactly."""
+        """The canonical form, so equal classes give equal fields.
+
+        Whole [P^mu] factors dividing the numerator go first, in O(n) each; only a
+        denominator left goes to :func:`_lowest_terms` and :func:`_greedy_cover`.
+        """
         num = list(self.num.coeffs)
         remaining: list[int] = []
         for mu in sorted(self.den, reverse=True):
@@ -452,6 +514,8 @@ class MotivicClass:
                 remaining.append(mu)
             else:
                 num = quot
+        if remaining:
+            num, remaining = _greedy_cover(*_lowest_terms(num, remaining))
         return MotivicClass._of(LPolynomial._of(num), tuple(reversed(remaining)))
 
     # -- presentation --------------------------------------------------------

@@ -112,10 +112,6 @@ class ChowClass:
         self.curves = tuple(curves)
         self.points = points
 
-    @classmethod
-    def point(cls, k: int) -> "ChowClass":
-        return cls(0, (0,) * (k + 1), 1)
-
     def _check(self, other: "ChowClass"):
         if len(self.curves) != len(other.curves):
             raise ValueError("Chow classes live on different surfaces")

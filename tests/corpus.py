@@ -8,6 +8,9 @@ events are independent and exchange them with
 :func:`mchern.surface.swap_last_two`; the geometry downstairs cannot tell
 the difference, which the tests verify exactly.
 
+:func:`blowup_program` turns a surface event program into the engine's own
+point blow-up program, so the same corpus drives :func:`mchern.blowup.run_program`.
+
 The chain builders insert a chain of rational curves into a trivial
 system one curve at a time, as codimension-1 centers.  Every inserted
 divisor gets multiplicity 0, giving the discrepancy-free flavor of a
@@ -19,10 +22,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping
 
-from mchern.blowup import BlowupCenter, blow_up
+from mchern.blowup import BlowupCenter, BlowupProgram, LocusRule, blow_up
 from mchern.modsys import ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass
 from mchern.surface import (
+    ChowClass,
     Event,
     GenericPoint,
     IntersectionPoint,
@@ -30,6 +34,11 @@ from mchern.surface import (
     SurfaceModel,
     swap_last_two,
 )
+
+
+def chow_point(k: int) -> ChowClass:
+    """The class of a point on a surface with k exceptional curves."""
+    return ChowClass(0, (0,) * (k + 1), 1)
 
 
 def event_choices(surface: SurfaceModel) -> list[Event]:
@@ -152,3 +161,26 @@ def chain_two_orders(length: int) -> tuple[ModificationSystem, ModificationSyste
     forward = list(range(1, length + 1))
     shuffled = [p for p in forward if p % 2 == 1] + [p for p in forward if p % 2 == 0]
     return chain_system(length, forward), chain_system(length, shuffled)
+
+
+# -- surface programs as engine programs ------------------------------------------
+
+
+def blowup_program(events: Iterable[Event]) -> BlowupProgram:
+    """The point blow-ups of a surface event program, as a program over the plane.
+
+    Curve j is the engine's divisor ``exc{j-1}``.  An event's point lies on
+    exactly the curves it names, so its one center stratum is those divisors.
+    The marked locus ``U`` is the whole plane.
+    """
+    steps = []
+    for event in events:
+        if isinstance(event, PointOnCurve):
+            on = frozenset({f"exc{event.curve - 1}"})
+        elif isinstance(event, IntersectionPoint):
+            on = frozenset({f"exc{event.a - 1}", f"exc{event.b - 1}"})
+        else:
+            on = frozenset()
+        steps.append(BlowupCenter(2, on, {on: MotivicClass.one()}, {"U": LocusRule.contains()}))
+    plane = trivial_plane_system()
+    return BlowupProgram(plane, tuple(steps), {"U": plane.full_locus("U")})

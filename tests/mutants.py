@@ -149,6 +149,44 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_ring.py",),
     ),
+    Mutant(
+        "reduced skips the Phi pass",
+        "src/mchern/ring.py",
+        "        if remaining:\n            num, remaining = _greedy_cover(*_lowest_terms(num, remaining))\n",
+        "",
+        (
+            "tests/test_ring.py::TestCanonicalForm",
+            "tests/test_cli.py::TestBlowupRun::test_equal_initial_classes_print_equal_results",
+        ),
+    ),
+    Mutant(
+        "the greedy cover takes the smallest d first",
+        "src/mchern/ring.py",
+        "d = max(phis)",
+        "d = min(phis)",
+        ("tests/test_ring.py::TestCanonicalForm::test_a_product_of_projective_classes_is_its_own_form",),
+    ),
+    Mutant(
+        "the first pass of reduced skips one [P^mu]",
+        "src/mchern/ring.py",
+        "for mu in sorted(self.den, reverse=True):",
+        "for mu in sorted(self.den, reverse=True)[1:]:",
+        ("tests/test_ring.py::TestCanonicalForm",),
+    ),
+    Mutant(
+        "run_program drops the last nonzero chi delta",
+        "src/mchern/blowup.py",
+        "deltas = [a.chi_delta for a in audits if not a.chi_delta.is_zero()]",
+        "deltas = [a.chi_delta for a in audits if not a.chi_delta.is_zero()][:-1]",
+        ("tests/test_blowup.py::TestTelescopedChi::test_failing_programs",),
+    ),
+    Mutant(
+        "run_program sums the final system again",
+        "src/mchern/blowup.py",
+        "final_chi = MotivicClass.sum([program.initial.chi(program.initial.full_locus())] + deltas)",
+        "final_chi = system.chi(system.full_locus())",
+        ("tests/test_blowup.py::TestTelescopedChi::test_final_system_is_never_summed",),
+    ),
 )
 
 EQUIVALENT = (

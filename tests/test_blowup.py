@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpus import blowup_program
 from mchern.blowup import (
     BlowupCenter,
     BlowupError,
@@ -298,6 +299,7 @@ class TestPrograms:
         outcome = run_program(BlowupProgram(trivial_plane(), (point_center(),)))
         [audit] = outcome.audits
         assert not audit.invariance_ok
+        assert_telescoped(outcome)
         assert audit.total_class_ok and audit.fiber_complete
         assert not outcome.all_checks_passed
 
@@ -415,7 +417,7 @@ class TestLocalAudit:
 
     def test_a_step_passes_only_when_all_three_checks_hold(self):
         for flags in itertools.product((True, False), repeat=3):
-            assert StepAudit(0, "exc0", *flags).passed is all(flags)
+            assert StepAudit(0, "exc0", *flags, MotivicClass.zero()).passed is all(flags)
 
     def test_difference_walks_every_mask(self):
         one, two = MotivicClass.one(), MotivicClass.from_int(2)
@@ -442,6 +444,7 @@ class TestLocalAudit:
         for audit in later:
             assert not audit.invariance_ok and not audit.total_class_ok
             assert audit.fiber_complete
+        assert_telescoped(outcome)
         _, audit = audited_step(outcome.snapshots[1], centers[1], ())
         assert not audit.invariance_ok and not audit.total_class_ok
         assert not verify_invariance(outcome.snapshots[1], centers[1])
@@ -465,3 +468,57 @@ class TestLocalAudit:
         _, audit = audited_step(system, center, [locus])
         assert not audit.invariance_ok
         assert audit.total_class_ok and audit.fiber_complete
+
+
+def assert_telescoped(outcome):
+    """final_chi equals the whole final system re-summed, in value and in report bytes."""
+    resum = outcome.final.chi(outcome.final.full_locus())
+    assert outcome.final_chi == resum
+    assert outcome.final_chi.to_json() == resum.to_json()
+
+
+class TestTelescopedChi:
+    def test_corpus_programs(self, corpus_programs):
+        for events in corpus_programs[:200]:
+            outcome = run_program(blowup_program(events))
+            assert outcome.all_checks_passed
+            assert_telescoped(outcome)
+            assert outcome.final_chi.to_json() == PLANE.to_json()
+
+    def test_point_chains(self):
+        rng = random.Random(5)
+        for length in (1, 2, 6, 12, 24):
+            outcome = run_program(point_chain(rng, length))
+            assert outcome.all_checks_passed
+            assert all(a.chi_delta.is_zero() for a in outcome.audits)
+            assert_telescoped(outcome)
+
+    def test_failing_programs(self, monkeypatch, corpus_programs):
+        # one too heavy a fresh divisor: every step changes chi, so every delta counts
+        monkeypatch.setattr("mchern.blowup.Divisor", lambda ident, mu: Divisor(ident, mu + 1))
+        rng = random.Random(6)
+        programs = [blowup_program(events) for events in corpus_programs[1:120]]
+        programs += [point_chain(rng, length) for length in (1, 2, 6, 12)]
+        for program in programs:
+            outcome = run_program(program)
+            assert not any(a.chi_delta.is_zero() or a.passed for a in outcome.audits)
+            assert_telescoped(outcome)
+
+    def test_final_system_is_never_summed(self, monkeypatch):
+        whole = []
+        original = ModificationSystem.chi
+
+        def recording(system, locus):
+            if locus.strata.keys() == system.strata.keys() and all(
+                locus.strata[m] is cls for m, cls in system.strata.items()
+            ):
+                whole.append(system)
+            return original(system, locus)
+
+        monkeypatch.setattr(ModificationSystem, "chi", recording)
+        for steps in (1, 5, 14):
+            program = point_chain(random.Random(steps), steps)
+            whole.clear()
+            outcome = run_program(program)
+            assert outcome.all_checks_passed
+            assert whole == [program.initial]

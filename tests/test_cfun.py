@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import chow_point
 from mchern import cfun
 from mchern.cfun import BaseFunction
-from mchern.surface import ChowClass, GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
+from mchern.surface import GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
 
 K1 = SurfaceModel((GenericPoint(),))
 NESTED = SurfaceModel((GenericPoint(), PointOnCurve(1)))
@@ -154,7 +155,7 @@ class TestNaturality:
                 stage = s.stage_model(m)
                 expected = base.generic_value * stage.chern_class()
                 for correction in base.corrections.values():
-                    expected = expected + correction * ChowClass.point(m)
+                    expected = expected + correction * chow_point(m)
                 assert s.pushforward(s.csm(f, m), m) == expected
                 cases += 1
         assert cases > 1000

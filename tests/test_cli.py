@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mchern import blowup, cli
 from mchern.cli import main
 from mchern.modsys import Divisor
+from mchern.ring import MotivicClass, projective_poly
 from mchern.surface import SurfaceModel, events_from_json
 
 PLANE_CLASS = {"numerator": "1 + L + L^2", "denominator": []}
@@ -113,6 +114,12 @@ class TestVerify:
         assert report["results"]["failures"] == [0, 1, 2, 3, 4]
 
 
+def results_bytes(out):
+    """The ``results`` member of a --json report, as printed."""
+    start = out.index('\n  "results": ')
+    return out[start : out.index('\n  "status": ', start)]
+
+
 class TestBlowupRun:
     def test_program_passes(self, capsys, program_file):
         assert main(["blowup", "run", "--program", program_file, "--json"]) == 0
@@ -169,6 +176,54 @@ class TestBlowupRun:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "pass" and len(report["results"]["steps"]) == 120
         assert report["results"]["final_chi"] == PLANE_CLASS
+
+    def test_equal_initial_classes_print_equal_results(self, capsys, tmp_path):
+        # (1 + L^2)/[P^3] is 1/[P^1]: [P^3] = (1 + L)(1 + L^2)
+        def results(cls):
+            payload = {
+                "initial": {
+                    "ambient_dim": 2,
+                    "divisors": [],
+                    "strata": [{"subset": [], "class": cls}],
+                    "ambient_class": cls,
+                },
+                "steps": [
+                    {"codim": 2, "containing": [], "center_strata": [{"subset": [], "class": "1"}]}
+                ],
+            }
+            path = tmp_path / "program.json"
+            path.write_text(json.dumps(payload))
+            assert main(["blowup", "run", "--program", str(path), "--json"]) == 0
+            return results_bytes(capsys.readouterr().out)
+
+        written = results({"numerator": "1 + L^2", "denominator": [3]})
+        assert written == results({"numerator": "1", "denominator": [1]})
+        assert '"numerator": "1 + L + L^2"' in written  # the ambient class, 1/[P^1] + L
+
+    @pytest.mark.parametrize("exponents", [(3,), (1, 2), (5, 5, 11)])
+    def test_rewritten_classes_print_equal_results(self, capsys, program_file, tmp_path, exponents):
+        # every class x written as x * prod [P^e] / prod [P^e]
+        def rewrite(obj):
+            if isinstance(obj, list):
+                return [rewrite(item) for item in obj]
+            if not isinstance(obj, dict):
+                return obj
+            out = {key: rewrite(value) for key, value in obj.items()}
+            for key in ("class", "ambient_class"):
+                if key in obj:
+                    x = MotivicClass.from_json(obj[key])
+                    num = x.num
+                    for e in exponents:
+                        num = num * projective_poly(e)
+                    out[key] = {"numerator": num.to_text(), "denominator": [*x.den, *exponents]}
+            return out
+
+        path = tmp_path / "rewritten.json"
+        path.write_text(json.dumps(rewrite(json.loads(open(program_file).read()))))
+        assert main(["blowup", "run", "--program", program_file, "--json"]) == 0
+        expected = results_bytes(capsys.readouterr().out)
+        assert main(["blowup", "run", "--program", str(path), "--json"]) == 0
+        assert results_bytes(capsys.readouterr().out) == expected
 
     @pytest.mark.parametrize("exponent", [1.5, True])
     def test_non_integer_exponent_is_input_error(self, capsys, program_file, tmp_path, exponent):

@@ -10,7 +10,9 @@ from mchern import ring
 from mchern.ring import (
     LPolynomial,
     MotivicClass,
+    _div_cyclotomic,
     _div_projective,
+    _mul_cyclotomic,
     _mul_projective,
     _union_lacks,
     affine_class,
@@ -187,6 +189,66 @@ class TestPolynomiality:
         assert red.den == ()
         assert red.num == LPolynomial((0, 1))
         assert red == value
+
+
+def fields(value):
+    return value.num, value.den
+
+
+def rewritten(x, ups, downs):
+    """x * prod [P^e] / prod [P^e] over ``ups``, then [P^f] / [P^f] over ``downs``: x again."""
+    y = MotivicClass(reduce(lambda p, e: p * projective_poly(e), ups, x.num), x.den + tuple(ups))
+    return reduce(lambda v, f: v * MotivicClass(projective_poly(f), (f,)), downs, y)
+
+
+exponent_lists = st.lists(st.integers(1, 7), max_size=3)
+
+
+class TestCanonicalForm:
+    """reduced() is the lowest-terms form over Phi_d, covered greedily by [P^mu]s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes, exponent_lists, exponent_lists)
+    @example(MotivicClass(LPolynomial.one(), (1,)), [3], [])  # (1 + L^2) / [P^3] with [P^1]
+    @example(MotivicClass(LPolynomial.one(), (3,)), [2, 5], [11])
+    def test_equal_values_print_equal(self, x, ups, downs):
+        y = rewritten(x, ups, downs)
+        assert y == x
+        assert y.to_json() == x.to_json()
+        assert fields(y.reduced()) == fields(x.reduced())
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes, classes)
+    def test_equal_json_iff_equal_values(self, x, z):
+        assert (x.to_json() == z.to_json()) == (x == z)
+
+    def test_written_two_ways(self):
+        x = MotivicClass(LPolynomial.from_text("1 + L^2"), (3,))
+        assert x.to_json() == {"numerator": "1", "denominator": [1]}
+        assert str(x) == "(1) / ([P^1])"
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes, exponent_lists, exponent_lists)
+    def test_decode_encode_is_identity_on_canonical_form(self, x, ups, downs):
+        back = MotivicClass.from_json(rewritten(x, ups, downs).to_json())
+        assert back == x
+        assert fields(back) == fields(x.reduced())
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes, exponent_lists, exponent_lists)
+    def test_reduced_is_idempotent(self, x, ups, downs):
+        red = rewritten(x, ups, downs).reduced()
+        assert fields(red.reduced()) == fields(red)
+        assert red == x
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.lists(st.integers(1, 11), max_size=4))
+    @example(0, [3])
+    @example(2, [1, 3, 5])
+    def test_a_product_of_projective_classes_is_its_own_form(self, k, mus):
+        # no Phi_d divides L^k, and greedy largest-first rebuilds every [P^mu] as written
+        red = MotivicClass(LPolynomial.monomial(k), mus).reduced()
+        assert fields(red) == (LPolynomial.monomial(k), tuple(sorted(mus)))
 
 
 class TestRingLaws:
@@ -428,3 +490,16 @@ class TestProjectiveKernels:
         assert red.num.coeffs == (1, 0, 1)
         assert red.den == (2,)
         assert red == MotivicClass(projective_poly(3), (1, 2))
+
+    @given(coeff_lists, st.integers(2, 30))
+    def test_cyclotomic_divide_inverts_multiply(self, c, d):
+        c = list(LPolynomial(c).coeffs)
+        product = _mul_cyclotomic(c, d)
+        assert _div_cyclotomic(product, d) == c
+        if c:
+            assert _div_cyclotomic(product + [1], d) is None
+
+    @pytest.mark.parametrize("mu", range(1, 13))
+    def test_projective_class_is_the_product_of_its_cyclotomic_factors(self, mu):
+        ds = [d for d in range(2, mu + 2) if (mu + 1) % d == 0]
+        assert reduce(_mul_cyclotomic, ds, [1]) == list(projective_poly(mu).coeffs)

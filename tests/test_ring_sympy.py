@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from mchern.ring import LPolynomial, MotivicClass
+from mchern.ring import LPolynomial, MotivicClass, _lowest_terms, _mul_cyclotomic
 
 sympy = pytest.importorskip("sympy")
 
@@ -54,3 +54,27 @@ def test_ring_operations_agree_with_sympy(seed):
         # a factor left in the denominator does not divide the numerator
         for mu in red.den:
             assert poly(red.num.coeffs) % poly([1] * (mu + 1)) != 0
+
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lowest_terms_match_sympy_cancel(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(60):
+        a = random_class(rng) * MotivicClass(LPolynomial.one(), [rng.randint(1, 7)])
+        num, phis = _lowest_terms(list(a.num.coeffs), a.den)
+        den = R.one
+        for d, count in phis.items():
+            den *= poly(_mul_cyclotomic([1], d)) ** count
+        # sympy keeps a field element in lowest terms up to a constant: divide it out
+        f = as_sympy(a)
+        lc = f.denom.LC
+        assert (poly(num), den) == (f.numer.quo_ground(lc), f.denom.quo_ground(lc))
+        red = a.reduced()  # the canonical form has the same lowest terms
+        assert _lowest_terms(list(red.num.coeffs), red.den) == (num, phis)
+        assert as_sympy(red) == f
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_cyclotomic_factor_matches_sympy(d):
+    assert poly(_mul_cyclotomic([1], d)) == R(sympy.cyclotomic_poly(d, sympy.Symbol("L")))

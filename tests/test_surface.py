@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import (
+    chow_point,
     final_transposition,
     order_swap_pairs,
     systems_isomorphic_under,
@@ -178,7 +179,7 @@ class TestCsmStrata:
 
     def test_pair_stratum(self):
         s = SurfaceModel(CHAIN3)
-        assert s.csm_stratum((1, 3)) == ChowClass.point(3)
+        assert s.csm_stratum((1, 3)) == chow_point(3)
         with pytest.raises(ValueError, match="do not meet"):
             s.csm_stratum((1, 2))
 
@@ -209,8 +210,8 @@ class TestCsmStrata:
                 closure = s.csm_stratum((j,))
                 for a, b in s.meeting_pairs():
                     if j in (a, b):
-                        closure = closure + ChowClass.point(s.k)
-                assert closure == curve_class(s, j) + 2 * ChowClass.point(s.k)
+                        closure = closure + chow_point(s.k)
+                assert closure == curve_class(s, j) + 2 * chow_point(s.k)
 
     def test_curve_strata_match_proper_transforms(self, corpus_surfaces):
         # reference independent of csm: the proper transform from curve_class,
@@ -219,7 +220,7 @@ class TestCsmStrata:
             for m in range(s.k + 1):
                 rel = s.relative(m)
                 for j in rel.curves:
-                    expected = curve_class(s, j) + rel.euler((j,)) * ChowClass.point(s.k)
+                    expected = curve_class(s, j) + rel.euler((j,)) * chow_point(s.k)
                     assert s.csm_stratum((j,), m) == expected
 
 
@@ -238,7 +239,7 @@ class TestStringy:
             s.csm_stratum(())
             + Fraction(1, 2) * s.csm_stratum((1,))
             + Fraction(1, 3) * s.csm_stratum((2,))
-            + Fraction(1, 6) * ChowClass.point(2)
+            + Fraction(1, 6) * chow_point(2)
         )
         assert s.stringy_class(0) == expected
 
