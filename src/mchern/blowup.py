@@ -10,7 +10,7 @@ combinatorial admissibility conditions.
 Blowing up replaces S by a P^(d-1)-bundle.  The new exceptional divisor
 gets multiplicity
 
-    mu0 = sum_{j in K0} mu_j + d - 1,
+    mu0 = sum_{j in K0} mu_j + d - 1      (:func:`mchern.strata.discrepancy`),
 
 old strata lose their intersection with S, and the part of the new
 arrangement over S is governed by the fiber picture: divisors containing
@@ -42,16 +42,17 @@ from .modsys import (
     Divisor,
     MarkedLocus,
     ModificationSystem,
-    json_int,
+    json_bounded,
     json_list,
     json_object,
     strata_from_json,
+    strata_to_json,
     subset_from_json,
     system_from_json,
     system_to_json,
 )
 from .ring import MotivicClass, projective_class
-from .strata import FiberFrame, hyperplane_stratum_class
+from .strata import FiberFrame, discrepancy, hyperplane_stratum_class
 
 
 class BlowupError(ValueError):
@@ -169,7 +170,10 @@ def _locus_center_data(
         return {}
     data = {}
     for key, cls in rule.strata.items():
-        mask = system.mask_of(tuple(key))
+        try:
+            mask = system.mask_of(tuple(key))
+        except ValueError as exc:
+            raise BlowupError(f"locus {locus.name!r}: {exc}") from None
         if cls.is_zero():
             continue
         if mask not in center_strata:
@@ -232,7 +236,7 @@ def blow_up(
 
     d = center.codim
     k0_size = k0_mask.bit_count()
-    mu0 = sum(system.mu_of_mask(k0_mask)) + d - 1
+    mu0 = discrepancy(system.mu_of_mask(k0_mask), d)
     frame = FiberFrame(d, k0_size)
     fiber = [hyperplane_stratum_class(frame, size) for size in range(k0_size + 1)]
     new_bit = 1 << len(system.divisors)
@@ -405,7 +409,7 @@ def center_from_json(obj: Mapping) -> BlowupCenter:
         for name, entries in explicit.items():
             rules[name] = LocusRule.explicit(strata_from_json(entries))
         return BlowupCenter(
-            codim=json_int(obj["codim"], "codim"),
+            codim=json_bounded(obj["codim"], "codim"),
             containing=subset_from_json(obj.get("containing", [])),
             center_strata=strata_from_json(obj.get("center_strata", [])),
             locus_rules=rules,
@@ -414,23 +418,21 @@ def center_from_json(obj: Mapping) -> BlowupCenter:
         raise ValueError(f"malformed blow-up step: {exc}") from exc
 
 
+def _by_sorted_ids(strata: Mapping[frozenset[str], MotivicClass]) -> list:
+    return sorted(((sorted(key), cls) for key, cls in strata.items()), key=lambda kv: kv[0])
+
+
 def center_to_json(center: BlowupCenter) -> dict:
     obj: dict = {
         "codim": center.codim,
         "containing": sorted(center.containing),
-        "center_strata": [
-            {"subset": sorted(key), "class": cls.to_json()}
-            for key, cls in sorted(center.center_strata.items(), key=lambda kv: sorted(kv[0]))
-        ],
+        "center_strata": strata_to_json(_by_sorted_ids(center.center_strata)),
     }
     defaults = {}
     explicit = {}
     for name, rule in sorted(center.locus_rules.items()):
         if rule.kind == "explicit":
-            explicit[name] = [
-                {"subset": sorted(key), "class": cls.to_json()}
-                for key, cls in sorted(rule.strata.items(), key=lambda kv: sorted(kv[0]))
-            ]
+            explicit[name] = strata_to_json(_by_sorted_ids(rule.strata))
         else:
             defaults[name] = rule.kind
     if defaults:

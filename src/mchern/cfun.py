@@ -19,11 +19,13 @@ of ``f`` is ``surface.csm(f, stage)``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .modsys import strata_from_json
+from .modsys import strata_from_json, strata_to_json
+from .ring import bounded
 from .surface import SurfaceModel
 
 
@@ -75,8 +77,12 @@ def weighted_unit(surface: SurfaceModel, stage: int = 0) -> dict[tuple[int, ...]
 
 
 def _weight_from_json(value) -> Fraction:
+    text = str(value)
+    # a decimal exponent, as Fraction reads one, is bounded before Fraction computes 10**it
+    if "e" in text.lower() and (exponent := re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", text)):
+        bounded(int(exponent[1]), "weight exponent")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"weight {value!r} has a zero denominator") from None
 
@@ -91,10 +97,5 @@ def function_from_json(obj: Mapping) -> dict[frozenset, Fraction]:
 
 def function_to_json(f: Mapping) -> dict:
     """The nonzero weights, by stratum depth and then by sorted curves."""
-    return {
-        "strata": [
-            {"subset": sorted(key), "weight": str(weight)}
-            for key, weight in sorted(f.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            if weight
-        ]
-    }
+    items = sorted(f.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    return {"strata": strata_to_json(((sorted(k), w) for k, w in items if w), "weight", str)}

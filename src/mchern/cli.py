@@ -253,8 +253,9 @@ def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
     system, loci = surface.export_modification_system(m)
     fiber_chi = [system.chi(locus).reduced() for name, locus in loci.items() if name != "full"]
     chi_full = MotivicClass.sum([system.stratum(0)] + fiber_chi)
-    checks["chi_matches_stage_class"] = chi_full == surface.class_of_stage(m)
-    checks["euler_chi"] = system.euler_chi(loci["full"]) == 3 + m
+    stage_class = surface.class_of_stage(m)
+    checks["chi_matches_stage_class"] = chi_full == stage_class
+    checks["euler_chi"] = system.euler_chi(loci["full"]) == stage_class.euler_specialize()
     checks["fiber_chi_one"] = all(chi == 1 for chi in fiber_chi)
     return checks
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .ring import MotivicClass
+from .ring import MotivicClass, bounded
 
 SubsetKey = Union[int, str, Iterable[str]]
 
@@ -158,7 +158,8 @@ class ModificationSystem:
 
     def chi(self, locus: MarkedLocus) -> MotivicClass:
         """Weighted stratum sum; with the full locus this is the base class."""
-        # a mu = 0 divisor weighs [P^0] = 1, which is no denominator factor
+        # a mu = 0 divisor weighs [P^0] = 1, which is no denominator factor.  Any order gives
+        # the same value; in mask order, merge-tree neighbours share divisors, which is cheaper.
         return MotivicClass.sum(
             MotivicClass._of(cls.num, tuple(sorted(filter(None, cls.den + self.mu_of_mask(mask)))))
             for mask, cls in sorted(locus.strata.items())
@@ -210,6 +211,11 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_bounded(value, what: str) -> int:
+    """A JSON integer no larger than :data:`mchern.ring.INPUT_BOUND`."""
+    return bounded(json_int(value, what), what)
+
+
 def json_str(value, what: str) -> str:
     """A JSON string; numbers, bools and objects are rejected."""
     if not isinstance(value, str):
@@ -252,16 +258,23 @@ def strata_from_json(
     return out
 
 
+def strata_to_json(
+    pairs: Iterable[tuple[Iterable, object]], value: str = "class", encode=MotivicClass.to_json
+) -> list[dict]:
+    """The inverse of :func:`strata_from_json`: ``(ids, value)`` pairs, in the caller's order."""
+    return [{"subset": list(ids), value: encode(v)} for ids, v in pairs]
+
+
 def system_to_json(
     system: ModificationSystem, loci: Optional[Mapping[str, MarkedLocus]] = None
 ) -> dict:
+    def by_mask(strata: Mapping[int, MotivicClass]) -> list[dict]:
+        return strata_to_json((system.ids_of(mask), cls) for mask, cls in sorted(strata.items()))
+
     obj: dict = {
         "ambient_dim": system.ambient_dim,
         "divisors": [{"id": d.ident, "mu": d.mu} for d in system.divisors],
-        "strata": [
-            {"subset": list(system.ids_of(mask)), "class": cls.to_json()}
-            for mask, cls in sorted(system.strata.items())
-        ],
+        "strata": by_mask(system.strata),
     }
     if system.label:
         obj["label"] = system.label
@@ -269,14 +282,7 @@ def system_to_json(
         obj["ambient_class"] = system.ambient_class.to_json()
     if loci is not None:
         obj["loci"] = [
-            {
-                "name": name,
-                "strata": [
-                    {"subset": list(system.ids_of(mask)), "class": cls.to_json()}
-                    for mask, cls in sorted(locus.strata.items())
-                ],
-            }
-            for name, locus in sorted(loci.items())
+            {"name": name, "strata": by_mask(locus.strata)} for name, locus in sorted(loci.items())
         ]
     return obj
 
@@ -287,10 +293,10 @@ def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, Marked
         divisors = []
         for entry in json_list(obj.get("divisors", []), "divisors"):
             entry = json_object(entry, "divisor")
-            divisors.append((json_str(entry["id"], "divisor id"), json_int(entry["mu"], "mu")))
+            divisors.append((json_str(entry["id"], "divisor id"), json_bounded(entry["mu"], "mu")))
         ambient = obj.get("ambient_class")
         system = ModificationSystem(
-            json_int(obj["ambient_dim"], "ambient_dim"),
+            json_bounded(obj["ambient_dim"], "ambient_dim"),
             divisors,
             strata_from_json(obj.get("strata", [])),
             ambient_class=MotivicClass.from_json(ambient) if ambient is not None else None,

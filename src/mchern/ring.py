@@ -19,6 +19,9 @@ tree over their denominators, scaling each side by the factors it lacks;
 ``[P^mu]`` multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``,
 and one cyclotomic ``Phi_d``, a quotient of such factors, in O(n) per factor.
 
+Decoders here and in the other modules reject an exponent, multiplicity or
+dimension above :data:`INPUT_BOUND`, so a small input cannot exhaust memory.
+
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
 freely shared between threads or tasks.
@@ -34,6 +37,15 @@ from itertools import accumulate
 from math import prod
 from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
+
+INPUT_BOUND = 2**16  # largest exponent, multiplicity or dimension an input may give
+
+
+def bounded(value: int, what: str) -> int:
+    """``value`` if it is at most :data:`INPUT_BOUND`, else an input error naming ``what``."""
+    if value > INPUT_BOUND:
+        raise ValueError(f"{what} {value} exceeds the input bound {INPUT_BOUND}")
+    return value
 
 
 class LPolynomial:
@@ -222,7 +234,7 @@ class LPolynomial:
                 raise ValueError(f"cannot parse term {_clip(token)} in {_clip(text)}")
             if exp is not None and var is None:
                 raise ValueError(f"exponent without L in term {_clip(token)}")
-            e = int(exp) if exp is not None else (1 if var else 0)
+            e = bounded(int(exp), "exponent of L") if exp is not None else (1 if var else 0)
             coeffs[e] = coeffs.get(e, 0) + sign * int(coeff or 1)
         out = [0] * (max(coeffs) + 1)
         for e, c in coeffs.items():
@@ -545,7 +557,9 @@ class MotivicClass:
         den = obj.get("denominator", [])
         if not isinstance(den, list):
             raise ValueError(f"denominator must be a list of exponents, got {den!r}")
-        return cls(poly, den)
+        value = cls(poly, den)
+        bounded(max(value.den, default=0), "denominator exponent")
+        return value
 
     def __str__(self) -> str:
         red = self.reduced()

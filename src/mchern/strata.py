@@ -15,8 +15,9 @@ Two identities over these classes drive the blow-up bookkeeping:
                  =  1 / prod_j [P^mu_j],   with mu0 = sum mu + d - 1.
 
 Both are verified exactly; grouped by |I|, the sums need only the elementary
-symmetric polynomials of the [P^mu_i], O(k^2) linear products.  ``mu0_offset``
-perturbs mu0 so a harness can confirm the identities need the exact weight.
+symmetric polynomials of the [P^mu_i], O(k^2) linear products.  mu0 is
+:func:`discrepancy`, the one blow-up multiplicity rule; ``mu0_offset``
+perturbs it so a harness can confirm the identities need the exact weight.
 :func:`sweep_identities` checks one identity on every multiset of
 multiplicities once, and counts cases as tuples in product order.
 """
@@ -27,9 +28,14 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import sub
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ring import LPolynomial, MotivicClass, _add_coeffs, _mul_projective, projective_poly
+
+
+def discrepancy(mus: Iterable[int], d: int) -> int:
+    """mu0 of the divisor made by blowing up a codim-d center on divisors ``mus``: K' = pi*K + (d-1)E."""
+    return sum(mus) + d - 1
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
 
 def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
     """Check the weighted stratum sum against [P^(sum mu + d - 1)] exactly."""
-    return _weighted_numerator(frame, mus) == projective_poly(sum(mus) + frame.d - 1 + mu0_offset)
+    return _weighted_numerator(frame, mus) == projective_poly(discrepancy(mus, frame.d) + mu0_offset)
 
 
 def verify_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
@@ -90,7 +96,7 @@ def verify_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int 
     # Over the common denominator [P^mu0] * prod_j [P^mu_j], the term for
     # subset I contributes [H_I] * prod_{i not in I} [P^mu_i] on top.
     num = _weighted_numerator(frame, mus)
-    mu0 = sum(mus) + frame.d - 1 + mu0_offset
+    mu0 = discrepancy(mus, frame.d) + mu0_offset
     if mu0 < 0:
         return False
     return MotivicClass(num, (mu0, *mus)) == MotivicClass(LPolynomial.one(), mus)
@@ -115,7 +121,7 @@ def euler_shadow_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset
     sum_s stratum_euler(d, k, s) * e_(k-s)(mu_1 + 1, ..., mu_k + 1) = mu0 + 1.
     """
     d, k = frame.d, frame.k
-    mu0 = sum(mus) + d - 1 + mu0_offset
+    mu0 = discrepancy(mus, d) + mu0_offset
     if mu0 < 0:
         return False
     e = [1]

@@ -16,7 +16,7 @@ meeting (one point each, never three through a point).  The rest is read
 from those: the proper-transform class of curve j is e_j minus the e's of
 the later centers on j, and :meth:`SurfaceModel.relative` alone derives the
 discrepancies, via mu_new = 1 + sum of the mu's of curves through the
-center (the codimension-2 case of the general multiplicity rule), and the
+center (:func:`mchern.strata.discrepancy` at codimension 2), and the
 original base point each curve lies over.
 
 Everything downstream is linear in the Chow group: total Chern classes, the
@@ -42,6 +42,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .modsys import MarkedLocus, ModificationSystem, json_int, json_object
 from .ring import LPolynomial, MotivicClass
+from .strata import discrepancy
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,14 @@ Event = Union[GenericPoint, PointOnCurve, IntersectionPoint]
 
 
 def _references(event: Event) -> tuple[int, ...]:
+    """The curves the event's center lies on; TypeError for what is not an event."""
+    if isinstance(event, GenericPoint):
+        return ()
     if isinstance(event, PointOnCurve):
         return (event.curve,)
     if isinstance(event, IntersectionPoint):
         return (event.a, event.b)
-    return ()
+    raise TypeError(f"unknown event {event!r}")
 
 
 def swap_last_two(program: tuple[Event, ...]) -> Optional[tuple[Event, ...]]:
@@ -266,22 +270,15 @@ class SurfaceModel:
         self.events: tuple[Event, ...] = tuple(events)
         through: list[tuple[int, ...]] = []  # per curve, the curves its center lay on
         pairs: set[tuple[int, int]] = set()
-        for k, event in enumerate(self.events):
-            if isinstance(event, GenericPoint):
-                center: tuple[int, ...] = ()
-            elif isinstance(event, PointOnCurve):
-                if not 1 <= event.curve <= k:
-                    raise ValueError(f"invalid curve index {event.curve}")
-                center = (event.curve,)
-            elif isinstance(event, IntersectionPoint):
-                if not (1 <= event.a <= k and 1 <= event.b <= k):
-                    raise ValueError(f"invalid curve pair ({event.a}, {event.b})")
-                center = (event.a, event.b)
-                if center not in pairs:
-                    raise ValueError(f"curves {event.a} and {event.b} do not meet")
-                pairs.discard(center)
-            else:
-                raise TypeError(f"unknown event {event!r}")
+        for k, center in enumerate(map(_references, self.events)):
+            if center and not 1 <= min(center) <= max(center) <= k:
+                raise ValueError(
+                    f"invalid curve index {center[0]}" if len(center) == 1
+                    else f"invalid curve pair ({center[0]}, {center[1]})"
+                )
+            if len(center) == 2 and center not in pairs:
+                raise ValueError(f"curves {center[0]} and {center[1]} do not meet")
+            pairs.discard(center)  # the crossing blown up is gone; pairs holds no shorter tuple
             pairs.update((j, k + 1) for j in center)
             through.append(center)
         self._through: tuple[tuple[int, ...], ...] = tuple(through)
@@ -325,13 +322,13 @@ class SurfaceModel:
         mus: dict[int, int] = {}
         roots: dict[int, str] = {}
         # the n-th generic point of the whole program is the base point p<n>
-        generics = sum(isinstance(e, GenericPoint) for e in self.events[:stage])
+        generics = sum(not center for center in self._through[:stage])
         for t in curves:
             over = [c for c in self._through[t - 1] if c > stage]
-            mus[t] = 1 + sum(mus[c] for c in over)
+            mus[t] = discrepancy((mus[c] for c in over), 2)
             if over:
                 root = roots[over[0]]
-            elif isinstance(self.events[t - 1], GenericPoint):
+            elif not self._through[t - 1]:  # a generic point
                 generics += 1
                 root = f"p{generics}"
             else:
@@ -480,13 +477,11 @@ def events_from_json(obj: Mapping) -> tuple[Event, ...]:
 
 def events_to_json(events: Iterable[Event]) -> dict:
     out = []
-    for event in events:
-        if isinstance(event, GenericPoint):
+    for curves in map(_references, events):
+        if not curves:
             out.append({"type": "generic"})
-        elif isinstance(event, PointOnCurve):
-            out.append({"type": "on_curve", "curve": event.curve})
-        elif isinstance(event, IntersectionPoint):
-            out.append({"type": "intersection", "pair": [event.a, event.b]})
+        elif len(curves) == 1:
+            out.append({"type": "on_curve", "curve": curves[0]})
         else:
-            raise TypeError(f"unknown event {event!r}")
+            out.append({"type": "intersection", "pair": list(curves)})
     return {"events": out}

@@ -109,10 +109,15 @@ MUTANTS = (
     ),
     Mutant(
         "mu0 adds d instead of d - 1",
-        "src/mchern/blowup.py",
-        "mu0 = sum(system.mu_of_mask(k0_mask)) + d - 1",
-        "mu0 = sum(system.mu_of_mask(k0_mask)) + d",
-        ("tests/test_blowup.py::TestSingleBlowup",),
+        "src/mchern/strata.py",
+        "    return sum(mus) + d - 1\n",
+        "    return sum(mus) + d\n",
+        (
+            "tests/test_blowup.py::TestSingleBlowup",
+            "tests/test_surface.py",
+            "tests/test_strata.py",
+            "tests/test_cli.py::TestSurfaceCommands",
+        ),
     ),
     Mutant(
         "step_difference drops the removed masks",
@@ -186,6 +191,27 @@ MUTANTS = (
         "final_chi = MotivicClass.sum([program.initial.chi(program.initial.full_locus())] + deltas)",
         "final_chi = system.chi(system.full_locus())",
         ("tests/test_blowup.py::TestTelescopedChi::test_final_system_is_never_summed",),
+    ),
+    Mutant(
+        "strata_to_json ignores the caller's order",
+        "src/mchern/modsys.py",
+        "for ids, v in pairs]",
+        "for ids, v in sorted(pairs, key=lambda p: sorted(map(str, p[0])))]",
+        ("tests/test_serialize.py::TestStrataJson", "tests/test_golden.py"),
+    ),
+    Mutant(
+        "from_text reads an L-exponent past the input bound",
+        "src/mchern/ring.py",
+        'bounded(int(exp), "exponent of L")',
+        "int(exp)",
+        ("tests/test_ring.py::TestInputBound",),
+    ),
+    Mutant(
+        "_locus_center_data lets an unknown id escape without its locus and step",
+        "src/mchern/blowup.py",
+        '            raise BlowupError(f"locus {locus.name!r}: {exc}") from None\n',
+        "            raise\n",
+        ("tests/test_cli.py::test_unknown_id_names_its_step",),
     ),
 )
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ from mchern import blowup, cli
 from mchern.cli import main
 from mchern.modsys import Divisor
 from mchern.ring import MotivicClass, projective_poly
+from mchern.sampling import attach_locus_rules, random_center, random_invariance_case
 from mchern.surface import SurfaceModel, events_from_json
 
 PLANE_CLASS = {"numerator": "1 + L + L^2", "denominator": []}
@@ -225,6 +227,39 @@ class TestBlowupRun:
         assert main(["blowup", "run", "--program", str(path), "--json"]) == 0
         assert results_bytes(capsys.readouterr().out) == expected
 
+    def test_shuffled_strata_lists_print_equal_results(self, capsys, tmp_path):
+        # the printed classes are canonical, so no result depends on the order in which the
+        # input lists its strata; every such list (system, loci, centers, locus rules) is shuffled
+        def shuffled(obj, rng):
+            if isinstance(obj, dict):
+                return {key: shuffled(value, rng) for key, value in obj.items()}
+            if not isinstance(obj, list):
+                return obj
+            out = [shuffled(item, rng) for item in obj]
+            if out and all(isinstance(item, dict) and "subset" in item for item in out):
+                rng.shuffle(out)
+            return out
+
+        def run(payload):
+            path = tmp_path / "program.json"
+            path.write_text(json.dumps(payload))
+            code = main(["blowup", "run", "--program", str(path), "--json"])
+            return code, results_bytes(capsys.readouterr().out)
+
+        rng = random.Random(5)
+        for _ in range(12):
+            system, center, loci = random_invariance_case(rng, max_divisors=5)
+            second = blowup.blow_up(system, center, loci)
+            follow = random_center(rng, second.system)
+            steps = (center,) if follow is None else (
+                center, attach_locus_rules(rng, follow, list(second.loci.values()), second.system))
+            named = {locus.name: locus for locus in loci}
+            payload = blowup.program_to_json(blowup.BlowupProgram(system, steps, named))
+            expected = run(payload)
+            assert expected[0] == 0
+            for _ in range(3):
+                assert run(shuffled(payload, rng)) == expected
+
     @pytest.mark.parametrize("exponent", [1.5, True])
     def test_non_integer_exponent_is_input_error(self, capsys, program_file, tmp_path, exponent):
         payload = json.loads(open(program_file).read())
@@ -429,6 +464,11 @@ class TestMotivicEval:
     def test_bad_class(self, capsys):
         assert main(["motivic", "eval", "[1, 2]"]) == 2
         assert main(["motivic", "eval", "L^"]) == 2
+
+    def test_huge_exponent_is_input_error(self, capsys):
+        assert main(["motivic", "eval", "L^1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: exponent of L 1000000000000 exceeds the input bound 65536\n"
 
     def test_star_needs_an_l_after_it(self, capsys):
         assert main(["motivic", "eval", "2*"]) == 2
@@ -709,6 +749,27 @@ MALFORMED = {
     "loci-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "loci"], {})),
     "count-negative": ("invariance", ["--count", "-5"]),
     "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
+    # each of these once ran out of memory (exit 3) or for seconds
+    "bound-L-exponent": ("motivic", "L^1000000000000"),
+    "bound-denominator": ("motivic", {"numerator": "1", "denominator": [100000000]}),
+    "bound-mu": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors", 0, "mu"], 10**12)),
+    "bound-ambient-dim": (
+        "program",
+        _with(_with(ONE_DIVISOR_PROGRAM, ["initial", "ambient_dim"], 10**12),
+              ["steps", 0, "codim"], 10**12)),
+    "bound-codim": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "codim"], 10**12)),
+    "bound-weight-exponent": ("function", _with(FUNCTION, ["strata", 0, "weight"], "1e3000000")),
+    "bound-weight-negative-exponent": (
+        "function", _with(FUNCTION, ["strata", 0, "weight"], "2.5E-3_000_000")),
+}
+BOUND_FIELDS = {  # the field each bound case names
+    "bound-L-exponent": "exponent of L",
+    "bound-denominator": "denominator exponent",
+    "bound-mu": "mu",
+    "bound-ambient-dim": "ambient_dim",
+    "bound-codim": "codim",
+    "bound-weight-exponent": "weight exponent",
+    "bound-weight-negative-exponent": "weight exponent",
 }
 
 
@@ -739,6 +800,8 @@ def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
         assert case.split("-")[0] in err
     if kind in ("motivic", "program") and case.endswith("unknown-key"):
         assert "unknown motivic class key 'denominators'" in err
+    if case in BOUND_FIELDS:
+        assert f"error: {BOUND_FIELDS[case]} " in err and "exceeds the input bound 65536" in err
 
 
 DEEP = "[" * 100000
@@ -829,6 +892,19 @@ def test_unexpected_exception_is_one_line_exit_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: boom\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("where", ["center_strata", "locus_center_strata"])
+def test_unknown_id_names_its_step(capsys, tmp_path, where):
+    # the same unknown id in a center's strata and in an explicit locus rule
+    strata = [{"subset": ["e", "nope"], "class": "1"}]
+    in_locus = where == "locus_center_strata"
+    step = _with(ONE_DIVISOR_PROGRAM["steps"][0], [where], {"U": strata} if in_locus else strata)
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(_with(ONE_DIVISOR_PROGRAM, ["steps"], [step, step])))
+    assert main(["blowup", "run", "--program", str(path)]) == 2
+    locus = "locus 'U': " if in_locus else ""
+    assert capsys.readouterr().err == f"error: step 0: {locus}unknown divisor id 'nope'\n"
 
 
 def test_valid_baselines_of_malformed_inputs(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mchern import ring
 from mchern.ring import (
+    INPUT_BOUND,
     LPolynomial,
     MotivicClass,
     _div_cyclotomic,
@@ -16,6 +17,7 @@ from mchern.ring import (
     _mul_projective,
     _union_lacks,
     affine_class,
+    bounded,
     projective_class,
     projective_poly,
     torus_class,
@@ -503,3 +505,26 @@ class TestProjectiveKernels:
     def test_projective_class_is_the_product_of_its_cyclotomic_factors(self, mu):
         ds = [d for d in range(2, mu + 2) if (mu + 1) % d == 0]
         assert reduce(_mul_cyclotomic, ds, [1]) == list(projective_poly(mu).coeffs)
+
+
+class TestInputBound:
+    def test_the_bound_is_inclusive_and_named(self):
+        assert bounded(INPUT_BOUND, "x") == INPUT_BOUND
+        with pytest.raises(ValueError, match=f"^x {INPUT_BOUND + 1} exceeds the input bound {INPUT_BOUND}$"):
+            bounded(INPUT_BOUND + 1, "x")
+
+    def test_text_exponents(self):
+        assert LPolynomial.from_text(f"2 + L^{INPUT_BOUND}").coeffs[-1] == 1
+        with pytest.raises(ValueError, match="exponent of L"):
+            LPolynomial.from_text(f"1 + L^{INPUT_BOUND + 1}")
+        with pytest.raises(ValueError, match="exponent of L"):
+            MotivicClass.from_json({"numerator": f"3*L^{INPUT_BOUND + 1}"})
+
+    def test_denominator_exponents(self):
+        value = MotivicClass.from_json({"numerator": "1", "denominator": [INPUT_BOUND, 1]})
+        assert value.den == (1, INPUT_BOUND)
+        with pytest.raises(ValueError, match="denominator exponent"):
+            MotivicClass.from_json({"numerator": "1", "denominator": [1, INPUT_BOUND + 1]})
+        # the type check still comes first
+        with pytest.raises(ValueError, match="is not an integer"):
+            MotivicClass.from_json({"numerator": "1", "denominator": ["x", INPUT_BOUND + 1]})

@@ -15,7 +15,14 @@ from mchern.blowup import (
     program_to_json,
     run_program,
 )
-from mchern.modsys import MarkedLocus, ModificationSystem, system_from_json, system_to_json
+from mchern.modsys import (
+    MarkedLocus,
+    ModificationSystem,
+    strata_from_json,
+    strata_to_json,
+    system_from_json,
+    system_to_json,
+)
 from mchern.ring import LPolynomial, MotivicClass, projective_class
 from mchern.sampling import random_invariance_case
 from mchern.surface import (
@@ -172,6 +179,22 @@ class TestSurfaceJson:
             events_from_json({"events": [{"type": "on_curve"}]})
         with pytest.raises(ValueError, match="unknown event"):
             events_from_json({"events": [{"type": "squish"}]})
+
+
+class TestStrataJson:
+    def test_pairs_keep_the_callers_order(self):
+        pairs = [(("b",), projective_class(1)), ((), MotivicClass.one()), (("a", "b"), MotivicClass.from_int(2))]
+        wire = strata_to_json(pairs)
+        assert [entry["subset"] for entry in wire] == [["b"], [], ["a", "b"]]
+        assert wire[0] == {"subset": ["b"], "class": {"numerator": "1 + L", "denominator": []}}
+
+    def test_inverse_of_the_decoder(self):
+        pairs = [((3,), Fraction(1, 2)), ((1, 2), Fraction(-3)), ((), Fraction(0))]
+        wire = _wire(strata_to_json(pairs, "weight", str))
+        assert wire[1] == {"subset": [1, 2], "weight": "-3"}
+        decoded = strata_from_json(wire, "weight", Fraction, int)
+        assert decoded == {frozenset(ids): value for ids, value in pairs}
+        assert strata_to_json(((sorted(k), v) for k, v in decoded.items()), "weight", str) == wire
 
 
 class TestFunctionJson:

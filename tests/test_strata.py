@@ -13,6 +13,7 @@ from mchern.strata import (
     FiberFrame,
     SweepResult,
     _weighted_numerator,
+    discrepancy,
     euler_shadow_simplexcor,
     hyperplane_stratum_class,
     stratum_euler,
@@ -30,6 +31,20 @@ class TestFrame:
             FiberFrame(0, 0)
         with pytest.raises(ValueError):
             FiberFrame(2, 3)
+
+
+class TestDiscrepancy:
+    def test_values(self):
+        assert discrepancy((), 1) == 0  # a divisor blown up along itself keeps weight 0
+        assert discrepancy((), 2) == 1  # a point of a surface
+        assert discrepancy((1, 2), 2) == 4  # the crossing of two exceptional curves
+        assert discrepancy(iter((3,)), 4) == 6
+
+    def test_simplex_is_the_projective_class_of_mu0(self):
+        for d, k in ((1, 1), (3, 2), (4, 4)):
+            mus = tuple(range(k))
+            lhs = MotivicClass(_weighted_numerator(FiberFrame(d, k), mus))
+            assert lhs == projective_class(discrepancy(mus, d))
 
 
 class TestStratumClass:

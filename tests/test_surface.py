@@ -118,6 +118,18 @@ class TestEvents:
         with pytest.raises(ValueError, match="invalid curve"):
             SurfaceModel((GenericPoint(), PointOnCurve(2)))
 
+    def test_invalid_curve_messages(self):
+        with pytest.raises(ValueError, match=r"^invalid curve index 2$"):
+            SurfaceModel((GenericPoint(), PointOnCurve(2)))
+        with pytest.raises(ValueError, match=r"^invalid curve pair \(1, 3\)$"):
+            SurfaceModel((GenericPoint(), PointOnCurve(1), IntersectionPoint(3, 1)))
+        with pytest.raises(ValueError, match="^curves 1 and 2 do not meet$"):
+            SurfaceModel((GenericPoint(), GenericPoint(), IntersectionPoint(2, 1)))
+
+    def test_unknown_event_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown event"):
+            SurfaceModel((GenericPoint(), "on_curve 1"))
+
     def test_non_meeting_pair(self):
         with pytest.raises(ValueError, match="do not meet"):
             SurfaceModel((GenericPoint(), GenericPoint(), IntersectionPoint(1, 2)))
