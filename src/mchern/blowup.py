@@ -36,6 +36,7 @@ changes instead of summing the final system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .modsys import (
@@ -51,7 +52,7 @@ from .modsys import (
     system_from_json,
     system_to_json,
 )
-from .ring import MotivicClass, projective_class
+from .ring import INPUT_BOUND, MotivicClass, projective_class
 from .strata import FiberFrame, discrepancy, hyperplane_stratum_class
 
 
@@ -104,6 +105,11 @@ class BlowupCenter:
     locus_rules: Mapping[str, LocusRule] = field(default_factory=dict)
 
     def total_class(self) -> MotivicClass:
+        """[S]: the center's stratum classes, summed once per center."""
+        return self._total
+
+    @cached_property
+    def _total(self) -> MotivicClass:
         return MotivicClass.sum(self.center_strata.values())
 
 
@@ -137,15 +143,15 @@ def _center_masks(system: ModificationSystem, center: BlowupCenter) -> tuple[int
         problems.append(
             f"center lies on {k0_mask.bit_count()} divisors, more than its codimension {d}"
         )
+    ids = system.ids_of  # called only on a failure: O(divisors) each
     for mask in sorted(strata):
-        ids = system.ids_of(mask)
         if mask & k0_mask != k0_mask:
-            problems.append(f"center stratum {ids} does not contain all of K0")
+            problems.append(f"center stratum {ids(mask)} does not contain all of K0")
         if mask not in system.strata:
-            problems.append(f"center is nonzero on the empty stratum {ids}")
+            problems.append(f"center is nonzero on the empty stratum {ids(mask)}")
         if (mask & ~k0_mask).bit_count() > n - d:
             problems.append(
-                f"center stratum {ids} would create strata deeper than dimension {n}"
+                f"center stratum {ids(mask)} would create strata deeper than dimension {n}"
             )
     if problems:
         raise BlowupError("; ".join(problems))
@@ -192,19 +198,22 @@ def _transform_strata(
     fiber: Sequence[MotivicClass],
     new_bit: int,
 ) -> dict[int, MotivicClass]:
+    """The module docstring's two rules, into a new dict that keeps no zero class.  Every center
+    stratum contains K0, so no two of them write one fresh mask, and no fresh class is zero."""
     out = dict(old)
     for mask, cls in center_data.items():
-        out[mask] = old[mask] - cls if mask in old else -cls
+        rest = old[mask] - cls if mask in old else -cls
+        if rest.is_zero():
+            del out[mask]
+        else:
+            out[mask] = rest
     for mask, cls in center_data.items():
         outside = mask & ~k0_mask
         sub = k0_mask
         while True:
             h = fiber[sub.bit_count()]
             if not h.is_zero():
-                new_mask = new_bit | outside | sub
-                term = cls * h
-                cur = out.get(new_mask)
-                out[new_mask] = term if cur is None else cur + term
+                out[new_bit | outside | sub] = cls * h
             if sub == 0:
                 break
             sub = (sub - 1) & k0_mask
@@ -218,7 +227,11 @@ def blow_up(
     *,
     fresh_id: Optional[str] = None,
 ) -> BlowupResult:
-    """Apply one blow-up, transforming the system and any marked loci."""
+    """Apply one blow-up, transforming the system and any marked loci.
+
+    Only the center is checked; the results are built trusted, so a step costs what it
+    touches.  A fresh multiplicity above :data:`mchern.ring.INPUT_BOUND` is refused.
+    """
     k0_mask, center_strata = _center_masks(system, center)
     loci = list(loci)
     locus_data = {
@@ -226,17 +239,22 @@ def blow_up(
         for locus in loci
     }
 
+    index = system._ident_index
     if fresh_id is None:
         step = len(system.divisors)
-        while f"exc{step}" in system.idents:
+        while f"exc{step}" in index:
             step += 1
         fresh_id = f"exc{step}"
-    elif fresh_id in system.idents:
+    elif fresh_id in index:
         raise BlowupError(f"fresh divisor id {fresh_id!r} already in use")
 
     d = center.codim
     k0_size = k0_mask.bit_count()
     mu0 = discrepancy(system.mu_of_mask(k0_mask), d)
+    if mu0 > INPUT_BOUND:
+        raise BlowupError(
+            f"fresh divisor {fresh_id!r} multiplicity {mu0} exceeds the input bound {INPUT_BOUND}"
+        )
     frame = FiberFrame(d, k0_size)
     fiber = [hyperplane_stratum_class(frame, size) for size in range(k0_size + 1)]
     new_bit = 1 << len(system.divisors)
@@ -245,15 +263,16 @@ def blow_up(
     ambient = system.ambient_class
     if ambient is not None:
         ambient = ambient + center.total_class() * (projective_class(d - 1) - 1)
-    new_system = ModificationSystem(
+    new_system = ModificationSystem._of(
         system.ambient_dim,
         system.divisors + (Divisor(fresh_id, mu0),),
         new_strata,
-        ambient_class=ambient,
-        label=system.label,
+        ambient,
+        system.label,
+        {**index, fresh_id: len(system.divisors)},
     )
     new_loci = {
-        locus.name: MarkedLocus(
+        locus.name: MarkedLocus._of(
             locus.name,
             _transform_strata(locus.strata, locus_data[locus.name], k0_mask, fiber, new_bit),
         )

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .modsys import strata_from_json, strata_to_json
-from .ring import bounded
+from .ring import bounded, decimal
 from .surface import SurfaceModel
 
 
@@ -82,9 +82,11 @@ def _weight_from_json(value) -> Fraction:
     if "e" in text.lower() and (exponent := re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", text)):
         bounded(int(exponent[1]), "weight exponent")
     try:
-        return Fraction(text)
+        weight = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"weight {value!r} has a zero denominator") from None
+    decimal(weight, f"weight {value!r}")  # it is written back in the report
+    return weight
 
 
 def function_from_json(obj: Mapping) -> dict[frozenset, Fraction]:

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import cfun
 from .blowup import audited_step, program_from_json, run_program
 from .modsys import system_to_json
-from .ring import MotivicClass
+from .ring import MotivicClass, decimal
 from .sampling import random_invariance_case
 from .strata import sweep_identities
 from .surface import SurfaceModel, events_from_json, events_to_json, swap_last_two
@@ -337,9 +337,9 @@ def cmd_motivic_eval(args) -> dict:
     value = MotivicClass.from_json(obj)
     results: dict = {"class": value.to_json(), "canonical": str(value)}
     if args.euler:
-        results["euler"] = str(value.euler_specialize())
+        results["euler"] = decimal(value.euler_specialize(), "the value at L = 1")
     for q in args.at or ():
-        results[f"at_{q}"] = str(value.eval_at(q))
+        results[f"at_{q}"] = decimal(value.eval_at(q), f"the value at --at {q}")
     inputs = {"class": obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)}
     return build_report("motivic eval", inputs, results, PASS)
 

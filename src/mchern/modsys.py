@@ -58,6 +58,13 @@ class MarkedLocus:
             mask: cls for mask, cls in strata.items() if not cls.is_zero()
         }
 
+    @classmethod
+    def _of(cls, name: str, strata: dict[int, MotivicClass]) -> MarkedLocus:
+        """Trusted constructor: ``strata`` is a fresh dict with no zero class."""
+        locus = object.__new__(cls)
+        locus.name, locus.strata = name, strata
+        return locus
+
     def __repr__(self) -> str:
         return f"MarkedLocus({self.name!r}, {len(self.strata)} strata)"
 
@@ -96,6 +103,15 @@ class ModificationSystem:
         self.ambient_class = ambient_class
         self.label = label
         self._ident_index = index
+
+    @classmethod
+    def _of(cls, ambient_dim, divisors, strata, ambient_class, label, index) -> ModificationSystem:
+        """Trusted constructor: ``divisors`` a tuple of distinct ids, ``index`` their positions,
+        ``strata`` a fresh dict keyed by in-range masks with no zero class; checks nothing."""
+        system = object.__new__(cls)
+        system.ambient_dim, system.divisors, system.strata = ambient_dim, divisors, strata
+        system.ambient_class, system.label, system._ident_index = ambient_class, label, index
+        return system
 
     @property
     def idents(self) -> tuple[str, ...]:

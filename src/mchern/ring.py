@@ -15,12 +15,15 @@ Phi_d of the [P^mu], so equal classes print equal text.
 
 :meth:`MotivicClass.sum` adds many classes by a balanced pairwise merge
 tree over their denominators, scaling each side by the factors it lacks;
-``+`` goes through it, and ``==`` cross-multiplies by the same lacks.  One
+``+`` goes through it, and ``==`` cross-multiplies by the same lacks.  On one
+shared denominator ``+``, ``-`` and ``==`` act on the numerators alone in
+O(n), as does ``*`` by a polynomial, with the fields the merge would give.  One
 ``[P^mu]`` multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``,
 and one cyclotomic ``Phi_d``, a quotient of such factors, in O(n) per factor.
 
 Decoders here and in the other modules reject an exponent, multiplicity or
-dimension above :data:`INPUT_BOUND`, so a small input cannot exhaust memory.
+dimension above :data:`INPUT_BOUND`, and so does a blow-up for the
+multiplicity it derives, so a small input cannot exhaust memory.
 
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
@@ -30,6 +33,7 @@ freely shared between threads or tasks.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -46,6 +50,14 @@ def bounded(value: int, what: str) -> int:
     if value > INPUT_BOUND:
         raise ValueError(f"{what} {value} exceeds the input bound {INPUT_BOUND}")
     return value
+
+
+def decimal(value: Union[int, Fraction], what: str) -> str:
+    """``str(value)``, or an input error naming ``what`` when ``str`` refuses so many digits."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 class LPolynomial:
@@ -454,6 +466,8 @@ class MotivicClass:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:  # what sum makes of one shared denominator
+            return MotivicClass._of(self.num + other.num, self.den)
         return MotivicClass.sum((self, other))
 
     __radd__ = __add__
@@ -465,6 +479,8 @@ class MotivicClass:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return MotivicClass._of(self.num - other.num, self.den)
         return self + (-other)
 
     def __rsub__(self, other) -> "MotivicClass":
@@ -477,7 +493,8 @@ class MotivicClass:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MotivicClass._of(self.num * other.num, tuple(sorted(self.den + other.den)))
+        den = tuple(sorted(self.den + other.den)) if other.den else self.den
+        return MotivicClass._of(self.num * other.num, den)
 
     __rmul__ = __mul__
 
@@ -485,6 +502,8 @@ class MotivicClass:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return self.num == o.num
         _, lack_self, lack_o = _union_lacks(self.den, o.den)
         left = reduce(_mul_projective, lack_self, list(self.num.coeffs))
         right = reduce(_mul_projective, lack_o, list(o.num.coeffs))

@@ -19,18 +19,22 @@ symmetric polynomials of the [P^mu_i], O(k^2) linear products.  mu0 is
 :func:`discrepancy`, the one blow-up multiplicity rule; ``mu0_offset``
 perturbs it so a harness can confirm the identities need the exact weight.
 :func:`sweep_identities` checks one identity on every multiset of
-multiplicities once, and counts cases as tuples in product order.
+multiplicities once, and counts cases as tuples in product order.  For the
+length of one call it keeps each multiset's rows and its d-independent sum,
+so a multiset costs O(k) products, one step from its prefix, and nothing
+more for each further d.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import reduce
-from operator import sub
+from functools import lru_cache, reduce
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .ring import LPolynomial, MotivicClass, _add_coeffs, _mul_projective, projective_poly
+from .ring import LPolynomial, MotivicClass, _mul_projective, projective_poly
 
 
 def discrepancy(mus: Iterable[int], d: int) -> int:
@@ -52,38 +56,66 @@ class FiberFrame:
             raise ValueError("need 0 <= k <= d")
 
 
-def _stratum_poly(d: int, k: int, size: int) -> LPolynomial:
-    if size < k:
-        torus = LPolynomial((-1, 1)) ** (k - size - 1)
-        return torus * LPolynomial.monomial(d - k)
-    return projective_poly(d - k - 1)
-
-
+@lru_cache(maxsize=None)
 def hyperplane_stratum_class(frame: FiberFrame, size: int) -> MotivicClass:
-    """Class of the locus on exactly ``size`` of the frame's hyperplanes."""
-    if not 0 <= size <= frame.k:
-        raise ValueError(f"subset size {size} out of range 0..{frame.k}")
-    return MotivicClass(_stratum_poly(frame.d, frame.k, size))
+    """Class of the locus on exactly ``size`` of the frame's hyperplanes (cached)."""
+    d, k = frame.d, frame.k
+    if not 0 <= size <= k:
+        raise ValueError(f"subset size {size} out of range 0..{k}")
+    if size < k:
+        return MotivicClass(LPolynomial((-1, 1)) ** (k - size - 1) * LPolynomial.monomial(d - k))
+    return MotivicClass(projective_poly(d - k - 1))
+
+
+def _extend(e: list[list[int]], mu: int) -> list[list[int]]:
+    """The rows e_j with one factor [P^mu] more, e_j + [P^mu] * e_(j-1) (Macdonald, I.2):
+    k + 1 linear products, into new lists only, since a sweep shares rows."""
+    up = [_mul_projective(row, mu) for row in e]
+    return [e[0], *map(_plus, e[1:], up), up[-1]]
+
+
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of a + b as a new list."""
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return [*map(add, a, b), *a[len(b) :]]
+
+
+def _tail(e: list[list[int]]) -> list[int]:
+    """sum_(j>=1) (L-1)^(j-1) e_j, the part of the numerator free of d."""
+    acc: list[int] = []
+    for ej in reversed(e[1:]):  # Horner's rule in L - 1: acc <- acc * (L - 1) + e_j
+        acc = _plus(list(map(sub, [0, *acc], [*acc, 0])), ej)
+    return acc
+
+
+# Within one sweep_identities call: each multiset seen -> (its e_j rows, their _tail).
+_sweep_memo: ContextVar[Optional[dict]] = ContextVar("sweep_memo", default=None)
+
+
+def _rows_and_tail(mus: tuple[int, ...], memo: dict) -> tuple[list[list[int]], list[int]]:
+    """One :func:`_extend` of the rows of ``mus[:-1]``, which a sweep visits before ``mus``."""
+    if (hit := memo.get(mus)) is None:
+        e = _extend(_rows_and_tail(mus[:-1], memo)[0], mus[-1]) if mus else [[1]]
+        hit = memo[mus] = (e, _tail(e))
+    return hit
 
 
 def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
     """sum_I [H_I] * prod_{i not in I} [P^mu_i], grouped by j = k - |I|.
 
     Group j is [H_(k-j)] * e_j([P^mu_1], ..., [P^mu_k]), so the sum is
-    L^(d-k) * sum_{j>=1} (L-1)^(j-1) e_j + [P^(d-k-1)], taken by Horner's
-    rule in L - 1; its two parts occupy disjoint degrees.
+    L^(d-k) * sum_{j>=1} (L-1)^(j-1) e_j + [P^(d-k-1)]; its two parts occupy
+    disjoint degrees.  Inside a sweep the first comes from its memo, built
+    once per multiset; outside one, from scratch in O(k^2) products.
     """
     if len(mus) != frame.k:
         raise ValueError(f"expected {frame.k} multiplicities, got {len(mus)}")
-    e = [[1]]
-    for mu in mus:  # e_j += e_(j-1) * [P^mu], top j first
-        e.append(_mul_projective(e[-1], mu))
-        for j in range(len(e) - 2, 0, -1):
-            e[j] = _add_coeffs(e[j], _mul_projective(e[j - 1], mu))
-    acc: list[int] = []
-    for ej in reversed(e[1:]):  # acc <- acc * (L - 1) + e_j
-        acc = _add_coeffs(list(map(sub, [0, *acc], [*acc, 0])), ej)
-    return LPolynomial([1] * (frame.d - frame.k) + acc)
+    memo = _sweep_memo.get()
+    if memo is None:
+        tail = _tail(reduce(_extend, mus, [[1]]))
+    else:
+        tail = _rows_and_tail(tuple(mus), memo)[1]
+    return LPolynomial._of([1] * (frame.d - frame.k) + tail)
 
 
 def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
@@ -170,17 +202,21 @@ def sweep_identities(
         raise ValueError(f"unknown identity selector {which!r}")
     base = mu_max + 1
     cases = 0
-    for d in range(1, d_max + 1):
-        for k in range(0, d + 1):
-            frame = FiberFrame(d, k)
-            for mus in itertools.combinations_with_replacement(range(base), k):
-                if which == "simplex":
-                    ok = verify_simplex(frame, mus, mu0_offset=mu0_offset)
-                else:
-                    ok = verify_simplexcor(frame, mus, mu0_offset=mu0_offset)
-                    ok = ok and euler_shadow_simplexcor(frame, mus, mu0_offset=mu0_offset)
-                if not ok:
-                    rank = reduce(lambda r, mu: r * base + mu, mus, 0)
-                    return SweepResult(cases + rank + 1, Counterexample(which, d, k, mus))
-            cases += base**k
+    token = _sweep_memo.set({})
+    try:
+        for d in range(1, d_max + 1):
+            for k in range(0, d + 1):
+                frame = FiberFrame(d, k)
+                for mus in itertools.combinations_with_replacement(range(base), k):
+                    if which == "simplex":
+                        ok = verify_simplex(frame, mus, mu0_offset=mu0_offset)
+                    else:
+                        ok = verify_simplexcor(frame, mus, mu0_offset=mu0_offset)
+                        ok = ok and euler_shadow_simplexcor(frame, mus, mu0_offset=mu0_offset)
+                    if not ok:
+                        rank = reduce(lambda r, mu: r * base + mu, mus, 0)
+                        return SweepResult(cases + rank + 1, Counterexample(which, d, k, mus))
+                cases += base**k
+    finally:
+        _sweep_memo.reset(token)
     return SweepResult(cases, None)

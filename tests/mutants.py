@@ -213,6 +213,45 @@ MUTANTS = (
         "            raise\n",
         ("tests/test_cli.py::test_unknown_id_names_its_step",),
     ),
+
+    Mutant(
+        "the trusted blow-up path keeps a zero class",
+        "src/mchern/blowup.py",
+        "        if rest.is_zero():\n            del out[mask]\n        else:\n            out[mask] = rest\n",
+        "        out[mask] = rest\n",
+        ("tests/test_blowup.py::TestTrustedConstruction",),
+    ),
+    Mutant(
+        "the sweep memo extends mus[1:] instead of mus[:-1]",
+        "src/mchern/strata.py",
+        "_rows_and_tail(mus[:-1], memo)",
+        "_rows_and_tail(mus[1:], memo)",
+        ("tests/test_strata.py::TestSweep", "tests/test_strata.py::TestSweepMemo"),
+    ),
+    Mutant(
+        "the shared-denominator __sub__ adds",
+        "src/mchern/ring.py",
+        "return MotivicClass._of(self.num - other.num, self.den)",
+        "return MotivicClass._of(self.num + other.num, self.den)",
+        ("tests/test_ring.py::TestOnePassSum", "tests/test_ring.py::TestMergeTree"),
+    ),
+    Mutant(
+        "blow_up drops the bound on a fresh multiplicity",
+        "src/mchern/blowup.py",
+        "    if mu0 > INPUT_BOUND:\n",
+        "    if False:\n",
+        (
+            "tests/test_blowup.py::TestDerivedMultiplicityBound",
+            "tests/test_cli.py::TestDerivedMultiplicityBound",
+        ),
+    ),
+    Mutant(
+        "blow_up refuses a fresh multiplicity equal to the bound",
+        "src/mchern/blowup.py",
+        "    if mu0 > INPUT_BOUND:\n",
+        "    if mu0 >= INPUT_BOUND:\n",
+        ("tests/test_blowup.py::TestDerivedMultiplicityBound",),
+    ),
 )
 
 EQUIVALENT = (

@@ -20,7 +20,7 @@ from mchern.blowup import (
     verify_invariance,
 )
 from mchern.modsys import Divisor, MarkedLocus, ModificationSystem
-from mchern.ring import LPolynomial, MotivicClass, affine_class, projective_class
+from mchern.ring import INPUT_BOUND, LPolynomial, MotivicClass, affine_class, projective_class
 from mchern.sampling import random_invariance_case
 
 PLANE = MotivicClass(LPolynomial((1, 1, 1)))
@@ -522,3 +522,67 @@ class TestTelescopedChi:
             outcome = run_program(program)
             assert outcome.all_checks_passed
             assert whole == [program.initial]
+
+
+def assert_built_as_checked(before, loci, result):
+    """The trusted system and loci equal, field for field, what the checking constructors
+    make of the same parts: one divisor appended, no zero class, the same mask of every id."""
+    after = result.system
+    checked = ModificationSystem(
+        after.ambient_dim, after.divisors, after.strata,
+        ambient_class=after.ambient_class, label=after.label,
+    )
+    assert after.divisors[:-1] == before.divisors
+    assert after.divisors[-1].ident == result.fresh_id
+    assert not any(cls.is_zero() for cls in after.strata.values())
+    assert after.strata.keys() == checked.strata.keys()
+    assert all(after.strata[m] is cls for m, cls in checked.strata.items())
+    assert (after.ambient_dim, after.label) == (checked.ambient_dim, checked.label)
+    assert after.ambient_class is checked.ambient_class
+    assert all(after.mask_of(i) == checked.mask_of(i) == 1 << n for n, i in enumerate(after.idents))
+    for locus in loci:
+        got = result.loci[locus.name]
+        want = MarkedLocus(locus.name, got.strata)
+        assert not any(cls.is_zero() for cls in got.strata.values())
+        assert got.strata == want.strata and got.name == want.name
+
+
+class TestTrustedConstruction:
+    def test_corpus_program_steps(self, corpus_programs):
+        # intersection events empty a crossing stratum, so zero classes do arise
+        emptied = 0
+        for events in corpus_programs[:150]:
+            program = blowup_program(events)
+            system, loci = program.initial, list(program.loci.values())
+            for center in program.steps:
+                result = blow_up(system, center, loci)
+                assert_built_as_checked(system, loci, result)
+                masks = [system.mask_of(tuple(key)) for key in center.center_strata]
+                emptied += any(m not in result.system.strata for m in masks)
+                system, loci = result.system, list(result.loci.values())
+        assert emptied
+
+    def test_random_invariance_cases(self):
+        for seed in range(50):
+            system, center, loci = random_invariance_case(random.Random(seed), max_divisors=6)
+            assert_built_as_checked(system, loci, blow_up(system, center, loci))
+
+
+class TestDerivedMultiplicityBound:
+    def one_divisor(self, mu):
+        line = projective_class(1)
+        return ModificationSystem(2, (("a", mu),), {(): PLANE - line, ("a",): line})
+
+    def test_fresh_multiplicity_at_the_bound_is_kept(self):
+        result = blow_up(self.one_divisor(INPUT_BOUND - 1), point_center(on={"a"}))
+        assert result.system.divisors[-1].mu == INPUT_BOUND
+
+    def test_fresh_multiplicity_past_the_bound_is_refused(self):
+        with pytest.raises(BlowupError, match=f"'exc1' multiplicity {INPUT_BOUND + 1} exceeds"):
+            blow_up(self.one_divisor(INPUT_BOUND), point_center(on={"a"}))
+
+    def test_program_names_the_step(self):
+        centers = (point_center(), point_center(on={"a"}))
+        program = BlowupProgram(self.one_divisor(INPUT_BOUND), centers)
+        with pytest.raises(BlowupError, match="^step 1: fresh divisor 'exc2'"):
+            run_program(program)

@@ -977,3 +977,59 @@ def test_fifo_program_is_read_once(tmp_path):
     assert not writer.is_alive()
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["inputs"]["program"] == hashlib.sha256(CHAIN_BYTES).hexdigest()
+
+
+def crossing_program(crossings: int) -> dict:
+    """A point of the plane, a point on it, then points where the two newest divisors cross:
+    each fresh multiplicity is the sum of the two before it plus one (Fibonacci-like)."""
+
+    def step(on):
+        return {"codim": 2, "containing": on, "center_strata": [{"subset": on, "class": "1"}]}
+
+    steps = [step([]), step(["exc0"])]
+    steps += [step([f"exc{j}", f"exc{j + 1}"]) for j in range(crossings)]
+    initial = {
+        "ambient_dim": 2,
+        "divisors": [],
+        "strata": [{"subset": [], "class": PLANE_CLASS}],
+        "ambient_class": PLANE_CLASS,
+    }
+    return {"initial": initial, "steps": steps}
+
+
+class TestDerivedMultiplicityBound:
+    def test_twenty_crossings_pass(self, capsys, tmp_path):
+        path = tmp_path / "crossings.json"
+        path.write_text(json.dumps(crossing_program(20)))
+        assert main(["blowup", "run", "--program", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["final_system"]["divisors"][-1] == {"id": "exc21", "mu": 46367}
+
+    def test_a_crossing_past_the_bound_names_its_step(self, capsys, tmp_path):
+        path = tmp_path / "crossings.json"
+        path.write_text(json.dumps(crossing_program(21)))
+        assert main(["blowup", "run", "--program", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: step 22: fresh divisor 'exc22' multiplicity 75024"
+            " exceeds the input bound 65536\n"
+        )
+
+
+class TestOutputDigits:
+    def test_value_at_names_the_at_option(self, capsys):
+        assert main(["motivic", "eval", "L^65536", "--at", "2", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: the value at --at 2 has more than {limit} digits\n"
+
+    def test_weight_names_itself(self, capsys, surface_file, tmp_path):
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"strata": [{"subset": [1], "weight": "1e5000"}]}))
+        assert main(["cfun", "push", "--program", surface_file, "--function", str(fn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: weight '1e5000' has more than {limit} digits\n"

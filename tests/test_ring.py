@@ -1,3 +1,4 @@
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -310,6 +311,10 @@ sum_terms = st.lists(
 )
 
 
+# numerators of terms that share one denominator
+sum_numerators = st.lists(st.integers(-5, 5), max_size=10).map(LPolynomial)
+
+
 class TestOnePassSum:
     @settings(max_examples=150, deadline=None)
     @given(sum_terms)
@@ -321,6 +326,21 @@ class TestOnePassSum:
         for got in (MotivicClass.sum(terms), sum(terms, MotivicClass.zero())):
             assert got.num.coeffs == expected.num.coeffs
             assert got.den == expected.den
+
+    @settings(max_examples=150, deadline=None)
+    @given(sum_numerators, sum_numerators, sum_numerators, st.lists(st.integers(0, 3), max_size=4))
+    @example(LPolynomial((1, 2)), LPolynomial((3, 0, 1)), LPolynomial((0, 1)), [2, 1, 2])
+    @example(LPolynomial((1, 1)), LPolynomial((1, 1)), LPolynomial(()), [])
+    def test_shared_denominator_paths_equal_the_merge_route(self, p, q, r, den):
+        a, b, c = MotivicClass(p, den), MotivicClass(q, den), MotivicClass(r)
+
+        def fields(x):
+            return x.num.coeffs, x.den
+
+        assert fields(a + b) == fields(pairwise_add(a, b)) == fields(MotivicClass.sum((a, b)))
+        assert fields(a - b) == fields(pairwise_add(a, -b)) == fields(MotivicClass.sum((a, -b)))
+        assert fields(a * c) == fields(c * a) == fields(MotivicClass(p * r, den))
+        assert (a == b) is cross_equal(a, b) is (b == a) is (p == q)
 
     def test_empty_is_zero(self):
         total = MotivicClass.sum(())
@@ -374,6 +394,16 @@ class TestMergeTree:
         got = MotivicClass.sum(terms)
         assert got.num.coeffs == expected.num.coeffs
         assert got.den == expected.den
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_terms, st.lists(st.integers(0, 23), max_size=8))
+    def test_plus_minus_folds_over_shared_denominators(self, terms, picks):
+        # repeated picks put equal denominators side by side, on the direct paths
+        subs = [terms[i % len(terms)] for i in picks]
+        expected = reduce(pairwise_add, terms + [-t for t in subs], MotivicClass.zero())
+        got = reduce(operator.sub, subs, reduce(operator.add, terms, MotivicClass.zero()))
+        assert (got.num.coeffs, got.den) == (expected.num.coeffs, expected.den)
+        assert got - got == 0 and (got - expected).num.coeffs == ()
 
     @pytest.mark.parametrize("n", [2, 3, 33])
     def test_fixed_group_counts(self, n):

@@ -1,4 +1,5 @@
 import itertools
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -313,3 +314,72 @@ class TestSweep:
         for mus in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
             assert verify_simplex(FiberFrame(4, 3), mus)
             assert verify_simplexcor(FiberFrame(4, 3), mus)
+
+
+class TestSweepMemo:
+    def test_no_memo_outside_a_sweep(self):
+        assert strata._sweep_memo.get() is None
+        assert sweep_identities(4, 3, which="simplex").passed
+        assert strata._sweep_memo.get() is None
+        assert not sweep_identities(4, 3, which="simplexcor", mu0_offset=1).passed
+        assert strata._sweep_memo.get() is None
+
+    @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
+    def test_no_memo_after_an_identity_raises(self, which, monkeypatch):
+        real, calls = getattr(strata, IDENTITY_FUNCTION[which]), []
+
+        def raising(frame, mus, *, mu0_offset=0):
+            calls.append(strata._sweep_memo.get())
+            if len(calls) == 40:
+                raise RuntimeError("boom")
+            return real(frame, mus, mu0_offset=mu0_offset)
+
+        monkeypatch.setattr(strata, IDENTITY_FUNCTION[which], raising)
+        with pytest.raises(RuntimeError, match="boom"):
+            sweep_identities(5, 3, which=which)
+        assert strata._sweep_memo.get() is None
+        assert calls[0] is calls[-1] is not None and len(calls[-1]) > 1  # one memo per call
+
+    def test_memo_does_not_reach_another_thread(self, monkeypatch):
+        real, seen = strata.verify_simplex, []
+
+        def looking(frame, mus, *, mu0_offset=0):
+            if not seen:
+                worker = threading.Thread(target=lambda: seen.append(strata._sweep_memo.get()))
+                worker.start()
+                worker.join()
+            return real(frame, mus, mu0_offset=mu0_offset)
+
+        monkeypatch.setattr(strata, "verify_simplex", looking)
+        assert sweep_identities(3, 2, which="simplex").passed
+        assert seen == [None]
+
+    def test_memo_numerators_match_from_scratch(self, monkeypatch):
+        real, checked = strata.verify_simplex, []
+
+        def comparing(frame, mus, *, mu0_offset=0):
+            inside = _weighted_numerator(frame, mus)
+            token = strata._sweep_memo.set(None)
+            try:
+                assert inside == _weighted_numerator(frame, mus)
+            finally:
+                strata._sweep_memo.reset(token)
+            checked.append(mus)
+            return real(frame, mus, mu0_offset=mu0_offset)
+
+        monkeypatch.setattr(strata, "verify_simplex", comparing)
+        assert sweep_identities(6, 3, which="simplex").passed
+        assert len(checked) == sum(comb(3 + k, k) for d in range(1, 7) for k in range(d + 1))
+
+    def test_each_multiset_is_extended_once(self, monkeypatch):
+        # O(k) products per multiset, one step from its prefix, and none for a further d
+        calls, mul_projective = [], strata._mul_projective
+
+        def counting(c, mu):
+            calls.append(mu)
+            return mul_projective(c, mu)
+
+        monkeypatch.setattr(strata, "_mul_projective", counting)
+        d_max, mu_max = 7, 3
+        assert sweep_identities(d_max, mu_max, which="simplex").passed
+        assert len(calls) == sum(k * comb(mu_max + k, k) for k in range(d_max + 1))
