@@ -233,23 +233,23 @@ def _load_surface(args) -> tuple[SurfaceModel, str]:
 
 
 def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
-    """The checks of stage ``m``, with chi summed once per fiber locus.
+    """The checks of stage ``m``, all read from one arrangement and one weighted unit.
 
-    chi(full) is the open stratum (mask 0) plus the reduced fiber chis: exact, as the fibers
-    partition the other strata and chi is linear in the locus.
+    The unit's push-forward is 1 off the contracted points (the open stratum weighs 1)
+    and its fiber integral at each of them, the fiber Euler profile.  chi(full) is the
+    open stratum (mask 0) plus the reduced fiber chis: exact, as the fibers partition
+    the other strata and chi is linear in the locus.
     """
-    stage = surface.stage_model(m)
-    pushed = surface.pushforward(surface.stringy_class(m), m)
-    # the weighted unit pushed down; its values are the fiber Euler profiles
-    unit = cfun.pushforward(surface, cfun.weighted_unit(surface, m), m)
+    rel = surface.relative(m)
+    unit = rel.weighted_unit
+    pushed = surface.pushforward(surface._csm(rel, unit), m)
+    profiles_one = all(value == 1 for value in rel.fiber_integral(unit).values())
     checks = {
-        "pushforward_matches_chern": pushed == stage.chern_class(),
-        "unit_pushforward": unit.is_constant(1),
+        "pushforward_matches_chern": pushed == surface.stage_model(m).chern_class(),
+        "unit_pushforward": unit[()] == 1 and profiles_one,
     }
     if m == 0:
-        checks["fiber_profiles_one"] = all(
-            unit.value_at(anchor) == 1 for anchor in surface.relative(0).root_order
-        )
+        checks["fiber_profiles_one"] = profiles_one
     system, loci = surface.export_modification_system(m)
     fiber_chi = [system.chi(locus).reduced() for name, locus in loci.items() if name != "full"]
     chi_full = MotivicClass.sum([system.stratum(0)] + fiber_chi)

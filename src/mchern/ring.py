@@ -367,13 +367,32 @@ def _union_lacks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(sorted(a + tuple(lack_a))), lack_a, lack_b
 
 
+# a longer merged numerator cancels the [P^mu] that divide it; on shorter ones the
+# trial divisions cost more than the smaller numerators save
+_CANCEL_LENGTH = 64
+
+
 def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
-    """The sum of two (sorted denominator, numerator coefficients) fractions over their union."""
+    """The sum of two (sorted denominator, numerator coefficients) fractions over their union.
+
+    A long numerator drops each [P^mu] that divides it exactly, largest first; as
+    [P^mu](1) = mu + 1, a division is tried only when mu + 1 divides num(1), and not
+    again for an equal mu that failed.
+    """
     (da, na), (db, nb) = a, b
     union, lack_a, lack_b = _union_lacks(da, db)
     na = reduce(_mul_projective, lack_a, na)
     nb = reduce(_mul_projective, lack_b, nb)
-    return union, _add_coeffs(na, nb)
+    num = _add_coeffs(na, nb)
+    if len(num) <= _CANCEL_LENGTH:
+        return union, num
+    kept, at_one = [], sum(num)
+    for mu in reversed(union):
+        if kept[-1:] != [mu] and at_one % (mu + 1) == 0 and (quot := _div_projective(num, mu)) is not None:
+            num, at_one = quot, at_one // (mu + 1)
+        else:
+            kept.append(mu)
+    return tuple(reversed(kept)), num
 
 
 class MotivicClass:
@@ -445,9 +464,10 @@ class MotivicClass:
         Terms sharing a denominator are added first.  A merge of nA/DA and
         nB/DB gives (nA * prod(U - DA) + nB * prod(U - DB)) / U, where the
         union U keeps each mu at its top multiplicity; the cofactors are
-        multiplied in one [P^mu] at a time, so no full product is built and
-        nothing is divided.  The union is associative, so the result equals
-        a pairwise ``+`` fold's field for field.
+        multiplied in one [P^mu] at a time, so no full product is built.  A
+        merge with a long numerator cancels the [P^mu] that divide it (see
+        :func:`_merge`).  The result has the value and the ``to_json`` of a
+        pairwise ``+`` fold, but not always its fields.
         """
         nums: dict[tuple[int, ...], LPolynomial] = {}
         for t in terms:

@@ -62,41 +62,34 @@ def random_system(
 
 
 def random_center(rng: random.Random, system: ModificationSystem) -> Optional[BlowupCenter]:
-    """An admissible center with nonempty stratum data, or None if impossible."""
+    """An admissible center with nonempty stratum data, or None if impossible.
+
+    K0 is drawn among the subsets of at most d divisors that some stratum lies
+    on with at most n - d divisors besides, in the order of their sorted ids.
+    """
     n = system.ambient_dim
     d = rng.randint(1, n)
-    count = len(system.divisors)
     idents = system.idents
-
-    eligible_by_k0: dict[frozenset[str], list[frozenset[str]]] = {}
-    max_k0 = min(count, d)
-    for size in range(0, max_k0 + 1):
-        for combo in itertools.combinations(range(count), size):
-            k0 = frozenset(idents[i] for i in combo)
-            if eligible := _eligible_strata(system, k0, d):
-                eligible_by_k0[k0] = eligible
+    order = sorted(range(len(idents)), key=idents.__getitem__)
+    # one pass over the strata: each joins the list of every K0 it may contain, keyed by
+    # the K0's positions in id order, so the keys sort as their sorted ids do
+    eligible_by_k0: dict[tuple[int, ...], list[int]] = {}
+    for mask in sorted(system.strata):
+        on = [r for r, i in enumerate(order) if mask >> i & 1]
+        for size in range(max(len(on) - (n - d), 0), min(len(on), d) + 1):
+            for k0 in itertools.combinations(on, size):
+                eligible_by_k0.setdefault(k0, []).append(mask)
     if not eligible_by_k0:
         return None
-    k0 = rng.choice(sorted(eligible_by_k0, key=sorted))
+    k0 = rng.choice(sorted(eligible_by_k0))
 
-    eligible = eligible_by_k0[k0]
+    eligible = [frozenset(system.ids_of(mask)) for mask in eligible_by_k0[k0]]
     chosen = [key for key in eligible if rng.random() < 0.6] or [rng.choice(eligible)]
     center_strata = {
         key: random_class(rng, nonzero=True, max_degree=1) for key in chosen
     }
-    return BlowupCenter(codim=d, containing=k0, center_strata=center_strata)
-
-
-def _eligible_strata(
-    system: ModificationSystem, k0: frozenset[str], d: int
-) -> list[frozenset[str]]:
-    n = system.ambient_dim
-    k0_mask = system.mask_of(tuple(k0))
-    out = []
-    for mask in sorted(system.strata):
-        if mask & k0_mask == k0_mask and (mask & ~k0_mask).bit_count() <= n - d:
-            out.append(frozenset(system.ids_of(mask)))
-    return out
+    containing = frozenset(idents[order[r]] for r in k0)
+    return BlowupCenter(codim=d, containing=containing, center_strata=center_strata)
 
 
 def random_locus(

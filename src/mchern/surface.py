@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .modsys import MarkedLocus, ModificationSystem, json_int, json_object
+from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_object
 from .ring import LPolynomial, MotivicClass
 from .strata import discrepancy
 
@@ -254,11 +254,12 @@ class RelativeArrangement:
         ``weights`` is keyed as :meth:`keyed` returns it; the open stratum lies
         over no contracted point.
         """
-        totals = {root: Fraction(0) for root in self.root_order}
-        for key, value in weights.items():
+        den = lcm(*(w.denominator for w in weights.values()))  # summed in integers
+        totals = dict.fromkeys(self.root_order, 0)
+        for key, w in weights.items():
             if key:
-                totals[self.root(key)] += value * self.euler(key)
-        return totals
+                totals[self.root(key)] += self.euler(key) * w.numerator * (den // w.denominator)
+        return {root: Fraction(total, den) for root, total in totals.items()}
 
 
 class SurfaceModel:
@@ -355,7 +356,11 @@ class SurfaceModel:
         Integer arithmetic over one common denominator.
         """
         rel = self.relative(stage)
-        weights = rel.keyed(weights)
+        return self._csm(rel, rel.keyed(weights))
+
+    def _csm(self, rel: RelativeArrangement, weights: Mapping) -> ChowClass:
+        """:meth:`csm` on ``rel``'s stage, of weights keyed as ``rel.keyed`` would key them."""
+        stage = rel.stage
         den = lcm(*(w.denominator for w in weights.values()))
         num = {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
         f0 = num.pop((), 0)
@@ -374,7 +379,8 @@ class SurfaceModel:
 
     def stringy_class(self, relative_to: int = 0) -> ChowClass:
         """CSM class of the weighted unit: each stratum weighted by 1 / prod (mu_i + 1)."""
-        return self.csm(self.relative(relative_to).weighted_unit, relative_to)
+        rel = self.relative(relative_to)
+        return self._csm(rel, rel.weighted_unit)
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
@@ -412,9 +418,8 @@ class SurfaceModel:
         full surface, plus one fiber locus per contracted base point.
         """
         rel = self.relative(relative_to)
-        divisors = [(f"e{t}", rel.mus[t]) for t in rel.curves]
+        divisors = tuple(Divisor(f"e{t}", rel.mus[t]) for t in rel.curves)
         bit = {t: 1 << i for i, t in enumerate(rel.curves)}
-        mask = {key: sum(bit[t] for t in key) for key in rel.strata}
         # an open curve stratum is P^1 minus its crossings; a crossing is a point
         classes = {
             key: MotivicClass(LPolynomial((rel.euler(key) - 1, 1)))
@@ -423,23 +428,18 @@ class SurfaceModel:
             for key in rel.strata
         }
         ambient = self.class_of_stage(self.k)
+        # the open stratum keeps the L^2 of the ambient class, and no other class is zero
         strata = {0: ambient - MotivicClass.sum(classes.values())}
-        strata.update((mask[key], cls) for key, cls in classes.items())
+        fibers: dict[str, dict[int, MotivicClass]] = {root: {} for root in rel.root_order}
+        for key, cls in classes.items():
+            mask = sum(bit[t] for t in key)
+            strata[mask] = fibers[rel.root(key)][mask] = cls
 
-        system = ModificationSystem(
-            2,
-            divisors,
-            strata,
-            ambient_class=ambient,
-            label=f"plane blow-ups k={self.k}, stage {relative_to}",
-        )
-
+        label = f"plane blow-ups k={self.k}, stage {relative_to}"
+        index = {d.ident: i for i, d in enumerate(divisors)}
+        system = ModificationSystem._of(2, divisors, strata, ambient, label, index)
         loci = {"full": system.full_locus("full")}
-        for root in rel.root_order:
-            loci[root] = MarkedLocus(
-                root,
-                {mask[key]: cls for key, cls in classes.items() if rel.root(key) == root},
-            )
+        loci.update((root, MarkedLocus._of(root, fiber)) for root, fiber in fibers.items())
         return system, loci
 
     def __repr__(self) -> str:

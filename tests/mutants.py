@@ -252,6 +252,57 @@ MUTANTS = (
         "    if mu0 >= INPUT_BOUND:\n",
         ("tests/test_blowup.py::TestDerivedMultiplicityBound",),
     ),
+    Mutant(
+        "the merge-tree cancel keeps a divided [P^mu] in the union",
+        "src/mchern/ring.py",
+        "num, at_one = quot, at_one // (mu + 1)\n",
+        "num, at_one = quot, at_one // (mu + 1)\n            kept.append(mu)\n",
+        ("tests/test_ring.py::TestCancelInsideMerge", "tests/test_ring_sympy.py"),
+    ),
+    Mutant(
+        "the merge-tree cancel filters by num(1) mod mu, not mod mu + 1",
+        "src/mchern/ring.py",
+        "at_one % (mu + 1) == 0 and",
+        "at_one % mu == 0 and",
+        ("tests/test_ring.py::TestCancelInsideMerge",),
+    ),
+    Mutant(
+        "the merge-tree cancel tries again an equal mu that failed",
+        "src/mchern/ring.py",
+        "if kept[-1:] != [mu] and ",
+        "if ",
+        ("tests/test_ring.py::TestCancelInsideMerge",),
+    ),
+    Mutant(
+        "the fiber loci leave out the crossing points",
+        "src/mchern/surface.py",
+        "            strata[mask] = fibers[rel.root(key)][mask] = cls\n",
+        "            strata[mask] = cls\n"
+        "            if len(key) == 1:\n"
+        "                fibers[rel.root(key)][mask] = cls\n",
+        ("tests/test_surface.py::TestExport", "tests/test_surface.py::TestVerifyStage"),
+    ),
+    Mutant(
+        "the integer fiber integral drops the crossing points",
+        "src/mchern/surface.py",
+        "            if key:\n                totals[self.root(key)]",
+        "            if len(key) == 1:\n                totals[self.root(key)]",
+        ("tests/test_cfun.py",),
+    ),
+    Mutant(
+        "the integer fiber integral drops the Euler numbers",
+        "src/mchern/surface.py",
+        "+= self.euler(key) * w.numerator",
+        "+= w.numerator",
+        ("tests/test_cfun.py", "tests/test_surface.py::TestVerifyStage"),
+    ),
+    Mutant(
+        "random_center orders the K0 sets by divisor position, not by id",
+        "src/mchern/sampling.py",
+        "order = sorted(range(len(idents)), key=idents.__getitem__)",
+        "order = list(range(len(idents)))",
+        ("tests/test_sampling.py",),
+    ),
 )
 
 EQUIVALENT = (
@@ -262,6 +313,14 @@ EQUIVALENT = (
         "for r in range(step):",
         "a residue r >= n + 1 - step has at most one entry in q[r::step], "
         "and accumulate leaves a one-entry slice as it is",
+    ),
+    (
+        "a stratum's root is that of its last curve",
+        "src/mchern/surface.py",
+        "return self.roots[key[0]]",
+        "return self.roots[key[-1]]",
+        "two meeting curves lie over one point of the stage surface, so both curves "
+        "of a crossing have the same root",
     ),
 )
 

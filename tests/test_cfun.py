@@ -90,6 +90,46 @@ class TestPushforward:
                         assert base.value_at(root) == 0
 
 
+def fraction_fiber_integral(rel, weights):
+    """Per contracted point, weight times Euler number summed one Fraction at a time."""
+    totals = {root: Fraction(0) for root in rel.root_order}
+    for key, value in weights.items():
+        if key:
+            totals[rel.root(key)] += value * rel.euler(key)
+    return totals
+
+
+def random_weight(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(-rng.randint(1, 9))
+    if kind == 2:  # a large prime denominator
+        return Fraction(rng.randint(-50, 50), 2**61 - 1)
+    if kind == 3:
+        return Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**30))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+class TestIntegerFiberIntegral:
+    def test_equals_the_fraction_sum(self, corpus_surfaces):
+        rng = random.Random(11)
+        for s in corpus_surfaces[::3]:
+            for m in range(s.k + 1):
+                rel = s.relative(m)
+                weights = {key: random_weight(rng) for key in ((),) + rel.strata if rng.random() < 0.8}
+                got = rel.fiber_integral(weights)
+                assert got == fraction_fiber_integral(rel, weights)
+                assert list(got) == list(rel.root_order)
+                assert all(type(value) is Fraction for value in got.values())
+
+    def test_int_weights_and_no_weights(self):
+        rel = CHAIN.relative(0)
+        assert rel.fiber_integral({}) == {"p1": 0}
+        assert rel.fiber_integral({(1,): 2, (1, 3): -1, (): 5}) == {"p1": 2 * 1 - 1}
+
+
 class TestWeightedUnit:
     def test_plane(self):
         assert cfun.weighted_unit(SurfaceModel(), 0) == {(): 1}

@@ -1,4 +1,5 @@
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -435,6 +436,95 @@ def cross_equal(a, b):
     left = convolve(list(a.num.coeffs), dense_product((cb - ca).elements()))
     right = convolve(list(b.num.coeffs), dense_product((ca - cb).elements()))
     return left == right
+
+
+def long_terms(rng):
+    """3-8 terms with numerators of 65-120 coefficients over 1-3 factors each, the union
+    holding at least 3 distinct factors; most numerators are multiples of some of them."""
+    while True:
+        pool = rng.sample(range(1, 13), 5)
+        terms = []
+        for _ in range(rng.randint(3, 8)):
+            base = dense_product(mu for mu in pool if rng.random() < 0.5)
+            free = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(65, 120) - len(base) + 1)]
+            terms.append(MotivicClass(LPolynomial(convolve(free, base)), rng.sample(pool, rng.randint(1, 3))))
+        if len({mu for t in terms for mu in t.den}) >= 3:
+            return terms
+
+
+class TestCancelInsideMerge:
+    """Merges past 64 coefficients cancel factors: same value, not same fields."""
+
+    def test_equals_pairwise_fold_in_value_and_json(self):
+        rng = random.Random(21)
+        fewer = 0
+        for _ in range(120):
+            terms = long_terms(rng)
+            expected = reduce(pairwise_add, terms, MotivicClass.zero())
+            for got in (MotivicClass.sum(terms), reduce(operator.add, terms)):
+                assert cross_equal(got, expected) and got == expected
+                assert got.to_json() == expected.to_json()
+                assert Counter(got.den) <= Counter(expected.den)
+                assert_well_formed(got)
+                fewer += len(got.den) < len(expected.den)
+        assert fewer > 60
+
+    def test_a_merge_leaves_no_factor_that_divides(self):
+        # one merge past the threshold: every [P^mu] left fails to divide the numerator
+        rng = random.Random(22)
+        cancelled = 0
+        for _ in range(150):
+            a, b = long_terms(rng)[:2]
+            union = _union_lacks(a.den, b.den)[0]
+            if a.den == b.den:  # equal denominators add with no merge
+                continue
+            got = MotivicClass.sum((a, b))
+            assert got == pairwise_add(a, b)
+            assert all(_div_projective(list(got.num.coeffs), mu) is None for mu in got.den)
+            cancelled += len(got.den) < len(union)
+        assert cancelled > 20
+
+    def test_at_most_64_coefficients_nothing_cancels(self, monkeypatch):
+        def refuse(p, mu):
+            raise AssertionError("no division at or below the threshold")
+
+        monkeypatch.setattr(ring, "_div_projective", refuse)
+        short = [MotivicClass(LPolynomial([1] * 61), (1, 2)), MotivicClass(LPolynomial([1] * 61), (3,))]
+        assert MotivicClass.sum(short).den == (1, 2, 3)
+        assert len(MotivicClass.sum(short).num.coeffs) == 64
+
+    def test_two_factors_cancel_too(self):
+        # [P^2] divides L^70 [P^2] [P^5] + [P^2]; [P^5] does not divide what is left
+        two = [MotivicClass(LPolynomial.monomial(70) * dense_poly((2,)), (2,)), MotivicClass(1, (5,))]
+        assert MotivicClass.sum(two).den == (5,)
+        assert MotivicClass.sum(two) == MotivicClass(LPolynomial.monomial(70), ()) + MotivicClass(1, (5,))
+
+    def test_an_equal_mu_that_failed_is_not_tried_again(self, monkeypatch):
+        # num(1) = 3 * 6 + 27: the first [P^2] divides, the second fails, the third is kept
+        # untried; mu = 5 fails the num(1) filter
+        tried = []
+
+        def spy(p, mu):
+            tried.append(mu)
+            return _div_projective(p, mu)
+
+        terms = [MotivicClass(LPolynomial.monomial(70, 3), (2, 2, 2)), MotivicClass(1, (5,))]
+        expected = pairwise_add(*terms)
+        monkeypatch.setattr(ring, "_div_projective", spy)
+        got = MotivicClass.sum(terms)
+        assert tried == [2, 2]
+        assert got.den == (2, 2, 5) and got == expected and got.to_json() == expected.to_json()
+
+    def test_a_fiber_chi_stays_short(self):
+        # chi of a 60-curve chain fiber is 1; without cancelling, its numerator has
+        # about sum(mu) = 1830 coefficients by the root of the merge tree
+        from mchern.surface import GenericPoint, PointOnCurve, SurfaceModel
+
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 60)))
+        system, loci = chain.export_modification_system(0)
+        (fiber,) = (locus for name, locus in loci.items() if name != "full")
+        chi = system.chi(fiber)
+        assert chi == 1 and len(chi.num.coeffs) <= 2 * 64
 
 
 # sorted exponent tuples over a small range, so repeats on both sides are common

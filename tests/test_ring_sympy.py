@@ -57,6 +57,27 @@ def test_ring_operations_agree_with_sympy(seed):
 
 
 
+def long_term(rng: random.Random, pool: list[int]) -> MotivicClass:
+    """A numerator of 65-120 coefficients, often a multiple of factors in ``pool``, over 1-3 of them."""
+    shared = [mu for mu in pool if rng.random() < 0.5]
+    num = LPolynomial([rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(65, 120) - sum(shared))])
+    for mu in shared:
+        num = num * LPolynomial((1,) * (mu + 1))
+    return MotivicClass(num, rng.sample(pool, rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_long_sums_agree_with_sympy(seed):
+    # past 64 coefficients the merge tree cancels factors as it adds
+    rng = random.Random(200 + seed)
+    for _ in range(10):
+        pool = rng.sample(range(1, 13), 4)
+        terms = [long_term(rng, pool) for _ in range(rng.randint(3, 8))]
+        total = MotivicClass.sum(terms)
+        assert as_sympy(total) == sum(map(as_sympy, terms), K.zero)
+        assert as_sympy(total.reduced()) == as_sympy(total)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_lowest_terms_match_sympy_cancel(seed):
     rng = random.Random(100 + seed)

@@ -1,16 +1,20 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from corpus import (
     chow_point,
+    event_choices,
     final_transposition,
     order_swap_pairs,
     systems_isomorphic_under,
 )
+from mchern import cfun
 from mchern.blowup import BlowupCenter, BlowupProgram, run_program
 from mchern.cli import verify_surface_stage
-from mchern.modsys import ModificationSystem
+from mchern.modsys import MarkedLocus, ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass
 from mchern.surface import (
     ChowClass,
@@ -51,6 +55,71 @@ def curve_class(s, j):
 def anchors(s):
     """The base points over which the curves lie, in first-seen order."""
     return tuple(dict.fromkeys(s.relative(0).roots.values()))
+
+
+def random_tower(rng, k):
+    """k events: mostly a point on the newest curve, often its crossing, sometimes any event."""
+    s = SurfaceModel((GenericPoint(),))
+    while s.k < k:
+        crossings = [IntersectionPoint(*p) for p in s.meeting_pairs() if s.k in p]
+        roll = rng.random()
+        if roll < 0.5:
+            event = PointOnCurve(s.k)
+        elif roll < 0.8 and crossings:
+            event = rng.choice(crossings)
+        else:
+            event = rng.choice(event_choices(s))
+        s = s.apply_event(event)
+    return s
+
+
+def checked_export(s, m):
+    """The stage-m export rebuilt through the checking constructors, each fiber locus
+    found by a scan of every stratum."""
+    rel = s.relative(m)
+    bit = {t: 1 << i for i, t in enumerate(rel.curves)}
+    mask = {key: sum(bit[t] for t in key) for key in rel.strata}
+    classes = {
+        key: MotivicClass(LPolynomial((rel.euler(key) - 1, 1))) if len(key) == 1 else MotivicClass.one()
+        for key in rel.strata
+    }
+    ambient = s.class_of_stage(s.k)
+    strata = {0: ambient - MotivicClass.sum(classes.values())}
+    strata.update((mask[key], cls) for key, cls in classes.items())
+    system = ModificationSystem(
+        2,
+        [(f"e{t}", rel.mus[t]) for t in rel.curves],
+        strata,
+        ambient_class=ambient,
+        label=f"plane blow-ups k={s.k}, stage {m}",
+    )
+    loci = {"full": system.full_locus("full")}
+    for root in rel.root_order:
+        loci[root] = MarkedLocus(
+            root, {mask[key]: cls for key, cls in classes.items() if rel.root(key) == root}
+        )
+    return system, loci
+
+
+def reference_stage_checks(s, m):
+    """The checks of verify_surface_stage by the public route: the stringy class, the
+    weighted unit pushed forward by cfun, and the checked export."""
+    pushed = s.pushforward(s.stringy_class(m), m)
+    unit = cfun.pushforward(s, cfun.weighted_unit(s, m), m)
+    checks = {
+        "pushforward_matches_chern": pushed == s.stage_model(m).chern_class(),
+        "unit_pushforward": unit.is_constant(1),
+    }
+    if m == 0:
+        checks["fiber_profiles_one"] = all(unit.value_at(a) == 1 for a in s.relative(0).root_order)
+    system, loci = checked_export(s, m)
+    fiber_chi = [system.chi(locus).reduced() for name, locus in loci.items() if name != "full"]
+    chi_full = MotivicClass.sum([system.stratum(0)] + fiber_chi)
+    stage_class = s.class_of_stage(m)
+    checks["chi_matches_stage_class"] = chi_full == stage_class
+    checks["euler_chi"] = system.euler_chi(loci["full"]) == stage_class.euler_specialize()
+    checks["fiber_chi_one"] = all(chi == 1 for chi in fiber_chi)
+    return checks
 
 
 class TestChowClass:
@@ -298,6 +367,41 @@ class TestStringy:
         assert built == list(range(s.k + 1))
 
 
+class TestVerifyStage:
+    """verify_surface_stage gives the checks of the public route, in the same order."""
+
+    @staticmethod
+    def assert_same_checks(surfaces):
+        for s in surfaces:
+            for m in range(s.k + 1):
+                assert list(verify_surface_stage(s, m).items()) == list(
+                    reference_stage_checks(s, m).items()
+                )
+
+    def test_corpus(self, corpus_surfaces):
+        assert any(isinstance(e, IntersectionPoint) for s in corpus_surfaces for e in s.events)
+        self.assert_same_checks(corpus_surfaces)
+
+    def test_towers_with_crossings(self):
+        # long fibers, so the fiber chis cancel factors inside the merge tree
+        rng = random.Random(8)
+        self.assert_same_checks(random_tower(rng, k) for k in (12, 18, 24, 24))
+
+    @pytest.mark.parametrize(
+        "attr, wrong",
+        [
+            ("weight", lambda rel, key: Fraction(1, prod(rel.mus[j] + 2 for j in key))),
+            ("euler", lambda rel, key: 3 - rel.meets[key[0]] if len(key) == 1 else 1),
+        ],
+    )
+    def test_same_failures(self, monkeypatch, corpus_surfaces, attr, wrong):
+        monkeypatch.setattr(RelativeArrangement, attr, wrong)
+        surfaces = [s for s in corpus_surfaces[:150] if s.k]
+        for s in surfaces:
+            assert not all(verify_surface_stage(s, 0).values())
+        self.assert_same_checks(surfaces)
+
+
 class TestPushforward:
     def test_k1_recovers_plane_chern(self):
         s = SurfaceModel((GenericPoint(),))
@@ -355,6 +459,23 @@ class TestExport:
         engine = run_program(BlowupProgram(plane, (center,))).final
         exported, _ = SurfaceModel((GenericPoint(),)).export_modification_system(0)
         assert systems_isomorphic_under(exported, engine, {"e1": "exc0"})
+
+    def test_equals_the_checked_rebuild(self, corpus_surfaces):
+        rng = random.Random(3)
+        surfaces = corpus_surfaces[::5] + [random_tower(rng, k) for k in (14, 30)]
+        for s in surfaces:
+            for m in range(s.k + 1):
+                system, loci = s.export_modification_system(m)
+                rebuilt, rebuilt_loci = checked_export(s, m)
+                assert system.divisors == rebuilt.divisors
+                for ident in rebuilt.idents:
+                    assert system.mask_of(ident) == rebuilt.mask_of(ident)
+                assert (system.label, system.ambient_class) == (rebuilt.label, rebuilt.ambient_class)
+                assert list(system.strata.items()) == list(rebuilt.strata.items())
+                assert list(loci) == list(rebuilt_loci)
+                for name, locus in loci.items():
+                    assert locus.name == name
+                    assert list(locus.strata.items()) == list(rebuilt_loci[name].strata.items())
 
     def test_k0_trivial(self):
         system, loci = SurfaceModel().export_modification_system(0)
