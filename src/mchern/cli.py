@@ -285,7 +285,7 @@ def cmd_surface_verify(args) -> dict:
 def cmd_surface_report(args) -> dict:
     surface, digest = _load_surface(args)
     stringy = surface.stringy_class(0)
-    unit = cfun.pushforward(surface, cfun.weighted_unit(surface, 0), 0)
+    rel = surface.relative(0)
     rendered = stringy.to_json()  # pushforward to stage m keeps curves[: m + 1]
     results = {
         "events": events_to_json(surface.events)["events"],
@@ -299,7 +299,7 @@ def cmd_surface_report(args) -> dict:
             for m in range(surface.k + 1)
         },
         "fiber_profiles": {
-            anchor: str(unit.value_at(anchor)) for anchor in surface.relative(0).root_order
+            anchor: str(value) for anchor, value in rel.fiber_integral(rel.weighted_unit).items()
         },
     }
     return build_report("surface report", {"program": digest}, results, PASS)
@@ -339,7 +339,7 @@ def cmd_motivic_eval(args) -> dict:
     if args.euler:
         results["euler"] = decimal(value.euler_specialize(), "the value at L = 1")
     for q in args.at or ():
-        results[f"at_{q}"] = decimal(value.eval_at(q), f"the value at --at {q}")
+        results[f"at_{q}"] = value.decimal_at(q, f"the value at --at {q}")
     inputs = {"class": obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)}
     return build_report("motivic eval", inputs, results, PASS)
 

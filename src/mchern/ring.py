@@ -125,13 +125,7 @@ class LPolynomial:
     def __add__(self, other: "LPolynomial") -> "LPolynomial":
         if isinstance(other, int):
             other = LPolynomial.constant(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LPolynomial._of(out)
+        return LPolynomial._of(_plus(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -271,6 +265,12 @@ def projective_poly(mu: int) -> LPolynomial:
     return LPolynomial((1,) * (mu + 1))
 
 
+def _plus(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a + b as a new list; neither operand is written, as a sweep shares rows."""
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return [*map(add, a, b), *a[len(b) :]]
+
+
 def _mul_projective(c: Sequence[int], mu: int) -> list[int]:
     """Coefficients of c * [P^mu], a sliding-window sum: out[k] = c[k-mu] + ... + c[k]."""
     s = list(accumulate(c))
@@ -348,14 +348,6 @@ def _greedy_cover(num: list[int], phis: Counter) -> tuple[list[int], list[int]]:
     return num, cover
 
 
-def _add_coeffs(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of a + b, written into the longer of the two lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    a[: len(b)] = map(add, a, b)
-    return a
-
-
 def _union_lacks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
     """The max-multiplicity union of two sorted exponent tuples and what a and b each lack of it."""
     lack_a, lack_b = list(b), []  # each exponent of a cancels one equal exponent of b
@@ -372,26 +364,31 @@ def _union_lacks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...
 _CANCEL_LENGTH = 64
 
 
-def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
-    """The sum of two (sorted denominator, numerator coefficients) fractions over their union.
+def _cancel(num: list[int], mus: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Drop from num / prod [P^mu] (mus ascending) each [P^mu] dividing num, largest first.
 
-    A long numerator drops each [P^mu] that divides it exactly, largest first; as
-    [P^mu](1) = mu + 1, a division is tried only when mu + 1 divides num(1), and not
-    again for an equal mu that failed.
+    Returns the numerator and the mus kept, descending.  As [P^mu](1) = mu + 1, a
+    division is tried only when mu + 1 divides num(1), and not again for an equal mu
+    that failed: a [P^mu] that does not divide num divides no quotient of it either.
     """
-    (da, na), (db, nb) = a, b
-    union, lack_a, lack_b = _union_lacks(da, db)
-    na = reduce(_mul_projective, lack_a, na)
-    nb = reduce(_mul_projective, lack_b, nb)
-    num = _add_coeffs(na, nb)
-    if len(num) <= _CANCEL_LENGTH:
-        return union, num
     kept, at_one = [], sum(num)
-    for mu in reversed(union):
+    for mu in reversed(mus):
         if kept[-1:] != [mu] and at_one % (mu + 1) == 0 and (quot := _div_projective(num, mu)) is not None:
             num, at_one = quot, at_one // (mu + 1)
         else:
             kept.append(mu)
+    return num, kept
+
+
+def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
+    """The sum of two (sorted denominator, numerator coefficients) fractions over their union;
+    a long numerator goes through :func:`_cancel`."""
+    (da, na), (db, nb) = a, b
+    union, lack_a, lack_b = _union_lacks(da, db)
+    num = _plus(reduce(_mul_projective, lack_a, na), reduce(_mul_projective, lack_b, nb))
+    if len(num) <= _CANCEL_LENGTH:
+        return union, num
+    num, kept = _cancel(num, union)
     return tuple(reversed(kept)), num
 
 
@@ -549,22 +546,32 @@ class MotivicClass:
             den *= projective_poly(mu).evaluate(q)
         return Fraction(self.num.evaluate(q), den)
 
+    def decimal_at(self, q: int, what: str) -> str:
+        """``decimal(self.eval_at(q), what)``, refused before evaluating when degrees prove it too
+        long. As [P^mu](q) lies in [q^mu, 2 q^mu), and q > 2 max|c| gives q^n / 2 < |num(q)|
+        <= sum|c| q^n (n = deg num, so num(q) is not 0), for n > D = sum den the printed numerator exceeds
+        q^(n-D) / 2^(k+1), k = len den, and for D > n the printed denominator exceeds q^(D-n) / sum|c|."""
+        cs, n, big = [abs(c) for c in self.num.coeffs], self.num.degree, sum(self.den)
+        limit = sys.get_int_max_str_digits()
+        if limit and cs and q > 2 * max(cs):
+            log_q = q.bit_length() - 1  # bits: a lower bound on log2 of the printed part
+            if n > big:
+                bits = (n - big) * log_q - len(self.den) - 1
+            else:
+                bits = (big - n) * log_q - sum(cs).bit_length()
+            if bits >= (10**limit).bit_length():  # then 2^bits > 10^limit
+                raise ValueError(f"{what} has more than {limit} digits")
+        return decimal(self.eval_at(q), what)
+
     # -- reduction ----------------------------------------------------------
 
     def reduced(self) -> "MotivicClass":
         """The canonical form, so equal classes give equal fields.
 
-        Whole [P^mu] factors dividing the numerator go first, in O(n) each; only a
-        denominator left goes to :func:`_lowest_terms` and :func:`_greedy_cover`.
+        Whole [P^mu] factors dividing the numerator go first, through :func:`_cancel`;
+        only a denominator left goes to :func:`_lowest_terms` and :func:`_greedy_cover`.
         """
-        num = list(self.num.coeffs)
-        remaining: list[int] = []
-        for mu in sorted(self.den, reverse=True):
-            quot = _div_projective(num, mu)
-            if quot is None:
-                remaining.append(mu)
-            else:
-                num = quot
+        num, remaining = _cancel(list(self.num.coeffs), self.den)
         if remaining:
             num, remaining = _greedy_cover(*_lowest_terms(num, remaining))
         return MotivicClass._of(LPolynomial._of(num), tuple(reversed(remaining)))

@@ -31,10 +31,10 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
-from .ring import LPolynomial, MotivicClass, _mul_projective, projective_poly
+from .ring import LPolynomial, MotivicClass, _mul_projective, _plus, projective_poly
 
 
 def discrepancy(mus: Iterable[int], d: int) -> int:
@@ -72,12 +72,6 @@ def _extend(e: list[list[int]], mu: int) -> list[list[int]]:
     k + 1 linear products, into new lists only, since a sweep shares rows."""
     up = [_mul_projective(row, mu) for row in e]
     return [e[0], *map(_plus, e[1:], up), up[-1]]
-
-
-def _plus(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of a + b as a new list."""
-    a, b = (a, b) if len(a) >= len(b) else (b, a)
-    return [*map(add, a, b), *a[len(b) :]]
 
 
 def _tail(e: list[list[int]]) -> list[int]:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_object
+from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list, json_object
 from .ring import LPolynomial, MotivicClass
 from .strata import discrepancy
 
@@ -452,10 +452,7 @@ class SurfaceModel:
 def events_from_json(obj: Mapping) -> tuple[Event, ...]:
     events: list[Event] = []
     try:
-        entries = obj["events"]
-        if not isinstance(entries, list):
-            raise ValueError(f"events must be a list, got {type(entries).__name__}")
-        for entry in entries:
+        for entry in json_list(obj["events"], "events"):
             entry = json_object(entry, "event")
             kind = entry["type"]
             if kind == "generic":

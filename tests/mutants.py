@@ -172,11 +172,25 @@ MUTANTS = (
         ("tests/test_ring.py::TestCanonicalForm::test_a_product_of_projective_classes_is_its_own_form",),
     ),
     Mutant(
-        "the first pass of reduced skips one [P^mu]",
+        "the [P^mu] cancel loop skips the largest mu",
         "src/mchern/ring.py",
-        "for mu in sorted(self.den, reverse=True):",
-        "for mu in sorted(self.den, reverse=True)[1:]:",
-        ("tests/test_ring.py::TestCanonicalForm",),
+        "for mu in reversed(mus):",
+        "for mu in list(reversed(mus))[1:]:",
+        ("tests/test_ring.py::TestCanonicalForm", "tests/test_ring.py::TestCancelInsideMerge"),
+    ),
+    Mutant(
+        "_plus drops the longer operand's tail",
+        "src/mchern/ring.py",
+        "return [*map(add, a, b), *a[len(b) :]]",
+        "return [*map(add, a, b)]",
+        ("tests/test_ring.py::TestProjectiveKernels",),
+    ),
+    Mutant(
+        "surface report reads the fiber profiles off the top stage",
+        "src/mchern/cli.py",
+        "rel = surface.relative(0)",
+        "rel = surface.relative(surface.k)",
+        ("tests/test_cli.py::TestSurfaceCommands",),
     ),
     Mutant(
         "run_program drops the last nonzero chi delta",
@@ -253,21 +267,21 @@ MUTANTS = (
         ("tests/test_blowup.py::TestDerivedMultiplicityBound",),
     ),
     Mutant(
-        "the merge-tree cancel keeps a divided [P^mu] in the union",
+        "the [P^mu] cancel loop keeps a divided [P^mu]",
         "src/mchern/ring.py",
         "num, at_one = quot, at_one // (mu + 1)\n",
         "num, at_one = quot, at_one // (mu + 1)\n            kept.append(mu)\n",
         ("tests/test_ring.py::TestCancelInsideMerge", "tests/test_ring_sympy.py"),
     ),
     Mutant(
-        "the merge-tree cancel filters by num(1) mod mu, not mod mu + 1",
+        "the [P^mu] cancel loop filters by num(1) mod mu, not mod mu + 1",
         "src/mchern/ring.py",
         "at_one % (mu + 1) == 0 and",
         "at_one % mu == 0 and",
         ("tests/test_ring.py::TestCancelInsideMerge",),
     ),
     Mutant(
-        "the merge-tree cancel tries again an equal mu that failed",
+        "the [P^mu] cancel loop tries again an equal mu that failed",
         "src/mchern/ring.py",
         "if kept[-1:] != [mu] and ",
         "if ",

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchern import blowup, cli
+from mchern import blowup, cfun, cli
 from mchern.cli import main
 from mchern.modsys import Divisor
-from mchern.ring import MotivicClass, projective_poly
+from mchern.ring import LPolynomial, MotivicClass, projective_poly
 from mchern.sampling import attach_locus_rules, random_center, random_invariance_case
-from mchern.surface import SurfaceModel, events_from_json
+from mchern.surface import SurfaceModel, events_from_json, events_to_json
 
 PLANE_CLASS = {"numerator": "1 + L + L^2", "denominator": []}
 
@@ -403,6 +403,15 @@ class TestSurfaceCommands:
             str(m): surface.pushforward(stringy, m).to_json() for m in range(surface.k + 1)
         }
 
+    def test_report_fiber_profiles_equal_the_pushforward_route(self, capsys, tmp_path, corpus_surfaces):
+        path = tmp_path / "surface.json"
+        for surface in corpus_surfaces:
+            path.write_text(json.dumps(events_to_json(surface.events)))
+            assert main(["surface", "report", "--program", str(path), "--json"]) == 0
+            profiles = json.loads(capsys.readouterr().out)["results"]["fiber_profiles"]
+            unit = cfun.pushforward(surface, cfun.weighted_unit(surface, 0), 0)
+            assert profiles == {a: str(unit.value_at(a)) for a in surface.relative(0).root_order}
+
     def test_report_on_a_descending_pair(self, capsys, surface_file, tmp_path):
         # surface_file is the same program with the pair written as [1, 2]
         path = tmp_path / "descending.json"
@@ -711,6 +720,7 @@ MALFORMED = {
     "pair-three": ("surface", _with(SURFACE, ["events", 2, "pair"], [1, 2, 3])),
     "pair-one": ("surface", _with(SURFACE, ["events", 2, "pair"], [1])),
     "events-object": ("surface", _with(SURFACE, ["events"], {"type": "generic"})),
+    "events-empty-object": ("surface", _with(SURFACE, ["events"], {})),
     "cfun-duplicate": ("function", _with(FUNCTION, ["strata"], FUNCTION["strata"] * 2)),
     "cfun-repeated-id": ("function", _with(FUNCTION, ["strata", 0, "subset"], [1, 1])),
     "cfun-string-subset": ("function", _with(FUNCTION, ["strata", 0, "subset"], "1")),
@@ -1033,3 +1043,24 @@ class TestOutputDigits:
         assert captured.out == ""
         limit = sys.get_int_max_str_digits()
         assert captured.err == f"error: weight '1e5000' has more than {limit} digits\n"
+
+    @pytest.mark.parametrize(
+        "spec", ["L^65536", '{"numerator": "1", "denominator": [65536]}', "3 - L^4000"]
+    )
+    def test_degrees_refuse_before_evaluating(self, capsys, monkeypatch, spec):
+        def refuse(self, x):
+            raise AssertionError("the degrees alone prove the value too long")
+
+        monkeypatch.setattr(LPolynomial, "evaluate", refuse)
+        q = 10**20
+        assert main(["motivic", "eval", spec, "--at", str(q)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: the value at --at {q} has more than {limit} digits\n"
+
+    def test_a_value_that_vanishes_still_prints(self, capsys):
+        # D = 20000 > n = 1, but num(2) = 0, so no degree bound applies
+        spec = '{"numerator": "2 - L", "denominator": [20000]}'
+        assert main(["motivic", "eval", spec, "--at", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["at_2"] == "0"

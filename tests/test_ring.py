@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -17,6 +18,7 @@ from mchern.ring import (
     _div_projective,
     _mul_cyclotomic,
     _mul_projective,
+    _plus,
     _union_lacks,
     affine_class,
     bounded,
@@ -165,6 +167,43 @@ class TestSpecializations:
     def test_eval_at_is_ring_homomorphism(self, a, b, q):
         assert (a + b).eval_at(q) == a.eval_at(q) + b.eval_at(q)
         assert (a * b).eval_at(q) == a.eval_at(q) * b.eval_at(q)
+
+
+class TestDecimalAt:
+    def test_degrees_refuse_only_what_str_refuses(self, monkeypatch):
+        # a limit of 640 digits, Python's smallest, so every value here is cheap to compute
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        # numerators with a root among the q, where the value is 0 whatever the degrees
+        vanishing = [LPolynomial((2, -1)), LPolynomial((-1001, 1)), LPolynomial((0, -3, 1)) ** 450]
+        classes = [
+            MotivicClass(LPolynomial.monomial(n, c) + 2, den)
+            for n in range(0, 2400, 97) for c in (1, -5) for den in ((), (1, 3), (n // 2,))
+        ] + [MotivicClass(LPolynomial((c, 0, 1)), (mu, mu)) for mu in range(0, 1200, 61) for c in (0, 7)]
+        classes += [
+            MotivicClass(p, den) for p in vanishing for mu in range(0, 2400, 97) for den in ((mu,), (mu // 2, 1))
+        ]
+
+        class Evaluated(Exception):
+            pass
+
+        def evaluated(self, x):
+            raise Evaluated
+
+        refused = 0
+        for value in classes:
+            for q in (2, 3, 10, 12, 1001, 2**20 + 1):
+                exact = value.eval_at(q)
+                with monkeypatch.context() as m:
+                    m.setattr(LPolynomial, "evaluate", evaluated)
+                    try:
+                        value.decimal_at(q, "the value")
+                    except ValueError as err:
+                        refused += 1
+                        assert str(err) == "the value has more than 640 digits"
+                        assert max(abs(exact.numerator), exact.denominator) >= 10**640
+                    except Evaluated:
+                        pass
+        assert refused > 100
 
 
 class TestPolynomiality:
@@ -515,6 +554,26 @@ class TestCancelInsideMerge:
         assert tried == [2, 2]
         assert got.den == (2, 2, 5) and got == expected and got.to_json() == expected.to_json()
 
+    def test_reduced_tries_only_what_the_filter_lets_through(self, monkeypatch):
+        # num(1) = 3 over [P^1] [P^2]^2 [P^5]: 2 and 6 do not divide 3, so the first pass
+        # tries [P^2] alone, once, as 3 L^70 is no multiple of it; the Phi pass is not spied
+        value = MotivicClass(LPolynomial.monomial(70, 3), (1, 2, 2, 5))
+        expected = fields(value.reduced())
+        tried, lowest_terms = [], ring._lowest_terms
+
+        def spy(p, mu):
+            tried.append(mu)
+            return _div_projective(p, mu)
+
+        def unspied(num, mus):
+            monkeypatch.setattr(ring, "_div_projective", _div_projective)
+            return lowest_terms(num, mus)
+
+        monkeypatch.setattr(ring, "_div_projective", spy)
+        monkeypatch.setattr(ring, "_lowest_terms", unspied)
+        assert fields(value.reduced()) == expected
+        assert tried == [2]
+
     def test_a_fiber_chi_stays_short(self):
         # chi of a 60-curve chain fiber is 1; without cancelling, its numerator has
         # about sum(mu) = 1830 coefficients by the root of the merge tree
@@ -605,6 +664,17 @@ class TestProjectiveKernels:
         quot, rem = LPolynomial(p).divide_by_monic(projective_poly(mu))
         got = _div_projective(list(LPolynomial(p).coeffs), mu)
         assert got == (list(quot.coeffs) if rem.is_zero() else None)
+
+    @given(coeff_lists, coeff_lists)
+    @example([1, 2, 3], [-1, -2, -3])  # cancels to trailing zeros, which stay
+    @example([4], [0, 1, -4, 2])
+    def test_plus_is_a_new_elementwise_sum(self, a, b):
+        before = (list(a), list(b))
+        got = _plus(a, b)
+        n = max(len(a), len(b))
+        assert got == [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+        assert (a, b) == before and got is not a and got is not b
+        assert LPolynomial(a) + LPolynomial(b) == LPolynomial(got)
 
     def test_reduced_keeps_an_indivisible_factor(self):
         # [P^3] = [P^1] (1 + L^2) is not a multiple of [P^2] = 1 + L + L^2
