@@ -46,6 +46,7 @@ from .modsys import (
     json_bounded,
     json_list,
     json_object,
+    malformed,
     strata_from_json,
     strata_to_json,
     subset_from_json,
@@ -230,9 +231,16 @@ def blow_up(
     """Apply one blow-up, transforming the system and any marked loci.
 
     Only the center is checked; the results are built trusted, so a step costs what it
-    touches.  A fresh multiplicity above :data:`mchern.ring.INPUT_BOUND` is refused.
+    touches.  A fresh multiplicity above :data:`mchern.ring.INPUT_BOUND` is refused, and so
+    is a center on more than 16 divisors, as each center stratum writes 2^|K0| fresh strata.
     """
     k0_mask, center_strata = _center_masks(system, center)
+    k0_size = k0_mask.bit_count()
+    if 1 << k0_size > INPUT_BOUND:  # each center stratum writes 2^|K0| fresh strata
+        raise BlowupError(
+            f"center lies on {k0_size} divisors: 2^{k0_size} fresh strata per center stratum"
+            f" exceed the input bound {INPUT_BOUND}"
+        )
     loci = list(loci)
     locus_data = {
         locus.name: _locus_center_data(system, center, center_strata, locus)
@@ -249,7 +257,6 @@ def blow_up(
         raise BlowupError(f"fresh divisor id {fresh_id!r} already in use")
 
     d = center.codim
-    k0_size = k0_mask.bit_count()
     mu0 = discrepancy(system.mu_of_mask(k0_mask), d)
     if mu0 > INPUT_BOUND:
         raise BlowupError(
@@ -415,7 +422,7 @@ def run_program(program: BlowupProgram) -> ProgramResult:
 
 def center_from_json(obj: Mapping) -> BlowupCenter:
     obj = json_object(obj, "blow-up step")
-    try:
+    with malformed("blow-up step"):
         rules: dict[str, LocusRule] = {}
         for name, kind in json_object(obj.get("locus_defaults", {}), "locus_defaults").items():
             if kind == CONTAINS_CENTER:
@@ -433,8 +440,6 @@ def center_from_json(obj: Mapping) -> BlowupCenter:
             center_strata=strata_from_json(obj.get("center_strata", [])),
             locus_rules=rules,
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed blow-up step: {exc}") from exc
 
 
 def _by_sorted_ids(strata: Mapping[frozenset[str], MotivicClass]) -> list:
@@ -462,11 +467,9 @@ def center_to_json(center: BlowupCenter) -> dict:
 
 
 def program_from_json(obj: Mapping) -> BlowupProgram:
-    try:
+    with malformed("program object"):
         system, loci = system_from_json(obj["initial"])
         steps = tuple(map(center_from_json, json_list(obj.get("steps", []), "steps")))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed program object: {exc}") from exc
     return BlowupProgram(system, steps, loci)
 
 

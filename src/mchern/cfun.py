@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .modsys import strata_from_json, strata_to_json
+from .modsys import malformed, strata_from_json, strata_to_json
 from .ring import bounded, decimal
 from .surface import SurfaceModel
 
@@ -91,10 +91,8 @@ def _weight_from_json(value) -> Fraction:
 
 def function_from_json(obj: Mapping) -> dict[frozenset, Fraction]:
     """The decoded ``{subset: weight}`` mapping, zero weights included."""
-    try:
+    with malformed("function object"):
         return strata_from_json(obj["strata"], "weight", _weight_from_json, int)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed function object: {exc}") from exc
 
 
 def function_to_json(f: Mapping) -> dict:

@@ -347,11 +347,6 @@ def cmd_motivic_eval(args) -> dict:
 # -- plumbing --------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--timings", action="store_true", help="attach wall-clock timings")
-
-
 @functools.cache  # built on first use; ``run`` names a cmd_* function, looked up per call
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -360,59 +355,51 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(group, name: str, run: str, *, program: bool = False) -> argparse.ArgumentParser:
+        """A subcommand running ``run``, with the flags every command takes."""
+        cmd = group.add_parser(name)
+        cmd.set_defaults(run=run)
+        if program:
+            cmd.add_argument("--program", "--scenario")
+        cmd.add_argument("--json", action="store_true", help="emit a JSON report")
+        cmd.add_argument("--timings", action="store_true", help="attach wall-clock timings")
+        return cmd
+
     verify = sub.add_parser("verify", help="identity sweeps")
     vsub = verify.add_subparsers(dest="identity", required=True)
     for name in ("simplex", "simplexcor"):
-        vp = vsub.add_parser(name)
-        vp.set_defaults(run="cmd_verify_identity")
+        vp = command(vsub, name, "cmd_verify_identity")
         vp.add_argument("--d-max", type=int, default=6)
         vp.add_argument("--mu-max", type=int, default=4)
         vp.add_argument("--mu0-offset", type=int, default=0)
-        _add_common(vp)
-    vinv = vsub.add_parser("invariance")
-    vinv.set_defaults(run="cmd_verify_invariance")
+    vinv = command(vsub, "invariance", "cmd_verify_invariance")
     vinv.add_argument("--count", type=int, default=200)
     vinv.add_argument("--seed", type=int, default=None)
     vinv.add_argument("--max-divisors", type=int, default=8)
-    _add_common(vinv)
 
     blowup = sub.add_parser("blowup", help="run blow-up programs")
     bsub = blowup.add_subparsers(dest="action", required=True)
-    brun = bsub.add_parser("run")
-    brun.set_defaults(run="cmd_blowup_run")
-    brun.add_argument("--program", "--scenario")
+    brun = command(bsub, "run", "cmd_blowup_run", program=True)
     brun.add_argument("--emit-snapshots", action="store_true")
-    _add_common(brun)
 
     surf = sub.add_parser("surface", help="plane blow-up surfaces")
     ssub = surf.add_subparsers(dest="action", required=True)
-    sver = ssub.add_parser("verify-main")
-    sver.set_defaults(run="cmd_surface_verify")
-    sver.add_argument("--program", "--scenario")
+    sver = command(ssub, "verify-main", "cmd_surface_verify", program=True)
     sver.add_argument("--stage", type=int, default=None)
-    _add_common(sver)
-    srep = ssub.add_parser("report")
-    srep.set_defaults(run="cmd_surface_report")
-    srep.add_argument("--program", "--scenario")
-    _add_common(srep)
+    command(ssub, "report", "cmd_surface_report", program=True)
 
     cf = sub.add_parser("cfun", help="constructible functions")
     csub = cf.add_subparsers(dest="action", required=True)
-    cpush = csub.add_parser("push")
-    cpush.set_defaults(run="cmd_cfun_push")
-    cpush.add_argument("--program", "--scenario")
+    cpush = command(csub, "push", "cmd_cfun_push", program=True)
     cpush.add_argument("--function", required=True)
     cpush.add_argument("--stage", type=int, default=None)
-    _add_common(cpush)
 
     mot = sub.add_parser("motivic", help="evaluate classes")
     msub = mot.add_subparsers(dest="action", required=True)
-    meval = msub.add_parser("eval")
-    meval.set_defaults(run="cmd_motivic_eval")
+    meval = command(msub, "eval", "cmd_motivic_eval")
     meval.add_argument("class_spec", help="class JSON, bare polynomial, or @file")
     meval.add_argument("--at", type=int, action="append")
     meval.add_argument("--euler", action="store_true")
-    _add_common(meval)
 
     return parser
 

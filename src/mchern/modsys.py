@@ -21,6 +21,7 @@ lists of distinct ids, and no subset may be listed twice.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -220,6 +221,15 @@ def _as_mask(key: SubsetKey, index: Mapping[str, int], count: int) -> int:
 # -- JSON wire format ----------------------------------------------------------
 
 
+@contextmanager
+def malformed(what: str):
+    """Turn a KeyError or TypeError of a decoder into one input error, ``malformed <what>: ...``."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer; bools, floats and strings are rejected."""
     if type(value) is not int:
@@ -305,7 +315,7 @@ def system_to_json(
 
 def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, MarkedLocus]]:
     obj = json_object(obj, "system")
-    try:
+    with malformed("system object"):
         divisors = []
         for entry in json_list(obj.get("divisors", []), "divisors"):
             entry = json_object(entry, "divisor")
@@ -325,6 +335,4 @@ def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, Marked
                 raise ValueError(f"duplicate locus {name!r}")
             strata = strata_from_json(entry.get("strata", []))
             loci[name] = MarkedLocus(name, {system.mask_of(k): v for k, v in strata.items()})
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed system object: {exc}") from exc
     return system, loci

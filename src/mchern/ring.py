@@ -23,7 +23,10 @@ and one cyclotomic ``Phi_d``, a quotient of such factors, in O(n) per factor.
 
 Decoders here and in the other modules reject an exponent, multiplicity or
 dimension above :data:`INPUT_BOUND`, and so does a blow-up for the
-multiplicity it derives, so a small input cannot exhaust memory.
+multiplicity it derives.  A blow-up center on more than 16 divisors (2^|K0|
+fresh strata per center stratum) and a random system on more than
+:data:`mchern.sampling.MAX_DIVISORS` divisors are refused too, so a small
+input cannot exhaust memory.
 
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
@@ -530,21 +533,20 @@ class MotivicClass:
 
     # -- specializations ----------------------------------------------------
 
+    def _at(self, q: int) -> Fraction:
+        """The exact value at L = q >= 1: num(q) / prod [P^mu](q), where [P^mu](1) = mu + 1."""
+        den = prod(mu + 1 if q == 1 else projective_poly(mu).evaluate(q) for mu in self.den)
+        return Fraction(self.num.evaluate(q), den)
+
     def euler_specialize(self) -> Fraction:
         """Evaluation at L = 1; on [X] this is the Euler characteristic."""
-        den = 1
-        for mu in self.den:
-            den *= mu + 1
-        return Fraction(self.num.evaluate(1), den)
+        return self._at(1)
 
     def eval_at(self, q: int) -> Fraction:
         """Exact value at L = q for an integer q >= 2 (point-count style)."""
         if not isinstance(q, int) or q <= 1:
             raise ValueError("eval_at requires an integer q >= 2")
-        den = 1
-        for mu in self.den:
-            den *= projective_poly(mu).evaluate(q)
-        return Fraction(self.num.evaluate(q), den)
+        return self._at(q)
 
     def decimal_at(self, q: int, what: str) -> str:
         """``decimal(self.eval_at(q), what)``, refused before evaluating when degrees prove it too

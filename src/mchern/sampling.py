@@ -17,6 +17,8 @@ from .blowup import BlowupCenter, LocusRule
 from .modsys import MarkedLocus, ModificationSystem
 from .ring import LPolynomial, MotivicClass
 
+MAX_DIVISORS = 32  # a draw lists every subset of at most 4 divisors: 41 448 at 32, 1.7e8 at 256
+
 
 def random_polynomial(rng: random.Random, max_degree: int = 2, max_coeff: int = 3) -> LPolynomial:
     degree = rng.randint(0, max_degree)
@@ -37,15 +39,14 @@ def random_class(
     return MotivicClass(poly)
 
 
-def random_system(
-    rng: random.Random,
-    *,
-    max_divisors: int = 8,
-    max_mu: int = 4,
-) -> ModificationSystem:
+def random_system(rng: random.Random, *, max_divisors: int = 8) -> ModificationSystem:
+    """A system on up to ``max_divisors`` divisors of multiplicity 0..4; past
+    :data:`MAX_DIVISORS` an input error, raised before any draw."""
+    if max_divisors > MAX_DIVISORS:
+        raise ValueError(f"max_divisors {max_divisors} exceeds the cap {MAX_DIVISORS}")
     ambient_dim = rng.randint(2, 4)
     count = rng.randint(0, max_divisors)
-    divisors = [(f"d{i}", rng.randint(0, max_mu)) for i in range(count)]
+    divisors = [(f"d{i}", rng.randint(0, 4)) for i in range(count)]
     strata: dict[tuple[str, ...], MotivicClass] = {
         (): random_class(rng, nonzero=True)
     }
@@ -123,15 +124,13 @@ def attach_locus_rules(
     return BlowupCenter(center.codim, center.containing, dict(center.center_strata), rules)
 
 
-def random_invariance_case(
-    rng: random.Random, *, max_divisors: int = 8, locus_count: int = 2
-):
-    """(system, center, loci) ready for verify_invariance, retrying until valid."""
+def random_invariance_case(rng: random.Random, *, max_divisors: int = 8):
+    """(system, center, two loci) ready for verify_invariance, retrying until valid."""
     while True:
         system = random_system(rng, max_divisors=max_divisors)
         center = random_center(rng, system)
         if center is None:
             continue
-        loci = [random_locus(rng, system, f"T{i}") for i in range(locus_count)]
+        loci = [random_locus(rng, system, f"T{i}") for i in range(2)]
         center = attach_locus_rules(rng, center, loci, system)
         return system, center, loci

@@ -99,16 +99,13 @@ def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
 
     Group j is [H_(k-j)] * e_j([P^mu_1], ..., [P^mu_k]), so the sum is
     L^(d-k) * sum_{j>=1} (L-1)^(j-1) e_j + [P^(d-k-1)]; its two parts occupy
-    disjoint degrees.  Inside a sweep the first comes from its memo, built
-    once per multiset; outside one, from scratch in O(k^2) products.
+    disjoint degrees.  The first comes from the sweep's memo, built once per
+    multiset; outside a sweep, from a fresh memo in O(k^2) products.
     """
     if len(mus) != frame.k:
         raise ValueError(f"expected {frame.k} multiplicities, got {len(mus)}")
     memo = _sweep_memo.get()
-    if memo is None:
-        tail = _tail(reduce(_extend, mus, [[1]]))
-    else:
-        tail = _rows_and_tail(tuple(mus), memo)[1]
+    tail = _rows_and_tail(tuple(mus), {} if memo is None else memo)[1]
     return LPolynomial._of([1] * (frame.d - frame.k) + tail)
 
 

@@ -20,7 +20,7 @@ center (:func:`mchern.strata.discrepancy` at codimension 2), and the
 original base point each curve lies over.
 
 Everything downstream is linear in the Chow group: total Chern classes, the
-one CSM route :meth:`SurfaceModel.csm` for rational functions on arrangement
+one CSM route :meth:`SurfaceModel._csm` for rational functions on arrangement
 strata (the weighted stratum class is that of the weighted unit, and its
 push-forwards recover the Chern classes of every intermediate stage), and
 the exporter producing the matching :class:`~mchern.modsys.ModificationSystem`.
@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list, json_object
+from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list, json_object, malformed
 from .ring import LPolynomial, MotivicClass
 from .strata import discrepancy
 
@@ -116,25 +117,18 @@ class ChowClass:
         self.curves = tuple(curves)
         self.points = points
 
-    def _check(self, other: "ChowClass"):
+    def _zip(self, other: "ChowClass", op) -> "ChowClass":
+        """``op`` coordinate by coordinate; both classes must live on one surface."""
         if len(self.curves) != len(other.curves):
             raise ValueError("Chow classes live on different surfaces")
+        curves = tuple(map(op, self.curves, other.curves))
+        return ChowClass(op(self.top, other.top), curves, op(self.points, other.points))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._check(other)
-        return ChowClass(
-            self.top + other.top,
-            tuple(a + b for a, b in zip(self.curves, other.curves)),
-            self.points + other.points,
-        )
+        return self._zip(other, add)
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
-        self._check(other)
-        return ChowClass(
-            self.top - other.top,
-            tuple(a - b for a, b in zip(self.curves, other.curves)),
-            self.points - other.points,
-        )
+        return self._zip(other, sub)
 
     def __rmul__(self, factor) -> "ChowClass":
         f = Fraction(factor)
@@ -302,10 +296,14 @@ class SurfaceModel:
     def apply_event(self, event: Event) -> "SurfaceModel":
         return SurfaceModel(self.events + (event,))
 
-    def stage_model(self, m: int) -> "SurfaceModel":
+    def _stage(self, m: int) -> int:
+        """``m`` if it names a stage of this surface, 0..k; else a ValueError."""
         if not 0 <= m <= self.k:
             raise ValueError(f"stage {m} out of range 0..{self.k}")
-        return SurfaceModel(self.events[:m])
+        return m
+
+    def stage_model(self, m: int) -> "SurfaceModel":
+        return SurfaceModel(self.events[: self._stage(m)])
 
     # -- Chow classes -------------------------------------------------------------
 
@@ -317,9 +315,7 @@ class SurfaceModel:
         """The arrangement down to ``stage``; the last one is kept and shared, so never mutate it."""
         if (last := self._last_relative) is not None and last.stage == stage:
             return last
-        if not 0 <= stage <= self.k:
-            raise ValueError(f"stage {stage} out of range 0..{self.k}")
-        curves = tuple(range(stage + 1, self.k + 1))
+        curves = tuple(range(self._stage(stage) + 1, self.k + 1))
         mus: dict[int, int] = {}
         roots: dict[int, str] = {}
         # the n-th generic point of the whole program is the base point p<n>
@@ -384,11 +380,10 @@ class SurfaceModel:
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
-        if not 0 <= to_stage <= self.k:
-            raise ValueError(f"stage {to_stage} out of range 0..{self.k}")
+        stage = self._stage(to_stage)
         if len(cls.curves) != self.k + 1:
             raise ValueError("class does not live on this surface")
-        return ChowClass(cls.top, cls.curves[: to_stage + 1], cls.points)
+        return ChowClass(cls.top, cls.curves[: stage + 1], cls.points)
 
     # -- Euler-level fiber data ------------------------------------------------------
 
@@ -405,9 +400,7 @@ class SurfaceModel:
 
     def class_of_stage(self, m: int) -> MotivicClass:
         """Grothendieck-ring class of the stage-m surface: L^2 + (m+1)L + 1."""
-        if not 0 <= m <= self.k:
-            raise ValueError(f"stage {m} out of range 0..{self.k}")
-        return MotivicClass(LPolynomial((1, m + 1, 1)))
+        return MotivicClass(LPolynomial((1, self._stage(m) + 1, 1)))
 
     def export_modification_system(
         self, relative_to: int = 0
@@ -451,7 +444,7 @@ class SurfaceModel:
 
 def events_from_json(obj: Mapping) -> tuple[Event, ...]:
     events: list[Event] = []
-    try:
+    with malformed("surface program"):
         for entry in json_list(obj["events"], "events"):
             entry = json_object(entry, "event")
             kind = entry["type"]
@@ -467,8 +460,6 @@ def events_from_json(obj: Mapping) -> tuple[Event, ...]:
                 events.append(IntersectionPoint(json_int(a, "pair"), json_int(b, "pair")))
             else:
                 raise ValueError(f"unknown event type {kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"malformed surface program: {exc}") from exc
     return tuple(events)
 
 

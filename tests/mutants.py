@@ -317,6 +317,27 @@ MUTANTS = (
         "order = list(range(len(idents)))",
         ("tests/test_sampling.py",),
     ),
+    Mutant(
+        "the stage rule accepts m < k only",
+        "src/mchern/surface.py",
+        "if not 0 <= m <= self.k:",
+        "if not 0 <= m < self.k:",
+        ("tests/test_surface.py",),
+    ),
+    Mutant(
+        "the divisor cap refuses 32",
+        "src/mchern/sampling.py",
+        "if max_divisors > MAX_DIVISORS:",
+        "if max_divisors >= MAX_DIVISORS:",
+        ("tests/test_cli.py::TestSizeBounds",),
+    ),
+    Mutant(
+        "blow_up drops the bound on the divisors through a center",
+        "src/mchern/blowup.py",
+        "    if 1 << k0_size > INPUT_BOUND:",
+        "    if False:",
+        ("tests/test_blowup.py::TestCenterDivisorBound", "tests/test_cli.py::TestSizeBounds"),
+    ),
 )
 
 EQUIVALENT = (

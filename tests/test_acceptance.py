@@ -52,7 +52,7 @@ def test_acceptance_03_randomized_blowup_invariance():
     rng = random.Random(SEED)
     ok = True
     for _ in range(200):
-        system, center, loci = random_invariance_case(rng, max_divisors=8, locus_count=2)
+        system, center, loci = random_invariance_case(rng, max_divisors=8)
         ok = ok and verify_invariance(system, center, loci)
         result = blow_up(system, center)
         diff = step_difference(system.strata, result.system.strata)

@@ -586,3 +586,30 @@ class TestDerivedMultiplicityBound:
         program = BlowupProgram(self.one_divisor(INPUT_BOUND), centers)
         with pytest.raises(BlowupError, match="^step 1: fresh divisor 'exc2'"):
             run_program(program)
+
+
+def all_divisors_program(count):
+    """``count`` divisors meeting in one stratum, and a center on all of them."""
+    ids = [f"d{i}" for i in range(count)]
+    system = ModificationSystem(count, [(i, 0) for i in ids], {(): PLANE, tuple(ids): MotivicClass.one()})
+    everything = frozenset(ids)
+    center = BlowupCenter(count, everything, {everything: MotivicClass.one()})
+    return system, center
+
+
+class TestCenterDivisorBound:
+    def test_a_center_on_16_divisors_is_blown_up(self):
+        system, center = all_divisors_program(16)
+        result = blow_up(system, center)
+        # the open stratum, and the fresh divisor on each proper subset of K0: on all of K0
+        # the fiber class is [P^(d - |K0| - 1)] = [P^-1] = 0
+        assert len(result.system.strata) == 2**16
+
+    def test_a_center_on_17_divisors_is_refused(self):
+        system, center = all_divisors_program(17)
+        with pytest.raises(BlowupError) as info:
+            blow_up(system, center)
+        assert str(info.value) == (
+            "center lies on 17 divisors: 2^17 fresh strata per center stratum"
+            " exceed the input bound 65536"
+        )

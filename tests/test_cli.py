@@ -1027,6 +1027,39 @@ class TestDerivedMultiplicityBound:
         )
 
 
+class TestSizeBounds:
+    def test_more_than_32_divisors_exit_2(self, capsys):
+        assert main(["verify", "invariance", "--max-divisors", "33"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_divisors 33 exceeds the cap 32\n"
+
+    def test_32_divisors_pass(self, capsys):
+        assert main(["verify", "invariance", "--max-divisors", "32", "--count", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["max_divisors"] == 32
+
+    def test_a_center_on_17_divisors_names_its_step(self, capsys, tmp_path):
+        ids = [f"d{i}" for i in range(17)]
+        on_all = [{"subset": ids, "class": "1"}]
+        program = {
+            "initial": {
+                "ambient_dim": 17,
+                "divisors": [{"id": i, "mu": 0} for i in ids],
+                "strata": [{"subset": [], "class": "1 + L"}] + on_all,
+            },
+            "steps": [{"codim": 17, "containing": ids, "center_strata": on_all}],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(program))
+        assert main(["blowup", "run", "--program", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: step 0: center lies on 17 divisors: 2^17 fresh strata per center stratum"
+            " exceed the input bound 65536\n"
+        )
+
+
 class TestOutputDigits:
     def test_value_at_names_the_at_option(self, capsys):
         assert main(["motivic", "eval", "L^65536", "--at", "2", "--json"]) == 2

@@ -10,9 +10,11 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from mchern.blowup import blow_up, center_to_json
 from mchern.modsys import system_to_json
-from mchern.sampling import random_center, random_invariance_case
+from mchern.sampling import random_center, random_invariance_case, random_system
 
 SEEDS = (1, 7, 12345, 2**31 - 5)
 MAX_DIVISORS = (2, 5, 8, 12)
@@ -55,3 +57,16 @@ def test_centers_on_grown_systems_are_pinned():
             digest.update(json.dumps(center_to_json(center), sort_keys=True).encode())
     assert digest.hexdigest() == GROWN_SHA256
 
+
+class NoDraws:
+    """An RNG whose every method fails, so a test sees that nothing was drawn."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with rng.{name}")
+
+
+@pytest.mark.parametrize("draw", [random_system, random_invariance_case])
+def test_more_than_32_divisors_are_refused_before_any_draw(draw):
+    with pytest.raises(ValueError) as info:
+        draw(NoDraws(), max_divisors=33)
+    assert str(info.value) == "max_divisors 33 exceeds the cap 32"

@@ -215,6 +215,22 @@ class TestFunctionJson:
             cfun.function_from_json({"strata": [{"subset": [1]}]})
 
 
+@pytest.mark.parametrize(
+    "decode, what, key",
+    [
+        (system_from_json, "system object", "ambient_dim"),
+        (center_from_json, "blow-up step", "codim"),
+        (program_from_json, "program object", "initial"),
+        (events_from_json, "surface program", "events"),
+        (cfun.function_from_json, "function object", "strata"),
+    ],
+)
+def test_a_missing_key_names_its_decoder_and_the_key(decode, what, key):
+    with pytest.raises(ValueError) as info:
+        decode({})
+    assert str(info.value) == f"malformed {what}: '{key}'"
+
+
 def _wire(obj):
     return json.loads(json.dumps(obj))
 

@@ -148,6 +148,25 @@ class TestChowClass:
         assert repr(ints) == repr(fractions)
 
 
+@pytest.mark.parametrize("stage", [-1, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, m: s.stage_model(m),
+        lambda s, m: s.relative(m),
+        lambda s, m: s.pushforward(s.chern_class(), m),
+        lambda s, m: s.class_of_stage(m),
+    ],
+    ids=["stage_model", "relative", "pushforward", "class_of_stage"],
+)
+def test_a_stage_outside_0_to_k_is_refused(call, stage):
+    surface = SurfaceModel(CHAIN3)
+    surface.relative(3)  # a kept arrangement must not let another stage through
+    with pytest.raises(ValueError) as info:
+        call(surface, stage)
+    assert str(info.value) == f"stage {stage} out of range 0..3"
+
+
 class TestEvents:
     def test_three_step_chain(self):
         s = SurfaceModel(CHAIN3)
