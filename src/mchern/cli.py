@@ -27,9 +27,9 @@ from . import cfun
 from .blowup import audited_step, program_from_json, run_program
 from .modsys import system_to_json
 from .ring import MotivicClass, decimal
-from .sampling import random_invariance_case
+from .sampling import capped, random_invariance_case
 from .strata import sweep_identities
-from .surface import SurfaceModel, events_from_json, events_to_json, swap_last_two
+from .surface import SurfaceModel, events_from_json, events_to_json, over_common_denominator, swap_last_two
 
 DEFAULT_SEED = 101
 
@@ -172,7 +172,7 @@ def cmd_verify_identity(args) -> dict:
 
 def cmd_verify_invariance(args) -> dict:
     count = _bound(args.count, "count")
-    max_divisors = _bound(args.max_divisors, "max_divisors")
+    max_divisors = capped(_bound(args.max_divisors, "max_divisors"))  # before any draw
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     rng = random.Random(seed)
     failures = []
@@ -233,7 +233,7 @@ def _load_surface(args) -> tuple[SurfaceModel, str]:
 
 
 def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
-    """The checks of stage ``m``, all read from one arrangement and one weighted unit.
+    """The checks of stage ``m``, all read from one arrangement and one weighted unit in integers.
 
     The unit's push-forward is 1 off the contracted points (the open stratum weighs 1)
     and its fiber integral at each of them, the fiber Euler profile.  chi(full) is the
@@ -241,12 +241,12 @@ def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
     the other strata and chi is linear in the locus.
     """
     rel = surface.relative(m)
-    unit = rel.weighted_unit
-    pushed = surface.pushforward(surface._csm(rel, unit), m)
-    profiles_one = all(value == 1 for value in rel.fiber_integral(unit).values())
+    den, unit = over_common_denominator(rel.weighted_unit)
+    pushed = surface.pushforward(surface._csm(rel, den, unit), m)
+    profiles_one = all(total == den for total in rel.fiber_totals(unit).values())
     checks = {
-        "pushforward_matches_chern": pushed == surface.stage_model(m).chern_class(),
-        "unit_pushforward": unit[()] == 1 and profiles_one,
+        "pushforward_matches_chern": pushed == surface.chern_class(m),
+        "unit_pushforward": unit[()] == den and profiles_one,
     }
     if m == 0:
         checks["fiber_profiles_one"] = profiles_one

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .ring import MotivicClass, bounded
+from .ring import LPolynomial, MotivicClass, _fold, bounded
 
 SubsetKey = Union[int, str, Iterable[str]]
 
@@ -175,12 +175,12 @@ class ModificationSystem:
 
     def chi(self, locus: MarkedLocus) -> MotivicClass:
         """Weighted stratum sum; with the full locus this is the base class."""
-        # a mu = 0 divisor weighs [P^0] = 1, which is no denominator factor.  Any order gives
-        # the same value; in mask order, merge-tree neighbours share divisors, which is cheaper.
-        return MotivicClass.sum(
-            MotivicClass._of(cls.num, tuple(sorted(filter(None, cls.den + self.mu_of_mask(mask)))))
+        # [P^0] = 1 is no factor; in mask order, which is creation order, the partial sums telescope
+        den, num = _fold(
+            (tuple(sorted(filter(None, cls.den + self.mu_of_mask(mask)))), cls.num.coeffs)
             for mask, cls in sorted(locus.strata.items())
         )
+        return MotivicClass._of(LPolynomial._of(num), den)
 
     def euler_chi(self, locus: MarkedLocus) -> Fraction:
         """Euler-specialized functional: the weights [P^mu] become mu + 1."""

@@ -13,20 +13,14 @@ exponents.  Equality is decided by cross-multiplication.
 printing use: the fraction in lowest terms over the cyclotomic factors
 Phi_d of the [P^mu], so equal classes print equal text.
 
-:meth:`MotivicClass.sum` adds many classes by a balanced pairwise merge
-tree over their denominators, scaling each side by the factors it lacks;
-``+`` goes through it, and ``==`` cross-multiplies by the same lacks.  On one
-shared denominator ``+``, ``-`` and ``==`` act on the numerators alone in
-O(n), as does ``*`` by a polynomial, with the fields the merge would give.  One
-``[P^mu]`` multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``,
-and one cyclotomic ``Phi_d``, a quotient of such factors, in O(n) per factor.
+:meth:`MotivicClass.sum` is a left fold of ``+``, scaling each side of a merge by
+the factors it lacks, and ``==`` cross-multiplies by the same lacks.  One ``[P^mu]``
+multiplies or exactly divides in O(n), by ``(L-1)[P^mu] = L^(mu+1) - 1``, and one
+cyclotomic ``Phi_d``, a quotient of such factors, in O(n) per factor.
 
 Decoders here and in the other modules reject an exponent, multiplicity or
-dimension above :data:`INPUT_BOUND`, and so does a blow-up for the
-multiplicity it derives.  A blow-up center on more than 16 divisors (2^|K0|
-fresh strata per center stratum) and a random system on more than
-:data:`mchern.sampling.MAX_DIVISORS` divisors are refused too, so a small
-input cannot exhaust memory.
+dimension above :data:`INPUT_BOUND`, and so does a blow-up for the multiplicity
+it derives; the README lists the other size caps.
 
 Coefficients are Python integers, hence arbitrary precision.  All values
 are immutable and all operations are pure functions, so instances can be
@@ -40,10 +34,10 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import prod
 from operator import add, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 INPUT_BOUND = 2**16  # largest exponent, multiplicity or dimension an input may give
 
@@ -173,11 +167,23 @@ class LPolynomial:
         return result
 
     def evaluate(self, x):
-        """Evaluate by Horner's rule; exact for int or Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The exact value at an int or Fraction ``x``: Horner's rule up to 16 coefficients.  A
+        longer polynomial is cut into blocks of 16, each evaluated so, and neighbouring blocks
+        join in halves, ``low + x^m * high``, by one shared power x^m per level: the products
+        stay balanced, so the cost is subquadratic in the degree, not quadratic as Horner's."""
+        cs, m = self.coeffs, 16
+        if len(cs) <= m:
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * x + c
+            return acc
+        values = [LPolynomial._of(list(cs[i : i + m])).evaluate(x) for i in range(0, len(cs), m)]
+        power = x**m
+        while len(values) > 1:
+            pairs = zip_longest(values[::2], values[1::2], fillvalue=0)
+            values = [low + power * high for low, high in pairs]
+            power *= power
+        return values[0]
 
     def divide_by_monic(self, divisor: "LPolynomial") -> tuple["LPolynomial", "LPolynomial"]:
         """Long division by a monic divisor; returns (quotient, remainder)."""
@@ -384,8 +390,7 @@ def _cancel(num: list[int], mus: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
-    """The sum of two (sorted denominator, numerator coefficients) fractions over their union;
-    a long numerator goes through :func:`_cancel`."""
+    """The sum of two (sorted denominator, numerator) pairs over their union; see :func:`_cancel`."""
     (da, na), (db, nb) = a, b
     union, lack_a, lack_b = _union_lacks(da, db)
     num = _plus(reduce(_mul_projective, lack_a, na), reduce(_mul_projective, lack_b, nb))
@@ -393,6 +398,17 @@ def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
         return union, num
     num, kept = _cancel(num, union)
     return tuple(reversed(kept)), num
+
+
+def _fold(pairs: Iterator[tuple[tuple[int, ...], Sequence[int]]]) -> tuple[tuple[int, ...], Sequence[int]]:
+    """The sum of (sorted denominator, trimmed numerator) pairs folded left as ``+`` folds them:
+    an equal denominator adds the numerators, another merges; each partial sum is trimmed."""
+    den, num = next(pairs, ((), ()))
+    for d, n in pairs:
+        den, num = (den, _plus(num, n)) if d == den else _merge((den, num), (d, n))
+        while num and num[-1] == 0:
+            num.pop()
+    return den, num
 
 
 class MotivicClass:
@@ -459,27 +475,11 @@ class MotivicClass:
 
     @classmethod
     def sum(cls, terms: Iterable["MotivicClass"]) -> "MotivicClass":
-        """Add ``terms`` by a balanced pairwise merge tree over their denominators.
-
-        Terms sharing a denominator are added first.  A merge of nA/DA and
-        nB/DB gives (nA * prod(U - DA) + nB * prod(U - DB)) / U, where the
-        union U keeps each mu at its top multiplicity; the cofactors are
-        multiplied in one [P^mu] at a time, so no full product is built.  A
-        merge with a long numerator cancels the [P^mu] that divide it (see
-        :func:`_merge`).  The result has the value and the ``to_json`` of a
-        pairwise ``+`` fold, but not always its fields.
-        """
-        nums: dict[tuple[int, ...], LPolynomial] = {}
-        for t in terms:
-            nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
-        if len(nums) == 1:
-            ((den, num),) = nums.items()
-            return cls._of(num, den)
-        level = [(den, list(num.coeffs)) for den, num in nums.items()]
-        while len(level) > 1:
-            merged = [_merge(a, b) for a, b in zip(level[::2], level[1::2])]
-            level = merged + level[len(merged) * 2 :]
-        den, num = level[0] if level else ((), [])
+        """Add ``terms`` by the left fold :func:`_fold`, in input order: the result equals
+        ``functools.reduce(operator.add, terms)`` field for field.  A merge nA/DA + nB/DB is
+        (nA * prod(U - DA) + nB * prod(U - DB)) / U, the union U keeping each mu at its top
+        multiplicity, with the cofactors multiplied in one [P^mu] at a time."""
+        den, num = _fold((t.den, t.num.coeffs) for t in terms)
         return cls._of(LPolynomial._of(num), den)
 
     def __add__(self, other) -> "MotivicClass":

@@ -20,6 +20,13 @@ from .ring import LPolynomial, MotivicClass
 MAX_DIVISORS = 32  # a draw lists every subset of at most 4 divisors: 41 448 at 32, 1.7e8 at 256
 
 
+def capped(max_divisors: int) -> int:
+    """``max_divisors`` if it is at most :data:`MAX_DIVISORS`, else an input error."""
+    if max_divisors > MAX_DIVISORS:
+        raise ValueError(f"max_divisors {max_divisors} exceeds the cap {MAX_DIVISORS}")
+    return max_divisors
+
+
 def random_polynomial(rng: random.Random, max_degree: int = 2, max_coeff: int = 3) -> LPolynomial:
     degree = rng.randint(0, max_degree)
     coeffs = [rng.randint(0, max_coeff) for _ in range(degree + 1)]
@@ -42,8 +49,7 @@ def random_class(
 def random_system(rng: random.Random, *, max_divisors: int = 8) -> ModificationSystem:
     """A system on up to ``max_divisors`` divisors of multiplicity 0..4; past
     :data:`MAX_DIVISORS` an input error, raised before any draw."""
-    if max_divisors > MAX_DIVISORS:
-        raise ValueError(f"max_divisors {max_divisors} exceeds the cap {MAX_DIVISORS}")
+    capped(max_divisors)
     ambient_dim = rng.randint(2, 4)
     count = rng.randint(0, max_divisors)
     divisors = [(f"d{i}", rng.randint(0, 4)) for i in range(count)]

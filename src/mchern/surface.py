@@ -243,17 +243,24 @@ class RelativeArrangement:
         return out
 
     def fiber_integral(self, weights: Mapping[tuple[int, ...], Fraction]) -> dict[str, Fraction]:
-        """Per contracted point, the sum of weight times Euler number over its fiber.
+        """Per contracted point, the sum of weight times Euler number over its fiber; ``weights``
+        is keyed as :meth:`keyed` returns it, and the open stratum lies over no contracted point."""
+        den, nums = over_common_denominator(weights)
+        return {root: Fraction(total, den) for root, total in self.fiber_totals(nums).items()}
 
-        ``weights`` is keyed as :meth:`keyed` returns it; the open stratum lies
-        over no contracted point.
-        """
-        den = lcm(*(w.denominator for w in weights.values()))  # summed in integers
+    def fiber_totals(self, nums: Mapping[tuple[int, ...], int]) -> dict[str, int]:
+        """:meth:`fiber_integral` of integer weights, such as those over a common denominator."""
         totals = dict.fromkeys(self.root_order, 0)
-        for key, w in weights.items():
+        for key, w in nums.items():
             if key:
-                totals[self.root(key)] += self.euler(key) * w.numerator * (den // w.denominator)
-        return {root: Fraction(total, den) for root, total in totals.items()}
+                totals[self.root(key)] += self.euler(key) * w
+        return totals
+
+
+def over_common_denominator(weights: Mapping) -> tuple[int, dict]:
+    """``(den, {key: w * den})``: int or Fraction weights over their least common denominator."""
+    den = lcm(*(w.denominator for w in weights.values()))
+    return den, {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
 
 
 class SurfaceModel:
@@ -277,7 +284,7 @@ class SurfaceModel:
             pairs.update((j, k + 1) for j in center)
             through.append(center)
         self._through: tuple[tuple[int, ...], ...] = tuple(through)
-        self._pairs: frozenset[tuple[int, int]] = frozenset(pairs)
+        self._pairs: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
         self._last_relative: Optional[RelativeArrangement] = None
 
     @property
@@ -289,7 +296,7 @@ class SurfaceModel:
         return tuple(self.relative(0).mus.values())
 
     def meeting_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._pairs))
+        return self._pairs
 
     # -- construction -----------------------------------------------------------
 
@@ -307,9 +314,10 @@ class SurfaceModel:
 
     # -- Chow classes -------------------------------------------------------------
 
-    def chern_class(self) -> ChowClass:
-        """[Z] + c_1 + c_2 with c_1 = 3h - sum e_i and c_2 = (3 + k)[pt]."""
-        return ChowClass(1, (3,) + (-1,) * self.k, 3 + self.k)
+    def chern_class(self, stage: Optional[int] = None) -> ChowClass:
+        """[Z] + c_1 + c_2 of stage m (default k): c_1 = 3h - sum e_i and c_2 = (3 + m)[pt]."""
+        m = self.k if stage is None else self._stage(stage)
+        return ChowClass(1, (3,) + (-1,) * m, 3 + m)
 
     def relative(self, stage: int) -> RelativeArrangement:
         """The arrangement down to ``stage``; the last one is kept and shared, so never mutate it."""
@@ -331,7 +339,7 @@ class SurfaceModel:
             else:
                 root = f"q{t}"
             roots[t] = root
-        pairs = tuple(p for p in self.meeting_pairs() if p[0] > stage)
+        pairs = tuple(p for p in self._pairs if p[0] > stage)
         meets = {t: 0 for t in curves}
         for a, b in pairs:
             meets[a] += 1
@@ -352,20 +360,17 @@ class SurfaceModel:
         Integer arithmetic over one common denominator.
         """
         rel = self.relative(stage)
-        return self._csm(rel, rel.keyed(weights))
+        return self._csm(rel, *over_common_denominator(rel.keyed(weights)))
 
-    def _csm(self, rel: RelativeArrangement, weights: Mapping) -> ChowClass:
-        """:meth:`csm` on ``rel``'s stage, of weights keyed as ``rel.keyed`` would key them."""
-        stage = rel.stage
-        den = lcm(*(w.denominator for w in weights.values()))
-        num = {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
-        f0 = num.pop((), 0)
-        excess = {key: num.get(key, 0) - f0 for key in rel.strata}
+    def _csm(self, rel: RelativeArrangement, den: int, nums: Mapping) -> ChowClass:
+        """:meth:`csm` on ``rel``'s stage of the weights ``nums[key] / den``, keyed as ``keyed`` keys."""
+        f0 = nums.get((), 0)
+        excess = {key: nums.get(key, 0) - f0 for key in rel.strata}
         chern = self.chern_class()  # integral
         top = f0 * chern.top
         curves = [f0 * c for c in chern.curves]
-        for s, through in enumerate(self._through, start=1):
-            curves[s] += excess.get((s,), 0) - sum(excess[(t,)] for t in through if t > stage)
+        for s in rel.curves:  # a curve up to the stage is no stratum and lies on none of them
+            curves[s] += excess[(s,)] - sum(excess[(t,)] for t in self._through[s - 1] if t > rel.stage)
         pt = f0 * chern.points + sum(w * rel.euler(key) for key, w in excess.items())
         return ChowClass(Fraction(top, den), [Fraction(c, den) for c in curves], Fraction(pt, den))
 
@@ -376,7 +381,7 @@ class SurfaceModel:
     def stringy_class(self, relative_to: int = 0) -> ChowClass:
         """CSM class of the weighted unit: each stratum weighted by 1 / prod (mu_i + 1)."""
         rel = self.relative(relative_to)
-        return self._csm(rel, rel.weighted_unit)
+        return self._csm(rel, *over_common_denominator(rel.weighted_unit))
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
@@ -413,25 +418,25 @@ class SurfaceModel:
         rel = self.relative(relative_to)
         divisors = tuple(Divisor(f"e{t}", rel.mus[t]) for t in rel.curves)
         bit = {t: 1 << i for i, t in enumerate(rel.curves)}
-        # an open curve stratum is P^1 minus its crossings; a crossing is a point
-        classes = {
-            key: MotivicClass(LPolynomial((rel.euler(key) - 1, 1)))
-            if len(key) == 1
-            else MotivicClass.one()
-            for key in rel.strata
-        }
+        # an open curve stratum is P^1 less its crossings, L + e - 1 for Euler number e
+        eulers = {(t,): rel.euler((t,)) for t in rel.curves}
+        curve_class = {e: MotivicClass._of(LPolynomial._of([e - 1, 1]), ()) for e in set(eulers.values())}
         ambient = self.class_of_stage(self.k)
-        # the open stratum keeps the L^2 of the ambient class, and no other class is zero
-        strata = {0: ambient - MotivicClass.sum(classes.values())}
+        # the open stratum, the ambient class less all of those, keeps its L^2, so no class is zero
+        excess = sum(eulers.values()) - len(eulers) + len(rel.pairs)
+        strata = {0: MotivicClass._of(LPolynomial._of([1 - excess, self.k + 1 - len(eulers), 1]), ())}
         fibers: dict[str, dict[int, MotivicClass]] = {root: {} for root in rel.root_order}
-        for key, cls in classes.items():
-            mask = sum(bit[t] for t in key)
-            strata[mask] = fibers[rel.root(key)][mask] = cls
+        for key, e in eulers.items():
+            strata[bit[key[0]]] = fibers[rel.root(key)][bit[key[0]]] = curve_class[e]
+        point = MotivicClass.one()  # a crossing
+        for key in rel.pairs:
+            mask = bit[key[0]] | bit[key[1]]
+            strata[mask] = fibers[rel.root(key)][mask] = point
 
         label = f"plane blow-ups k={self.k}, stage {relative_to}"
         index = {d.ident: i for i, d in enumerate(divisors)}
         system = ModificationSystem._of(2, divisors, strata, ambient, label, index)
-        loci = {"full": system.full_locus("full")}
+        loci = {"full": MarkedLocus._of("full", dict(strata))}
         loci.update((root, MarkedLocus._of(root, fiber)) for root, fiber in fibers.items())
         return system, loci
 

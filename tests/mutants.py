@@ -290,10 +290,8 @@ MUTANTS = (
     Mutant(
         "the fiber loci leave out the crossing points",
         "src/mchern/surface.py",
-        "            strata[mask] = fibers[rel.root(key)][mask] = cls\n",
-        "            strata[mask] = cls\n"
-        "            if len(key) == 1:\n"
-        "                fibers[rel.root(key)][mask] = cls\n",
+        "            strata[mask] = fibers[rel.root(key)][mask] = point\n",
+        "            strata[mask] = point\n",
         ("tests/test_surface.py::TestExport", "tests/test_surface.py::TestVerifyStage"),
     ),
     Mutant(
@@ -306,9 +304,44 @@ MUTANTS = (
     Mutant(
         "the integer fiber integral drops the Euler numbers",
         "src/mchern/surface.py",
-        "+= self.euler(key) * w.numerator",
-        "+= w.numerator",
+        "+= self.euler(key) * w\n",
+        "+= w\n",
         ("tests/test_cfun.py", "tests/test_surface.py::TestVerifyStage"),
+    ),
+    Mutant(
+        "the open stratum's L coefficient is off by one",
+        "src/mchern/surface.py",
+        "self.k + 1 - len(eulers)",
+        "self.k - len(eulers)",
+        ("tests/test_surface.py::TestExport", "tests/test_surface.py::TestVerifyStage"),
+    ),
+    Mutant(
+        "the shared integer unit is not scaled to its common denominator",
+        "src/mchern/surface.py",
+        "{key: w.numerator * (den // w.denominator) for",
+        "{key: w.numerator for",
+        ("tests/test_surface.py::TestVerifyStage", "tests/test_cfun.py"),
+    ),
+    Mutant(
+        "the fold drops its last term",
+        "src/mchern/ring.py",
+        "    for d, n in pairs:\n",
+        "    for d, n in list(pairs)[:-1]:\n",
+        ("tests/test_ring.py::TestOnePassSum", "tests/test_ring.py::TestLeftFold"),
+    ),
+    Mutant(
+        "verify invariance checks the divisor cap only when it draws",
+        "src/mchern/cli.py",
+        'capped(_bound(args.max_divisors, "max_divisors"))',
+        '_bound(args.max_divisors, "max_divisors")',
+        ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
+    ),
+    Mutant(
+        "evaluate joins the blocks of a level with the previous level's power",
+        "src/mchern/ring.py",
+        "            power *= power\n",
+        "            power *= x\n",
+        ("tests/test_ring.py::TestLPolynomial",),
     ),
     Mutant(
         "random_center orders the K0 sets by divisor position, not by id",

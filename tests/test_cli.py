@@ -759,6 +759,7 @@ MALFORMED = {
     "loci-object": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "loci"], {})),
     "count-negative": ("invariance", ["--count", "-5"]),
     "max-divisors-negative": ("invariance", ["--max-divisors", "-1"]),
+    "max-divisors-past-cap": ("invariance", ["--count", "0", "--max-divisors", "1000000"]),
     # each of these once ran out of memory (exit 3) or for seconds
     "bound-L-exponent": ("motivic", "L^1000000000000"),
     "bound-denominator": ("motivic", {"numerator": "1", "denominator": [100000000]}),
@@ -803,8 +804,11 @@ def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if kind == "invariance":
-        bound = "count" if "count" in str(payload) else "max_divisors"
-        assert f"sweep bound {bound} must be nonnegative" in err
+        assert {
+            "count-negative": "sweep bound count must be nonnegative",
+            "max-divisors-negative": "sweep bound max_divisors must be nonnegative",
+            "max-divisors-past-cap": "max_divisors 1000000 exceeds the cap 32",  # with no case drawn
+        }[case] in err
     if kind == "surface" or case.startswith(("steps-", "divisor", "loci-")):
         # each of these cases is named after the field it breaks
         assert case.split("-")[0] in err

@@ -39,6 +39,14 @@ def convolve(a, b):
     return out
 
 
+def horner(coeffs, x):
+    """Horner's rule, the reference value of a coefficient sequence at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 lpolys = st.lists(st.integers(-9, 9), max_size=5).map(LPolynomial)
 classes = st.builds(
     MotivicClass, lpolys, st.lists(st.integers(1, 4), max_size=3).map(tuple)
@@ -78,6 +86,19 @@ class TestLPolynomial:
         p = LPolynomial((1, -2, 1))
         assert p.evaluate(1) == 0
         assert p.evaluate(Fraction(1, 2)) == Fraction(1, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), max_size=140),
+        st.one_of(st.integers(-70000, 70000), st.fractions(max_denominator=10**4)),
+    )
+    @example([1] + [0] * 99 + [1], 65536)
+    @example([7] * 33, Fraction(-3, 2))
+    @example([], Fraction(1, 3))
+    def test_evaluate_equals_horner(self, coeffs, x):
+        p = LPolynomial(coeffs)
+        got, expected = p.evaluate(x), horner(p.coeffs, x)
+        assert got == expected and type(got) is type(expected)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -405,8 +426,8 @@ class TestOnePassSum:
         assert total.eval_at(2) == Fraction(3 * 2**12, 3) + Fraction(1, 7) + 2**7
 
 
-# 7 to 24 distinct denominators, so a merge tree has at least four levels and
-# odd leftovers; repeated mu and zero numerators included
+# 7 to 24 distinct denominators, so the left fold merges six to 23 times;
+# repeated mu and zero numerators included
 tree_terms = st.lists(
     st.builds(
         MotivicClass,
@@ -584,6 +605,69 @@ class TestCancelInsideMerge:
         (fiber,) = (locus for name, locus in loci.items() if name != "full")
         chi = system.chi(fiber)
         assert chi == 1 and len(chi.num.coeffs) <= 2 * 64
+
+
+# numerators of up to 90 coefficients over up to four factors, repeats included, so
+# partial sums pass 64 coefficients; equal denominators fall side by side and apart
+fold_terms = st.lists(
+    st.builds(
+        MotivicClass,
+        st.lists(st.integers(-3, 3), max_size=90).map(LPolynomial),
+        st.lists(st.integers(0, 12), max_size=4),
+    ),
+    max_size=10,
+)
+
+
+def fold_fields(terms):
+    """The fields of reduce(operator.add, terms), and of zero for no terms."""
+    total = reduce(operator.add, terms) if terms else MotivicClass.zero()
+    return total.num.coeffs, total.den
+
+
+class TestLeftFold:
+    """The contract of MotivicClass.sum: the left fold of ``+``, field for field."""
+
+    @staticmethod
+    def assert_every_prefix(terms):
+        for n in range(len(terms) + 1):
+            got = MotivicClass.sum(terms[:n])
+            assert (got.num.coeffs, got.den) == fold_fields(terms[:n])
+
+    @settings(max_examples=100, deadline=None)
+    @given(fold_terms)
+    def test_equals_the_plus_fold(self, terms):
+        self.assert_every_prefix(terms)
+
+    def test_equals_the_plus_fold_where_merges_cancel(self):
+        # numerators that are multiples of their factors, so merges past 64 coefficients
+        # cancel some; a term repeated apart and side by side
+        rng = random.Random(24)
+        shorter = 0
+        for _ in range(60):
+            terms = long_terms(rng)
+            terms += [terms[0], terms[0], MotivicClass(3, terms[-1].den)]
+            self.assert_every_prefix(terms)
+            union = reduce(lambda u, t: _union_lacks(u, t.den)[0], terms, ())
+            shorter += len(MotivicClass.sum(terms).den) < len(union)
+        assert shorter > 30
+
+    def test_a_chain_fiber_telescopes(self):
+        # chi's terms in mask order: the fold equals the + fold, and its partial sums
+        # stay short, as each merge past 64 coefficients cancels what divides it
+        from mchern.surface import GenericPoint, PointOnCurve, SurfaceModel
+
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 60)))
+        system, loci = chain.export_modification_system(0)
+        (fiber,) = (locus for name, locus in loci.items() if name != "full")
+        terms = [
+            MotivicClass(cls.num, cls.den + system.mu_of_mask(mask))
+            for mask, cls in sorted(fiber.strata.items())
+        ]
+        self.assert_every_prefix(terms)
+        assert all(len(MotivicClass.sum(terms[:n]).num.coeffs) <= 2 * 64 for n in range(len(terms) + 1))
+        chi = system.chi(fiber)
+        assert (chi.num.coeffs, chi.den) == fold_fields(terms) and chi == 1
 
 
 # sorted exponent tuples over a small range, so repeats on both sides are common

@@ -11,11 +11,11 @@ from corpus import (
     order_swap_pairs,
     systems_isomorphic_under,
 )
-from mchern import cfun
+from mchern import cfun, ring
 from mchern.blowup import BlowupCenter, BlowupProgram, run_program
 from mchern.cli import verify_surface_stage
 from mchern.modsys import MarkedLocus, ModificationSystem
-from mchern.ring import LPolynomial, MotivicClass
+from mchern.ring import INPUT_BOUND, LPolynomial, MotivicClass
 from mchern.surface import (
     ChowClass,
     GenericPoint,
@@ -71,6 +71,17 @@ def random_tower(rng, k):
             event = rng.choice(event_choices(s))
         s = s.apply_event(event)
     return s
+
+
+def long_towers():
+    """Random towers with crossings at k = 40 and 64, whose fiber chis merge numerators
+    past 64 coefficients.  A run of crossings with the newest curve grows its discrepancy
+    like a Fibonacci number, and nothing on the surface path bounds it, so the towers are
+    checked to stay within the blow-up engine's bound on a derived multiplicity."""
+    rng = random.Random(0)
+    towers = [random_tower(rng, k) for k in (40, 64)]
+    assert all(max(s.discrepancies) <= INPUT_BOUND for s in towers)
+    return towers
 
 
 def checked_export(s, m):
@@ -406,6 +417,23 @@ class TestVerifyStage:
         rng = random.Random(8)
         self.assert_same_checks(random_tower(rng, k) for k in (12, 18, 24, 24))
 
+    def test_long_towers_with_crossings(self, monkeypatch):
+        lengths, cancel = [], ring._cancel
+
+        def spy(num, mus):
+            lengths.append(len(num))
+            return cancel(num, mus)
+
+        monkeypatch.setattr(ring, "_cancel", spy)
+        self.assert_same_checks(long_towers())
+        assert max(lengths) > 64
+
+    def test_chain_160_every_stage(self):
+        # a generic point, then 159 points each on the newest curve
+        chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 160)))
+        for m in range(chain.k + 1):
+            assert all(verify_surface_stage(chain, m).values())
+
     @pytest.mark.parametrize(
         "attr, wrong",
         [
@@ -495,6 +523,25 @@ class TestExport:
                 for name, locus in loci.items():
                     assert locus.name == name
                     assert list(locus.strata.items()) == list(rebuilt_loci[name].strata.items())
+
+    def test_field_for_field_on_long_towers(self):
+        def fields(strata):
+            return [(mask, cls.num.coeffs, cls.den) for mask, cls in strata.items()]
+
+        for s in long_towers():
+            for m in range(s.k + 1):
+                system, loci = s.export_modification_system(m)
+                rebuilt, rebuilt_loci = checked_export(s, m)
+                assert (system.ambient_dim, system.divisors, system.label) == (
+                    rebuilt.ambient_dim, rebuilt.divisors, rebuilt.label
+                )
+                ambient, expected = system.ambient_class, rebuilt.ambient_class
+                assert (ambient.num.coeffs, ambient.den) == (expected.num.coeffs, expected.den)
+                assert fields(system.strata) == fields(rebuilt.strata)
+                assert list(loci) == list(rebuilt_loci)
+                for name, locus in rebuilt_loci.items():
+                    assert loci[name].name == name
+                    assert fields(loci[name].strata) == fields(locus.strata)
 
     def test_k0_trivial(self):
         system, loci = SurfaceModel().export_modification_system(0)
