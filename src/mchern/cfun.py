@@ -11,10 +11,10 @@ point contributes 1, while a generic point downstairs only ever sees the
 open stratum.
 
 The result is a :class:`BaseFunction`: a generic value plus finitely many
-corrections at named base points.  Which strata exist, their weights, Euler
-numbers and contracted points, the weighted unit and the fiberwise integral
-are read from :class:`~mchern.surface.RelativeArrangement`.  The CSM class
-of ``f`` is ``surface.csm(f, stage)``.
+corrections at named base points.  Which strata exist, their Euler numbers,
+contracted points and the fiberwise integral are read in integers over one
+common denominator from :class:`~mchern.surface.RelativeArrangement`, and
+divided by it once.  The CSM class of ``f`` is ``surface.csm(f, stage)``.
 """
 
 from __future__ import annotations
@@ -58,19 +58,18 @@ class BaseFunction:
 def pushforward(surface: SurfaceModel, f: Mapping, to_stage: int = 0) -> BaseFunction:
     """Integrate fiberwise Euler characteristics down to the stage surface."""
     rel = surface.relative(to_stage)
-    weights = rel.keyed(f)
-    generic = Fraction(weights.get((), 0))
+    den, nums = rel.keyed(f)
+    f0 = nums.get((), 0)
     corrections = {
-        root: value - generic
-        for root, value in rel.fiber_integral(weights).items()
-        if value != generic
+        root: Fraction(total - f0, den) for root, total in rel.fiber_totals(nums).items() if total != f0
     }
-    return BaseFunction(generic, corrections)
+    return BaseFunction(Fraction(f0, den), corrections)
 
 
 def weighted_unit(surface: SurfaceModel, stage: int = 0) -> dict[tuple[int, ...], Fraction]:
     """Each stratum weighted by 1 / prod (mu_i + 1) over its curves."""
-    return surface.relative(stage).weighted_unit
+    den, nums = surface.relative(stage).unit
+    return {key: Fraction(n, den) for key, n in nums.items()}
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -21,6 +21,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cfun
@@ -29,7 +30,7 @@ from .modsys import system_to_json
 from .ring import MotivicClass, decimal
 from .sampling import capped, random_invariance_case
 from .strata import sweep_identities
-from .surface import SurfaceModel, events_from_json, events_to_json, over_common_denominator, swap_last_two
+from .surface import SurfaceModel, events_from_json, events_to_json, swap_last_two
 
 DEFAULT_SEED = 101
 
@@ -46,12 +47,16 @@ def _bound(value: int, name: str) -> int:
     return value
 
 
-def _read(path: str) -> bytes:
+def _read(path: str) -> tuple[bytes, str]:
+    """The bytes of ``path`` and their UTF-8 text."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            data = handle.read()
+        return data, data.decode("utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -64,9 +69,9 @@ def _unique_keys(pairs: list) -> dict:
 
 def read_payload(path: str, expected_kind: str) -> tuple[dict, str]:
     """The payload of one input file and the sha256 of the bytes it was parsed from."""
-    data = _read(path)
+    data, text = _read(path)
     try:
-        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # also JSON too deep for the parser
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
@@ -241,7 +246,7 @@ def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
     the other strata and chi is linear in the locus.
     """
     rel = surface.relative(m)
-    den, unit = over_common_denominator(rel.weighted_unit)
+    den, unit = rel.unit
     pushed = surface.pushforward(surface._csm(rel, den, unit), m)
     profiles_one = all(total == den for total in rel.fiber_totals(unit).values())
     checks = {
@@ -286,6 +291,7 @@ def cmd_surface_report(args) -> dict:
     surface, digest = _load_surface(args)
     stringy = surface.stringy_class(0)
     rel = surface.relative(0)
+    den, unit = rel.unit
     rendered = stringy.to_json()  # pushforward to stage m keeps curves[: m + 1]
     results = {
         "events": events_to_json(surface.events)["events"],
@@ -299,7 +305,7 @@ def cmd_surface_report(args) -> dict:
             for m in range(surface.k + 1)
         },
         "fiber_profiles": {
-            anchor: str(value) for anchor, value in rel.fiber_integral(rel.weighted_unit).items()
+            anchor: str(Fraction(total, den)) for anchor, total in rel.fiber_totals(unit).items()
         },
     }
     return build_report("surface report", {"program": digest}, results, PASS)
@@ -329,7 +335,7 @@ def cmd_motivic_eval(args) -> dict:
     text = args.class_spec
     if text.startswith("@"):
         # decoded as a text-mode read would decode it, newlines included
-        text = io.TextIOWrapper(io.BytesIO(_read(text[1:])), encoding="utf-8").read()
+        text = io.StringIO(_read(text[1:])[1], newline=None).read()
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError):  # also JSON too deep for the parser

@@ -15,9 +15,10 @@ curve, only the curves its center lay on, and the pairs of curves currently
 meeting (one point each, never three through a point).  The rest is read
 from those: the proper-transform class of curve j is e_j minus the e's of
 the later centers on j, and :meth:`SurfaceModel.relative` alone derives the
-discrepancies, via mu_new = 1 + sum of the mu's of curves through the
-center (:func:`mchern.strata.discrepancy` at codimension 2), and the
-original base point each curve lies over.
+discrepancies (refusing one above :data:`mchern.ring.INPUT_BOUND`), via
+mu_new = 1 + sum of the mu's of curves through the center
+(:func:`mchern.strata.discrepancy` at codimension 2), and the original base
+point each curve lies over.
 
 Everything downstream is linear in the Chow group: total Chern classes, the
 one CSM route :meth:`SurfaceModel._csm` for rational functions on arrangement
@@ -28,8 +29,9 @@ All of it is exact, over Fractions and integer polynomials.
 
 The facts about one stratum of the arrangement relative to a stage (whether
 it exists, its weight 1 / prod (mu_i + 1), its Euler number, the point it
-contracts to) and the weighted unit live on :class:`RelativeArrangement`,
-and every consumer here and in :mod:`mchern.cfun` reads them from there.
+contracts to) live on :class:`RelativeArrangement`; every consumer here and
+in :mod:`mchern.cfun` reads them, and weighted functions, from there as
+``(den, {stratum key: int})``, divided by ``den`` where a value leaves.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list, json_object, malformed
-from .ring import LPolynomial, MotivicClass
+from .ring import LPolynomial, MotivicClass, bounded
 from .strata import discrepancy
 
 
@@ -211,14 +213,13 @@ class RelativeArrangement:
     def _pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.pairs)
 
-    def weight(self, key: tuple[int, ...]) -> Fraction:
-        """Stringy weight 1 / prod (mu_i + 1): the weight 1 / prod [P^mu_i] at L = 1."""
-        return Fraction(1, prod(self.mus[j] + 1 for j in key))
-
-    @property
-    def weighted_unit(self) -> dict[tuple[int, ...], Fraction]:
-        """Every stratum, the open one included, with its stringy weight."""
-        return {key: self.weight(key) for key in ((),) + self.strata}
+    @cached_property
+    def unit(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """The weighted unit as ``(den, nums)``: every stratum, the open one included, weighs
+        ``nums[key] / den`` = 1 / prod (mu_i + 1) (the weight 1 / prod [P^mu_i] at L = 1)."""
+        weights = {key: prod(self.mus[j] + 1 for j in key) for key in ((),) + self.strata}
+        den = lcm(*weights.values())
+        return den, {key: den // w for key, w in weights.items()}
 
     def euler(self, key: tuple[int, ...]) -> int:
         """Euler number of a curve stratum (2 minus its crossings) or a crossing (1)."""
@@ -228,8 +229,9 @@ class RelativeArrangement:
         """The point of the stage surface a curve or crossing stratum contracts to."""
         return self.roots[key[0]]
 
-    def keyed(self, f: Mapping) -> dict[tuple[int, ...], Fraction]:
-        """A constructible function ``{curve subset: weight}`` with each key :meth:`check`-ed.
+    def keyed(self, f: Mapping) -> tuple[int, dict[tuple[int, ...], int]]:
+        """A constructible function ``{curve subset: int or Fraction weight}`` as ``(den, nums)``:
+        each key :meth:`check`-ed, each weight ``nums[key] / den`` over the least common denominator.
 
         Zero weights stay.  A stratum given twice, say as ``(1, 2)`` and
         ``(2, 1)``, is a ValueError.
@@ -240,27 +242,17 @@ class RelativeArrangement:
             if key in out:
                 raise ValueError(f"duplicate stratum {list(key)!r}")
             out[key] = value
-        return out
-
-    def fiber_integral(self, weights: Mapping[tuple[int, ...], Fraction]) -> dict[str, Fraction]:
-        """Per contracted point, the sum of weight times Euler number over its fiber; ``weights``
-        is keyed as :meth:`keyed` returns it, and the open stratum lies over no contracted point."""
-        den, nums = over_common_denominator(weights)
-        return {root: Fraction(total, den) for root, total in self.fiber_totals(nums).items()}
+        den = lcm(*(w.denominator for w in out.values()))
+        return den, {key: w.numerator * (den // w.denominator) for key, w in out.items()}
 
     def fiber_totals(self, nums: Mapping[tuple[int, ...], int]) -> dict[str, int]:
-        """:meth:`fiber_integral` of integer weights, such as those over a common denominator."""
+        """Per contracted point, the sum of weight times Euler number over its fiber, for integer
+        weights keyed as :meth:`keyed` keys them; the open stratum lies over no contracted point."""
         totals = dict.fromkeys(self.root_order, 0)
         for key, w in nums.items():
             if key:
                 totals[self.root(key)] += self.euler(key) * w
         return totals
-
-
-def over_common_denominator(weights: Mapping) -> tuple[int, dict]:
-    """``(den, {key: w * den})``: int or Fraction weights over their least common denominator."""
-    den = lcm(*(w.denominator for w in weights.values()))
-    return den, {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
 
 
 class SurfaceModel:
@@ -320,7 +312,8 @@ class SurfaceModel:
         return ChowClass(1, (3,) + (-1,) * m, 3 + m)
 
     def relative(self, stage: int) -> RelativeArrangement:
-        """The arrangement down to ``stage``; the last one is kept and shared, so never mutate it."""
+        """The arrangement down to ``stage``; the last one is kept and shared, so never mutate it.
+        A derived discrepancy above :data:`mchern.ring.INPUT_BOUND` is an input error."""
         if (last := self._last_relative) is not None and last.stage == stage:
             return last
         curves = tuple(range(self._stage(stage) + 1, self.k + 1))
@@ -330,7 +323,7 @@ class SurfaceModel:
         generics = sum(not center for center in self._through[:stage])
         for t in curves:
             over = [c for c in self._through[t - 1] if c > stage]
-            mus[t] = discrepancy((mus[c] for c in over), 2)
+            mus[t] = bounded(discrepancy((mus[c] for c in over), 2), f"curve {t} discrepancy")
             if over:
                 root = roots[over[0]]
             elif not self._through[t - 1]:  # a generic point
@@ -360,7 +353,7 @@ class SurfaceModel:
         Integer arithmetic over one common denominator.
         """
         rel = self.relative(stage)
-        return self._csm(rel, *over_common_denominator(rel.keyed(weights)))
+        return self._csm(rel, *rel.keyed(weights))
 
     def _csm(self, rel: RelativeArrangement, den: int, nums: Mapping) -> ChowClass:
         """:meth:`csm` on ``rel``'s stage of the weights ``nums[key] / den``, keyed as ``keyed`` keys."""
@@ -381,7 +374,7 @@ class SurfaceModel:
     def stringy_class(self, relative_to: int = 0) -> ChowClass:
         """CSM class of the weighted unit: each stratum weighted by 1 / prod (mu_i + 1)."""
         rel = self.relative(relative_to)
-        return self._csm(rel, *over_common_denominator(rel.weighted_unit))
+        return self._csm(rel, *rel.unit)
 
     def pushforward(self, cls: ChowClass, to_stage: int) -> ChowClass:
         """Down to the stage surface: e_i with i > stage die, all else persists."""
@@ -399,7 +392,8 @@ class SurfaceModel:
         rel = self.relative(0)
         if base_point not in rel.root_order:
             raise ValueError(f"unknown anchor {base_point!r}")
-        return rel.fiber_integral(rel.weighted_unit)[base_point]
+        den, unit = rel.unit
+        return Fraction(rel.fiber_totals(unit)[base_point], den)
 
     # -- export to the abstract side ---------------------------------------------------
 
@@ -441,7 +435,7 @@ class SurfaceModel:
         return system, loci
 
     def __repr__(self) -> str:
-        return f"SurfaceModel(k={self.k}, anchors={len(self.relative(0).root_order)})"
+        return f"SurfaceModel(k={self.k}, anchors={sum(not center for center in self._through)})"
 
 
 # -- JSON wire format ------------------------------------------------------------------

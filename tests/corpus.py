@@ -19,6 +19,7 @@ minimal resolution; two insertion orders must produce identical systems.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Iterable, Mapping
 
@@ -49,6 +50,22 @@ def event_choices(surface: SurfaceModel) -> list[Event]:
     for a, b in surface.meeting_pairs():
         choices.append(IntersectionPoint(a, b))
     return choices
+
+
+def random_tower(rng: random.Random, k: int) -> SurfaceModel:
+    """k events: mostly a point on the newest curve, often its crossing, sometimes any event."""
+    s = SurfaceModel((GenericPoint(),))
+    while s.k < k:
+        crossings = [IntersectionPoint(*p) for p in s.meeting_pairs() if s.k in p]
+        roll = rng.random()
+        if roll < 0.5:
+            event = PointOnCurve(s.k)
+        elif roll < 0.8 and crossings:
+            event = rng.choice(crossings)
+        else:
+            event = rng.choice(event_choices(s))
+        s = s.apply_event(event)
+    return s
 
 
 def surface_corpus(max_events: int = 6, limit: int = 500) -> list[tuple[Event, ...]]:

@@ -316,11 +316,32 @@ MUTANTS = (
         ("tests/test_surface.py::TestExport", "tests/test_surface.py::TestVerifyStage"),
     ),
     Mutant(
-        "the shared integer unit is not scaled to its common denominator",
+        "keyed does not scale a weight to the common denominator",
         "src/mchern/surface.py",
         "{key: w.numerator * (den // w.denominator) for",
         "{key: w.numerator for",
-        ("tests/test_surface.py::TestVerifyStage", "tests/test_cfun.py"),
+        ("tests/test_cfun.py", "tests/test_golden.py"),
+    ),
+    Mutant(
+        "the unit's weight rule is 1 / prod (mu + 2)",
+        "src/mchern/surface.py",
+        "prod(self.mus[j] + 1 for j in key)",
+        "prod(self.mus[j] + 2 for j in key)",
+        ("tests/test_cfun.py::TestWeightedUnit", "tests/test_surface.py::TestVerifyStage"),
+    ),
+    Mutant(
+        "cfun.pushforward leaves its generic value unscaled by den",
+        "src/mchern/cfun.py",
+        "BaseFunction(Fraction(f0, den), corrections)",
+        "BaseFunction(Fraction(f0), corrections)",
+        ("tests/test_cfun.py",),
+    ),
+    Mutant(
+        "relative drops the bound on a derived discrepancy",
+        "src/mchern/surface.py",
+        'bounded(discrepancy((mus[c] for c in over), 2), f"curve {t} discrepancy")',
+        "discrepancy((mus[c] for c in over), 2)",
+        ("tests/test_cli.py::TestSizeBounds",),
     ),
     Mutant(
         "the fold drops its last term",

@@ -24,11 +24,16 @@ class TestConstructibleFunction:
     def test_indicator_closed_curve(self):
         f = closed_curve(CHAIN, 1)
         assert f == {(1,): 1, (1, 3): 1}
-        assert CHAIN.relative(0).keyed(f) == f
+        assert CHAIN.relative(0).keyed(f) == (1, f)
 
     def test_keys_checked_and_zeros_kept(self):
         rel = NESTED.relative(0)
-        assert rel.keyed({frozenset((2, 1)): 0, frozenset(): 1}) == {(1, 2): 0, (): 1}
+        assert rel.keyed({frozenset((2, 1)): 0, frozenset(): 1}) == (1, {(1, 2): 0, (): 1})
+
+    def test_weights_over_their_least_common_denominator(self):
+        rel = NESTED.relative(0)
+        f = {(1,): Fraction(1, 2), (2,): Fraction(-2, 3), (): 4, (1, 2): Fraction(5, 6)}
+        assert rel.keyed(f) == (6, {(1,): 3, (2,): -4, (): 24, (1, 2): 5})
 
 
 class TestPushforward:
@@ -119,15 +124,21 @@ class TestIntegerFiberIntegral:
             for m in range(s.k + 1):
                 rel = s.relative(m)
                 weights = {key: random_weight(rng) for key in ((),) + rel.strata if rng.random() < 0.8}
-                got = rel.fiber_integral(weights)
-                assert got == fraction_fiber_integral(rel, weights)
+                den, nums = rel.keyed(weights)
+                got = rel.fiber_totals(nums)
+                assert {root: Fraction(t, den) for root, t in got.items()} == fraction_fiber_integral(
+                    rel, weights
+                )
                 assert list(got) == list(rel.root_order)
-                assert all(type(value) is Fraction for value in got.values())
+                assert all(type(total) is int for total in got.values())
 
     def test_int_weights_and_no_weights(self):
         rel = CHAIN.relative(0)
-        assert rel.fiber_integral({}) == {"p1": 0}
-        assert rel.fiber_integral({(1,): 2, (1, 3): -1, (): 5}) == {"p1": 2 * 1 - 1}
+        assert rel.keyed({}) == (1, {})
+        assert rel.fiber_totals({}) == {"p1": 0}
+        den, nums = rel.keyed({(1,): 2, (1, 3): -1, (): 5})
+        assert den == 1
+        assert rel.fiber_totals(nums) == {"p1": 2 * 1 - 1}
 
 
 class TestWeightedUnit:
@@ -144,6 +155,14 @@ class TestWeightedUnit:
             Fraction(1, 2),
             Fraction(1),
         ]
+
+    def test_integers_over_the_lcm_built_once(self):
+        # mu = 1 on curve 1 and 2 on curve 2: weights 1, 1/2, 1/3 and 1/6 over 6
+        rel = NESTED.relative(0)
+        assert rel.unit == (6, {(): 6, (1,): 3, (2,): 2, (1, 2): 1})
+        assert rel.unit is rel.unit
+        # over the lcm of the products (mu = 1, 2, 4 on curves 1, 2, 3), not over their product
+        assert CHAIN.relative(0).unit == (30, {(): 30, (1,): 15, (2,): 10, (3,): 6, (1, 3): 3, (2, 3): 2})
 
 
 class TestUnitPushforward:

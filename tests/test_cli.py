@@ -7,18 +7,20 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus import random_tower
 from mchern import blowup, cfun, cli
 from mchern.cli import main
 from mchern.modsys import Divisor
 from mchern.ring import LPolynomial, MotivicClass, projective_poly
 from mchern.sampling import attach_locus_rules, random_center, random_invariance_case
-from mchern.surface import SurfaceModel, events_from_json, events_to_json
+from mchern.surface import RelativeArrangement, SurfaceModel, events_from_json, events_to_json
 
 PLANE_CLASS = {"numerator": "1 + L + L^2", "denominator": []}
 
@@ -328,6 +330,19 @@ class TestSurfaceCommands:
 
     def test_verify_main_single_stage(self, capsys, surface_file):
         assert main(["surface", "verify-main", "--program", surface_file, "--stage", "2"]) == 0
+
+    def test_report_builds_the_weighted_unit_once(self, capsys, monkeypatch, surface_file):
+        built, unit = [], RelativeArrangement.unit.func
+
+        def counting(rel):
+            built.append(rel.stage)
+            return unit(rel)
+
+        spy = cached_property(counting)
+        spy.__set_name__(RelativeArrangement, "unit")
+        monkeypatch.setattr(RelativeArrangement, "unit", spy)
+        assert main(["surface", "report", "--program", surface_file]) == 0
+        assert built == [0]
 
     @staticmethod
     def corrupt_export(monkeypatch, pick):
@@ -772,6 +787,9 @@ MALFORMED = {
     "bound-weight-exponent": ("function", _with(FUNCTION, ["strata", 0, "weight"], "1e3000000")),
     "bound-weight-negative-exponent": (
         "function", _with(FUNCTION, ["strata", 0, "weight"], "2.5E-3_000_000")),
+    # bytes are written as they are
+    "utf-8-surface-file": ("surface", b"\xff\xfe{}"),
+    "utf-8-motivic-file": ("motivic-file", b"\xff\xfe{}"),
 }
 BOUND_FIELDS = {  # the field each bound case names
     "bound-L-exponent": "exponent of L",
@@ -790,12 +808,14 @@ def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
     surface = tmp_path / "surface.json"
     surface.write_text(json.dumps(SURFACE))
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()  # ASCII JSON
+    path.write_bytes(raw)
     argv = {
         "program": ["blowup", "run", "--program", str(path)],
         "surface": ["surface", "report", "--program", str(path)],
         "function": ["cfun", "push", "--program", str(surface), "--function", str(path)],
-        "motivic": ["motivic", "eval", json.dumps(payload)],
+        "motivic": ["motivic", "eval", raw.decode("latin-1")],
+        "motivic-file": ["motivic", "eval", f"@{path}"],
         "invariance": ["verify", "invariance"],
     }[kind]
     if kind == "invariance":
@@ -816,6 +836,8 @@ def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
         assert "unknown motivic class key 'denominators'" in err
     if case in BOUND_FIELDS:
         assert f"error: {BOUND_FIELDS[case]} " in err and "exceeds the input bound 65536" in err
+    if case.startswith("utf-8"):
+        assert err.startswith(f"error: {path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
 
 
 DEEP = "[" * 100000
@@ -1062,6 +1084,27 @@ class TestSizeBounds:
             "error: step 0: center lies on 17 divisors: 2^17 fresh strata per center stratum"
             " exceed the input bound 65536\n"
         )
+
+    def test_a_derived_discrepancy_past_the_bound_names_its_curve(self, capsys, tmp_path):
+        # a run of crossings with the newest curve grows mu like a Fibonacci number: this
+        # 2.4 KB program would derive mu = 1 337 312, and curve 46 is the first past the bound
+        rng = random.Random(40)
+        random_tower(rng, 40)
+        surface = random_tower(rng, 64)
+        assert repr(surface) == "SurfaceModel(k=64, anchors=2)"
+        program = tmp_path / "tower.json"
+        program.write_text(json.dumps(events_to_json(surface.events)))
+        function = tmp_path / "fn.json"
+        function.write_text(json.dumps({"strata": [{"subset": [], "weight": "1"}]}))
+        for argv in (
+            ["surface", "verify-main", "--program", str(program)],
+            ["surface", "report", "--program", str(program)],
+            ["cfun", "push", "--program", str(program), "--function", str(function)],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: curve 46 discrepancy 83578 exceeds the input bound 65536\n"
 
 
 class TestOutputDigits:

@@ -59,6 +59,17 @@ SURFACE = {
 
 FUNCTION = {"strata": [{"subset": [1], "weight": "1/2"}, {"subset": [3], "weight": "2"}]}
 
+# a function on the curves above stage 1 of SURFACE: curves 2, 3, 4 and the crossing of 2 and 3
+STAGE1_FUNCTION = {
+    "strata": [
+        {"subset": [], "weight": "1/2"},
+        {"subset": [2], "weight": "-1/3"},
+        {"subset": [3], "weight": "5/4"},
+        {"subset": [4], "weight": "2"},
+        {"subset": [2, 3], "weight": "7/6"},
+    ]
+}
+
 GOLDEN = {
     "blowup run": (
         ["blowup", "run", "--program", "{program}"],
@@ -85,13 +96,29 @@ GOLDEN = {
         "dd42b05af66282f54a2794ed607a7b0750210464d233045b451bf96b15453cff",
         "dd63c2b0fdfd6009fdd6378f9eeb2185386621e174957c00af152450a5f79760",
     ),
+    "cfun push --stage 1": (
+        ["cfun", "push", "--program", "{surface}", "--function", "{stage1_function}", "--stage", "1"],
+        "5fafa4f68e1d79b2cebe1cb66b8b0933be3e3cf3b88824bcb6e227694705b96c",
+        "dea28d56889bb452917d77786212f0c10a03bdb0a2bdae834aad6f9667387fbc",
+    ),
+    "surface verify-main --stage 1": (
+        ["surface", "verify-main", "--program", "{surface}", "--stage", "1"],
+        "af006cba8e811ab148e0fd58cbe23b896594e9c19056cbf579a99d0758d46096",
+        "9b79925461ad4f94f480ace98b124600c1390f4990472482f29e042126cc5836",
+    ),
 }
 
 
 @pytest.fixture
 def input_paths(tmp_path):
     paths = {}
-    for name, obj in (("program", PROGRAM), ("surface", SURFACE), ("function", FUNCTION)):
+    inputs = (
+        ("program", PROGRAM),
+        ("surface", SURFACE),
+        ("function", FUNCTION),
+        ("stage1_function", STAGE1_FUNCTION),
+    )
+    for name, obj in inputs:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj, sort_keys=True))
         paths[name] = str(path)
@@ -105,7 +132,7 @@ def test_report_digest_is_pinned(command, input_paths, capsys):
     assert main(argv + ["--json"]) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
-    assert report["command"] == command
+    assert report["command"] == " ".join(argv[:2])
     assert report["digest"] == digest
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
 

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
 from corpus import (
     chow_point,
-    event_choices,
     final_transposition,
     order_swap_pairs,
+    random_tower,
     systems_isomorphic_under,
 )
 from mchern import cfun, ring
@@ -57,31 +57,22 @@ def anchors(s):
     return tuple(dict.fromkeys(s.relative(0).roots.values()))
 
 
-def random_tower(rng, k):
-    """k events: mostly a point on the newest curve, often its crossing, sometimes any event."""
-    s = SurfaceModel((GenericPoint(),))
-    while s.k < k:
-        crossings = [IntersectionPoint(*p) for p in s.meeting_pairs() if s.k in p]
-        roll = rng.random()
-        if roll < 0.5:
-            event = PointOnCurve(s.k)
-        elif roll < 0.8 and crossings:
-            event = rng.choice(crossings)
-        else:
-            event = rng.choice(event_choices(s))
-        s = s.apply_event(event)
-    return s
-
-
 def long_towers():
     """Random towers with crossings at k = 40 and 64, whose fiber chis merge numerators
     past 64 coefficients.  A run of crossings with the newest curve grows its discrepancy
-    like a Fibonacci number, and nothing on the surface path bounds it, so the towers are
-    checked to stay within the blow-up engine's bound on a derived multiplicity."""
+    like a Fibonacci number, and ``SurfaceModel.relative`` refuses one past the input bound,
+    so the towers are checked to stay within it."""
     rng = random.Random(0)
     towers = [random_tower(rng, k) for k in (40, 64)]
     assert all(max(s.discrepancies) <= INPUT_BOUND for s in towers)
     return towers
+
+
+def unit_weighing_mu_plus_two(rel):
+    """``RelativeArrangement.unit`` with the wrong weight rule 1 / prod (mu_i + 2)."""
+    weights = {key: prod(rel.mus[j] + 2 for j in key) for key in ((),) + rel.strata}
+    den = lcm(*weights.values())
+    return den, {key: den // w for key, w in weights.items()}
 
 
 def checked_export(s, m):
@@ -361,7 +352,8 @@ class TestStringy:
                 rel = s.relative(m)
                 expected = s.chern_class()
                 for key in rel.strata:
-                    expected = expected + (rel.weight(key) - 1) * s.csm_stratum(key, m)
+                    weight = Fraction(1, prod(rel.mus[j] + 1 for j in key))
+                    expected = expected + (weight - 1) * s.csm_stratum(key, m)
                 got = s.stringy_class(m)
                 assert (got.top, got.curves, got.points) == (
                     expected.top, expected.curves, expected.points
@@ -437,7 +429,7 @@ class TestVerifyStage:
     @pytest.mark.parametrize(
         "attr, wrong",
         [
-            ("weight", lambda rel, key: Fraction(1, prod(rel.mus[j] + 2 for j in key))),
+            pytest.param("unit", property(unit_weighing_mu_plus_two), id="unit-mu-plus-two"),
             ("euler", lambda rel, key: 3 - rel.meets[key[0]] if len(key) == 1 else 1),
         ],
     )
