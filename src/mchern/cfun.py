@@ -36,14 +36,6 @@ class BaseFunction:
     generic_value: Fraction
     corrections: Mapping[str, Fraction] = field(default_factory=dict)
 
-    def value_at(self, point: str) -> Fraction:
-        return self.generic_value + self.corrections.get(point, Fraction(0))
-
-    def is_constant(self, value) -> bool:
-        return self.generic_value == Fraction(value) and not any(
-            self.corrections.values()
-        )
-
     def to_json(self) -> dict:
         return {
             "generic": str(self.generic_value),

@@ -30,7 +30,7 @@ from .modsys import system_to_json
 from .ring import MotivicClass, decimal
 from .sampling import capped, random_invariance_case
 from .strata import sweep_identities
-from .surface import SurfaceModel, events_from_json, events_to_json, swap_last_two
+from .surface import ChowClass, SurfaceModel, events_from_json, events_to_json, swap_last_two
 
 DEFAULT_SEED = 101
 
@@ -237,26 +237,29 @@ def _load_surface(args) -> tuple[SurfaceModel, str]:
     return SurfaceModel(events_from_json(payload)), digest
 
 
-def verify_surface_stage(surface: SurfaceModel, m: int) -> dict:
+def verify_surface_stage(surface: SurfaceModel, m: int, folds: dict) -> dict:
     """The checks of stage ``m``, all read from one arrangement and one weighted unit in integers.
 
-    The unit's push-forward is 1 off the contracted points (the open stratum weighs 1)
-    and its fiber integral at each of them, the fiber Euler profile.  chi(full) is the
-    open stratum (mask 0) plus the reduced fiber chis: exact, as the fibers partition
-    the other strata and chi is linear in the locus.
+    The unit's push-forward is 1 off the contracted points (the open stratum weighs 1), its fiber
+    integral at each of them, and its CSM class the stage's Chern class, all times ``den``.  chi(full)
+    is the open stratum (mask 0) plus the reduced fiber chis, as the fibers partition the other strata;
+    ``folds`` maps a fiber's chi terms, the fold's exact input, to its reduced chi for one command.
     """
     rel = surface.relative(m)
     den, unit = rel.unit
-    pushed = surface.pushforward(surface._csm(rel, den, unit), m)
+    chern = surface.chern_class(m)
     profiles_one = all(total == den for total in rel.fiber_totals(unit).values())
     checks = {
-        "pushforward_matches_chern": pushed == surface.chern_class(m),
+        "pushforward_matches_chern": surface.pushforward(surface._csm_numerators(rel, unit), m)
+        == ChowClass(den * chern.top, [den * e for e in chern.curves], den * chern.points),
         "unit_pushforward": unit[()] == den and profiles_one,
     }
     if m == 0:
         checks["fiber_profiles_one"] = profiles_one
     system, loci = surface.export_modification_system(m)
-    fiber_chi = [system.chi(locus).reduced() for name, locus in loci.items() if name != "full"]
+    fibers = [(system.chi_terms(locus), locus) for name, locus in loci.items() if name != "full"]
+    folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)
+    fiber_chi = [folds[terms] for terms, _ in fibers]
     chi_full = MotivicClass.sum([system.stratum(0)] + fiber_chi)
     stage_class = surface.class_of_stage(m)
     checks["chi_matches_stage_class"] = chi_full == stage_class
@@ -269,9 +272,9 @@ def cmd_surface_verify(args) -> dict:
     surface, digest = _load_surface(args)
     stages = [args.stage] if args.stage is not None else list(range(surface.k + 1))
     results: dict = {"k": surface.k, "stages": {}}
-    ok = True
+    ok, folds = True, {}  # folds: the fold table of this command only
     for m in stages:
-        checks = verify_surface_stage(surface, m)
+        checks = verify_surface_stage(surface, m, folds)
         results["stages"][str(m)] = checks
         ok = ok and all(checks.values())
     swapped = swap_last_two(surface.events)

@@ -24,10 +24,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .ring import LPolynomial, MotivicClass, _fold, bounded
+from .ring import MotivicClass, _fold, bounded, over_lcm
 
 SubsetKey = Union[int, str, Iterable[str]]
 
@@ -173,23 +173,23 @@ class ModificationSystem:
     def full_locus(self, name: str = "full") -> MarkedLocus:
         return MarkedLocus(name, dict(self.strata))
 
-    def chi(self, locus: MarkedLocus) -> MotivicClass:
-        """Weighted stratum sum; with the full locus this is the base class."""
-        # [P^0] = 1 is no factor; in mask order, which is creation order, the partial sums telescope
-        den, num = _fold(
-            (tuple(sorted(filter(None, cls.den + self.mu_of_mask(mask)))), cls.num.coeffs)
-            for mask, cls in sorted(locus.strata.items())
+    def chi_terms(self, locus: MarkedLocus) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """What :meth:`chi` folds: per stratum in mask order, its sorted [P^mu] exponents and numerator."""
+        return tuple(
+            (tuple(sorted(filter(None, cls.den + self.mu_of_mask(mask)))), cls.num.coeffs)  # [P^0] = 1
+            for mask, cls in sorted(locus.strata.items())  # creation order: the partial sums telescope
         )
-        return MotivicClass._of(LPolynomial._of(num), den)
+
+    def chi(self, locus: MarkedLocus, terms: Optional[tuple] = None) -> MotivicClass:
+        """Weighted stratum sum, the base class on the full locus; ``terms``: ``chi_terms(locus)``, if built."""
+        return _fold(iter(self.chi_terms(locus) if terms is None else terms))
 
     def euler_chi(self, locus: MarkedLocus) -> Fraction:
         """Euler-specialized functional: the weights [P^mu] become mu + 1."""
-        terms = [  # (numerator at L = 1, integer weight of the stratum's divisors and class)
-            (cls.num.evaluate(1), prod(mu + 1 for mu in cls.den + self.mu_of_mask(mask)))
-            for mask, cls in locus.strata.items()
-        ]
-        den = lcm(*(weight for _, weight in terms))  # summed in integers, one Fraction
-        return Fraction(sum(num * (den // weight) for num, weight in terms), den)
+        strata = locus.strata.items()  # summed in integers over the lcm of the weights, one Fraction
+        weights = {mask: prod(mu + 1 for mu in cls.den + self.mu_of_mask(mask)) for mask, cls in strata}
+        den, scale = over_lcm(weights)
+        return Fraction(sum(cls.num.evaluate(1) * scale[mask] for mask, cls in strata), den)
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""

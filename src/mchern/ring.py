@@ -34,10 +34,10 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, zip_longest
-from math import prod
-from operator import add, sub
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import accumulate, takewhile, zip_longest
+from math import lcm, prod
+from operator import add, not_, sub
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 INPUT_BOUND = 2**16  # largest exponent, multiplicity or dimension an input may give
 
@@ -47,6 +47,12 @@ def bounded(value: int, what: str) -> int:
     if value > INPUT_BOUND:
         raise ValueError(f"{what} {value} exceeds the input bound {INPUT_BOUND}")
     return value
+
+
+def over_lcm(weights: Mapping) -> tuple[int, dict]:
+    """The reciprocals ``1 / w`` of positive integer weights: ``den = lcm(w)``, ``{key: den // w}``."""
+    den = lcm(*weights.values())
+    return den, {key: den // w for key, w in weights.items()}
 
 
 def decimal(value: Union[int, Fraction], what: str) -> str:
@@ -400,15 +406,15 @@ def _merge(a: tuple[tuple, list], b: tuple[tuple, list]) -> tuple[tuple, list]:
     return tuple(reversed(kept)), num
 
 
-def _fold(pairs: Iterator[tuple[tuple[int, ...], Sequence[int]]]) -> tuple[tuple[int, ...], Sequence[int]]:
-    """The sum of (sorted denominator, trimmed numerator) pairs folded left as ``+`` folds them:
+def _fold(pairs: Iterator[tuple[tuple[int, ...], Sequence[int]]]) -> "MotivicClass":
+    """The class of (sorted denominator, trimmed numerator) pairs summed left as ``+`` sums them:
     an equal denominator adds the numerators, another merges; each partial sum is trimmed."""
     den, num = next(pairs, ((), ()))
     for d, n in pairs:
         den, num = (den, _plus(num, n)) if d == den else _merge((den, num), (d, n))
-        while num and num[-1] == 0:
-            num.pop()
-    return den, num
+        if num and num[-1] == 0:  # one scan over the trailing zeros, one slice
+            del num[len(num) - len(list(takewhile(not_, reversed(num)))) :]
+    return MotivicClass._of(LPolynomial._of(num), den)
 
 
 class MotivicClass:
@@ -479,8 +485,7 @@ class MotivicClass:
         ``functools.reduce(operator.add, terms)`` field for field.  A merge nA/DA + nB/DB is
         (nA * prod(U - DA) + nB * prod(U - DB)) / U, the union U keeping each mu at its top
         multiplicity, with the cofactors multiplied in one [P^mu] at a time."""
-        den, num = _fold((t.den, t.num.coeffs) for t in terms)
-        return cls._of(LPolynomial._of(num), den)
+        return _fold((t.den, t.num.coeffs) for t in terms)
 
     def __add__(self, other) -> "MotivicClass":
         other = self._coerce(other)

@@ -44,7 +44,7 @@ from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list, json_object, malformed
-from .ring import LPolynomial, MotivicClass, bounded
+from .ring import LPolynomial, MotivicClass, bounded, over_lcm
 from .strata import discrepancy
 
 
@@ -217,9 +217,7 @@ class RelativeArrangement:
     def unit(self) -> tuple[int, dict[tuple[int, ...], int]]:
         """The weighted unit as ``(den, nums)``: every stratum, the open one included, weighs
         ``nums[key] / den`` = 1 / prod (mu_i + 1) (the weight 1 / prod [P^mu_i] at L = 1)."""
-        weights = {key: prod(self.mus[j] + 1 for j in key) for key in ((),) + self.strata}
-        den = lcm(*weights.values())
-        return den, {key: den // w for key, w in weights.items()}
+        return over_lcm({key: prod(self.mus[j] + 1 for j in key) for key in ((),) + self.strata})
 
     def euler(self, key: tuple[int, ...]) -> int:
         """Euler number of a curve stratum (2 minus its crossings) or a crossing (1)."""
@@ -292,9 +290,6 @@ class SurfaceModel:
 
     # -- construction -----------------------------------------------------------
 
-    def apply_event(self, event: Event) -> "SurfaceModel":
-        return SurfaceModel(self.events + (event,))
-
     def _stage(self, m: int) -> int:
         """``m`` if it names a stage of this surface, 0..k; else a ValueError."""
         if not 0 <= m <= self.k:
@@ -357,6 +352,11 @@ class SurfaceModel:
 
     def _csm(self, rel: RelativeArrangement, den: int, nums: Mapping) -> ChowClass:
         """:meth:`csm` on ``rel``'s stage of the weights ``nums[key] / den``, keyed as ``keyed`` keys."""
+        n = self._csm_numerators(rel, nums)  # Fraction(c, den): half the cost of Fraction(1, den) * c
+        return ChowClass(Fraction(n.top, den), [Fraction(c, den) for c in n.curves], Fraction(n.points, den))
+
+    def _csm_numerators(self, rel: RelativeArrangement, nums: Mapping) -> ChowClass:
+        """:meth:`_csm` times its ``den``: a class of ints."""
         f0 = nums.get((), 0)
         excess = {key: nums.get(key, 0) - f0 for key in rel.strata}
         chern = self.chern_class()  # integral
@@ -365,7 +365,7 @@ class SurfaceModel:
         for s in rel.curves:  # a curve up to the stage is no stratum and lies on none of them
             curves[s] += excess[(s,)] - sum(excess[(t,)] for t in self._through[s - 1] if t > rel.stage)
         pt = f0 * chern.points + sum(w * rel.euler(key) for key, w in excess.items())
-        return ChowClass(Fraction(top, den), [Fraction(c, den) for c in curves], Fraction(pt, den))
+        return ChowClass(top, curves, pt)
 
     def csm_stratum(self, subset: Iterable[int], relative_to: int = 0) -> ChowClass:
         """CSM class of the locus on exactly the given arrangement curves."""

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from mchern.blowup import BlowupCenter, BlowupProgram, LocusRule, blow_up
+from mchern.cfun import BaseFunction
 from mchern.modsys import ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass
 from mchern.surface import (
@@ -35,6 +37,21 @@ from mchern.surface import (
     SurfaceModel,
     swap_last_two,
 )
+
+
+def apply_event(surface: SurfaceModel, event: Event) -> SurfaceModel:
+    """The surface with one more blow-up event."""
+    return SurfaceModel(surface.events + (event,))
+
+
+def value_at(base: BaseFunction, point: str) -> Fraction:
+    """A pushed-forward function's value at a named base point."""
+    return base.generic_value + base.corrections.get(point, Fraction(0))
+
+
+def is_constant(base: BaseFunction, value) -> bool:
+    """Whether a pushed-forward function is ``value`` everywhere."""
+    return base.generic_value == Fraction(value) and not any(base.corrections.values())
 
 
 def chow_point(k: int) -> ChowClass:
@@ -64,7 +81,7 @@ def random_tower(rng: random.Random, k: int) -> SurfaceModel:
             event = rng.choice(crossings)
         else:
             event = rng.choice(event_choices(s))
-        s = s.apply_event(event)
+        s = apply_event(s, event)
     return s
 
 
@@ -78,7 +95,7 @@ def surface_corpus(max_events: int = 6, limit: int = 500) -> list[tuple[Event, .
         programs.append(events)
         if len(events) < max_events:
             for event in event_choices(surface):
-                queue.append((events + (event,), surface.apply_event(event)))
+                queue.append((events + (event,), apply_event(surface, event)))
     return programs
 
 

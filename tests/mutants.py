@@ -392,6 +392,33 @@ MUTANTS = (
         "    if False:",
         ("tests/test_blowup.py::TestCenterDivisorBound", "tests/test_cli.py::TestSizeBounds"),
     ),
+    Mutant(
+        "the fold table is keyed by fiber name",
+        "src/mchern/cli.py",
+        "    folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)\n"
+        "    fiber_chi = [folds[terms] for terms, _ in fibers]\n",
+        "    fibers = [(name, terms, locus) for (terms, locus), name in zip(fibers, [n for n in loci if n != \"full\"])]\n"
+        "    folds.update((n, system.chi(locus, t).reduced()) for n, t, locus in fibers if n not in folds)\n"
+        "    fiber_chi = [folds[n] for n, _, _ in fibers]\n",
+        ("tests/test_cli.py::TestSurfaceCommands",),
+    ),
+    Mutant(
+        "the fold table's key leaves out the numerators",
+        "src/mchern/cli.py",
+        "    folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)\n"
+        "    fiber_chi = [folds[terms] for terms, _ in fibers]\n",
+        "    fibers = [(tuple(d for d, _ in terms), terms, locus) for terms, locus in fibers]\n"
+        "    folds.update((k, system.chi(locus, t).reduced()) for k, t, locus in fibers if k not in folds)\n"
+        "    fiber_chi = [folds[k] for k, _, _ in fibers]\n",
+        ("tests/test_cli.py::TestSurfaceCommands",),
+    ),
+    Mutant(
+        "the integer Chern check skips the points coordinate",
+        "src/mchern/cli.py",
+        "[den * e for e in chern.curves], den * chern.points)",
+        "[den * e for e in chern.curves], surface._csm_numerators(rel, unit).points)",
+        ("tests/test_surface.py::TestVerifyStage",),
+    ),
 )
 
 EQUIVALENT = (
@@ -412,6 +439,14 @@ EQUIVALENT = (
         "of a crossing have the same root",
     ),
 )
+
+
+def orphans() -> list[tuple[str, str, int]]:
+    """``(name, path, count)`` of each mutant or equivalent whose snippet does not occur exactly once."""
+    entries = [(m.name, m.path, m.snippet) for m in MUTANTS]
+    entries += [(name, path, snippet) for name, path, snippet, _, _ in EQUIVALENT]
+    counts = [(name, path, (ROOT / path).read_text().count(snippet)) for name, path, snippet in entries]
+    return [entry for entry in counts if entry[2] != 1]
 
 
 def _copy_tree(dest: Path) -> None:
@@ -440,12 +475,10 @@ def _run(tests: tuple[str, ...], mutant: Mutant | None = None) -> bool:
 
 
 def main(argv: list[str]) -> int:
+    for name, path, count in orphans():
+        print(f"snippet of {name!r} occurs {count} times in {path}", file=sys.stderr)
+        return 2
     chosen = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
-    for m in chosen:
-        count = (ROOT / m.path).read_text().count(m.snippet)
-        if count != 1:
-            print(f"snippet of {m.name!r} occurs {count} times in {m.path}", file=sys.stderr)
-            return 2
     tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
     if tests and not _run(tests):
         print(f"the unmodified tests fail: {' '.join(tests)}", file=sys.stderr)

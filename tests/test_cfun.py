@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import chow_point
+from corpus import chow_point, is_constant, value_at
 from mchern import cfun
 from mchern.cfun import BaseFunction
 from mchern.surface import GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
@@ -40,18 +40,18 @@ class TestPushforward:
     def test_closed_curve_gives_full_euler(self):
         base = cfun.pushforward(K1, closed_curve(K1, 1))
         assert base.generic_value == 0
-        assert base.value_at("p1") == 2
+        assert value_at(base, "p1") == 2
 
     def test_weighted_unit_is_constant_one(self):
         f = cfun.weighted_unit(K1, 0)
         base = cfun.pushforward(K1, f)
-        assert base.is_constant(1)
-        assert base.value_at("p1") == 1
+        assert is_constant(base, 1)
+        assert value_at(base, "p1") == 1
 
     def test_open_complement(self):
         base = cfun.pushforward(K1, {(): 1})
         assert base.generic_value == 1
-        assert base.value_at("p1") == 0
+        assert value_at(base, "p1") == 0
         assert base.corrections == {"p1": -1}
 
     def test_unknown_stratum(self):
@@ -76,9 +76,9 @@ class TestPushforward:
         single_f = cfun.pushforward(NESTED, {(1,): 1})
         single_g = cfun.pushforward(NESTED, {(): 1})
         for point in ("p1", "generic-ish"):
-            assert combo.value_at(point) == 2 * single_f.value_at(point) + Fraction(
+            assert value_at(combo, point) == 2 * value_at(single_f, point) + Fraction(
                 1, 3
-            ) * single_g.value_at(point)
+            ) * value_at(single_g, point)
 
     def test_two_route_euler_agreement(self, corpus_surfaces):
         # closed-curve push-forward values equal fiber Euler characteristics
@@ -90,9 +90,9 @@ class TestPushforward:
                 assert base.generic_value == 0
                 for root in rel.root_order:
                     if rel.roots[j] == root:
-                        assert base.value_at(root) == 2
+                        assert value_at(base, root) == 2
                     else:
-                        assert base.value_at(root) == 0
+                        assert value_at(base, root) == 0
 
 
 def fraction_fiber_integral(rel, weights):
@@ -169,10 +169,10 @@ class TestUnitPushforward:
     def test_small_surfaces(self):
         for s in (SurfaceModel(), K1, NESTED, CHAIN):
             for m in range(s.k + 1):
-                assert cfun.pushforward(s, cfun.weighted_unit(s, m), m).is_constant(1)
+                assert is_constant(cfun.pushforward(s, cfun.weighted_unit(s, m), m), 1)
 
     def test_identity_stage_trivial(self):
-        assert cfun.pushforward(K1, cfun.weighted_unit(K1, 1), 1).is_constant(1)
+        assert is_constant(cfun.pushforward(K1, cfun.weighted_unit(K1, 1), 1), 1)
 
     def test_restricted_to_fiber_is_indicator(self):
         rel = NESTED.relative(0)
@@ -183,13 +183,13 @@ class TestUnitPushforward:
         }
         base = cfun.pushforward(NESTED, f)
         assert base.generic_value == 0
-        assert base.value_at("p1") == 1
+        assert value_at(base, "p1") == 1
 
     def test_restrict_unknown_point(self):
         # a point with no fiber strata sees only the generic value
         assert "p7" not in NESTED.relative(0).root_order
         base = cfun.pushforward(NESTED, cfun.weighted_unit(NESTED, 0))
-        assert base.value_at("p7") == base.generic_value == 1
+        assert value_at(base, "p7") == base.generic_value == 1
 
 
 def random_function(rng: random.Random, surface: SurfaceModel, stage: int):
@@ -235,10 +235,10 @@ class TestNaturality:
 class TestBaseFunction:
     def test_values_and_constancy(self):
         base = BaseFunction(Fraction(1), {"p1": Fraction(-1)})
-        assert base.value_at("p1") == 0
-        assert base.value_at("anywhere else") == 1
-        assert not base.is_constant(1)
-        assert BaseFunction(Fraction(2), {}).is_constant(2)
+        assert value_at(base, "p1") == 0
+        assert value_at(base, "anywhere else") == 1
+        assert not is_constant(base, 1)
+        assert is_constant(BaseFunction(Fraction(2), {}), 2)
 
     def test_json(self):
         base = BaseFunction(Fraction(1, 2), {"p1": Fraction(3)})

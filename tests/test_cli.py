@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import random_tower
+from corpus import random_tower, value_at
 from mchern import blowup, cfun, cli
 from mchern.cli import main
-from mchern.modsys import Divisor
+from mchern.modsys import Divisor, ModificationSystem
 from mchern.ring import LPolynomial, MotivicClass, projective_poly
 from mchern.sampling import attach_locus_rules, random_center, random_invariance_case
 from mchern.surface import RelativeArrangement, SurfaceModel, events_from_json, events_to_json
@@ -386,6 +386,58 @@ class TestSurfaceCommands:
             assert checks["chi_matches_stage_class"] is False and checks["euler_chi"] is False
             assert checks["fiber_chi_one"] is True
 
+    def test_verify_main_folds_again_a_fiber_corrupted_at_a_later_stage(self, capsys, monkeypatch, tmp_path):
+        # fiber p2 (curves 2, 3 and their crossing) is the same at stages 0 and 1; a table
+        # keyed by fiber name, or by denominators alone, would reuse its stage-0 chi
+        path = tmp_path / "two.json"
+        path.write_text(
+            json.dumps({"events": [{"type": "generic"}, {"type": "generic"}, {"type": "on_curve", "curve": 2}]})
+        )
+
+        def curve_of_p2_after_stage_0(loci):
+            if "p2" in loci and "p1" not in loci:
+                return min(mask for mask in loci["p2"].strata if mask.bit_count() == 1)
+            return None
+
+        self.corrupt_export(monkeypatch, curve_of_p2_after_stage_0)
+        assert main(["surface", "verify-main", "--program", str(path), "--json"]) == 1
+        stages = json.loads(capsys.readouterr().out)["results"]["stages"]
+        assert [m for m, checks in stages.items() if not checks["fiber_chi_one"]] == ["1"]
+
+    def test_verify_main_folds_each_distinct_fiber_once_per_command(self, capsys, monkeypatch, tmp_path):
+        surface = random_tower(random.Random(8), 18)
+        fibers = [
+            system.chi_terms(locus)
+            for system, loci in map(surface.export_modification_system, range(surface.k + 1))
+            for name, locus in loci.items()
+            if name != "full"
+        ]
+        assert len(set(fibers)) < len(fibers)  # some fiber is left unchanged by a stage
+        folds, chi = [], ModificationSystem.chi
+
+        def spy(system, locus, terms=None):
+            assert terms == system.chi_terms(locus)  # built once, by the caller, for this locus
+            folds.append(terms)
+            return chi(system, locus, terms)
+
+        monkeypatch.setattr(ModificationSystem, "chi", spy)
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(events_to_json(surface.events)))
+        for runs in (1, 2):  # the table lives for one command: the second folds them all again
+            assert main(["surface", "verify-main", "--program", str(path)]) == 0
+            assert len(folds) == runs * len(set(fibers))
+            assert set(folds) == set(fibers)
+
+    def test_verify_main_one_stage_equals_its_entry_of_all_stages(self, capsys, tmp_path):
+        surface = random_tower(random.Random(8), 18)
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(events_to_json(surface.events)))
+        assert main(["surface", "verify-main", "--program", str(path), "--json"]) == 0
+        stages = json.loads(capsys.readouterr().out)["results"]["stages"]
+        for m in range(surface.k + 1):
+            assert main(["surface", "verify-main", "--program", str(path), "--stage", str(m), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["stages"] == {str(m): stages[str(m)]}
+
     def test_stage_out_of_range(self, capsys, surface_file):
         assert main(["surface", "verify-main", "--program", surface_file, "--stage", "9"]) == 2
 
@@ -425,7 +477,7 @@ class TestSurfaceCommands:
             assert main(["surface", "report", "--program", str(path), "--json"]) == 0
             profiles = json.loads(capsys.readouterr().out)["results"]["fiber_profiles"]
             unit = cfun.pushforward(surface, cfun.weighted_unit(surface, 0), 0)
-            assert profiles == {a: str(unit.value_at(a)) for a in surface.relative(0).root_order}
+            assert profiles == {a: str(value_at(unit, a)) for a in surface.relative(0).root_order}
 
     def test_report_on_a_descending_pair(self, capsys, surface_file, tmp_path):
         # surface_file is the same program with the pair written as [1, 2]
