@@ -144,15 +144,14 @@ def _center_masks(system: ModificationSystem, center: BlowupCenter) -> tuple[int
         problems.append(
             f"center lies on {k0_mask.bit_count()} divisors, more than its codimension {d}"
         )
-    ids = system.ids_of  # called only on a failure: O(divisors) each
     for mask in sorted(strata):
         if mask & k0_mask != k0_mask:
-            problems.append(f"center stratum {ids(mask)} does not contain all of K0")
+            problems.append(f"center stratum {system.ids_of(mask)} does not contain all of K0")
         if mask not in system.strata:
-            problems.append(f"center is nonzero on the empty stratum {ids(mask)}")
+            problems.append(f"center is nonzero on the empty stratum {system.ids_of(mask)}")
         if (mask & ~k0_mask).bit_count() > n - d:
             problems.append(
-                f"center stratum {ids(mask)} would create strata deeper than dimension {n}"
+                f"center stratum {system.ids_of(mask)} would create strata deeper than dimension {n}"
             )
     if problems:
         raise BlowupError("; ".join(problems))

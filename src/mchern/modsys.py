@@ -122,9 +122,12 @@ class ModificationSystem:
         return _as_mask(ids, self._ident_index, len(self.divisors))
 
     def ids_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(
-            d.ident for i, d in enumerate(self.divisors) if mask >> i & 1
-        )
+        divs, ids = self.divisors, []
+        mask &= (1 << len(divs)) - 1  # bits past the last divisor name none
+        while mask:  # one step per set bit, lowest first, as in mu_of_mask
+            ids.append(divs[(mask & -mask).bit_length() - 1].ident)
+            mask &= mask - 1
+        return tuple(ids)
 
     def mu_of_mask(self, mask: int) -> tuple[int, ...]:
         divs, mus = self.divisors, []

@@ -63,15 +63,20 @@ def decimal(value: Union[int, Fraction], what: str) -> str:
         raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from None
 
 
+def _trim(cs: list[int]) -> list[int]:
+    """``cs`` cut in place before its trailing zeros, by one scan and one slice."""
+    if cs and cs[-1] == 0:
+        del cs[len(cs) - len(list(takewhile(not_, reversed(cs)))) :]
+    return cs
+
+
 class LPolynomial:
     """Integer polynomial in L, stored as an ascending coefficient tuple."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = _trim(list(coeffs))
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients required, got {c!r}")
@@ -80,10 +85,8 @@ class LPolynomial:
     @classmethod
     def _of(cls, cs: list[int]) -> "LPolynomial":
         """Trusted constructor for a fresh list of ints: trims trailing zeros, checks nothing."""
-        while cs and cs[-1] == 0:
-            cs.pop()
         p = object.__new__(cls)
-        p.coeffs = tuple(cs)
+        p.coeffs = tuple(_trim(cs))
         return p
 
     @classmethod
@@ -294,18 +297,18 @@ def _mul_projective(c: Sequence[int], mu: int) -> list[int]:
 
 
 def _div_projective(p: Sequence[int], mu: int) -> Optional[list[int]]:
-    """Coefficients of p / [P^mu] when the division is exact, else None.
-
-    Its power series obeys q[k] = p[k] - p[k-1] + q[k-mu-1], which repeats
-    with period mu + 1 beyond len(p): exact iff q[len(p)-mu : len(p)+1] = 0.
-    """
-    n = len(p)
-    step = mu + 1
-    q = list(map(sub, [*p, 0], [0, *p]))
+    """Coefficients of p / [P^mu] if exact, else None: the one divisibility test.  As [P^mu] divides
+    L^(mu+1) - 1, p = sum s_r L^r mod [P^mu], s_r = sum p[r::mu+1], of degree <= mu: exact iff all s_r
+    are equal (s_r = 0 for len(p) <= r <= mu); then q[k] = p[k] - p[k-1] + q[k-mu-1], per residue."""
+    n, step = len(p), mu + 1
+    top = sum(p[mu::step])
+    for r in reversed(range(min(mu, n))):  # a merged numerator's residue sums differ first at the top
+        if sum(p[r::step]) != top:
+            return None
+    q = list(map(sub, p, [0, *p]))
     for r in range(min(step, n + 1 - step)):
         q[r::step] = accumulate(q[r::step])
-    cut = max(n - mu, 0)
-    return None if any(q[cut:]) else q[:cut]
+    return q[: max(n - mu, 0)]
 
 
 @lru_cache(maxsize=None)
@@ -380,18 +383,13 @@ _CANCEL_LENGTH = 64
 
 
 def _cancel(num: list[int], mus: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Drop from num / prod [P^mu] (mus ascending) each [P^mu] dividing num, largest first.
-
-    Returns the numerator and the mus kept, descending.  As [P^mu](1) = mu + 1, a
-    division is tried only when mu + 1 divides num(1), and not again for an equal mu
-    that failed: a [P^mu] that does not divide num divides no quotient of it either.
-    """
-    kept, at_one = [], sum(num)
+    """Cancel each [P^mu] dividing num over ascending mus, largest first: (numerator, mus kept descending)."""
+    kept = []
     for mu in reversed(mus):
-        if kept[-1:] != [mu] and at_one % (mu + 1) == 0 and (quot := _div_projective(num, mu)) is not None:
-            num, at_one = quot, at_one // (mu + 1)
-        else:
+        if (quot := _div_projective(num, mu)) is None:
             kept.append(mu)
+        else:
+            num = quot
     return num, kept
 
 
@@ -412,8 +410,7 @@ def _fold(pairs: Iterator[tuple[tuple[int, ...], Sequence[int]]]) -> "MotivicCla
     den, num = next(pairs, ((), ()))
     for d, n in pairs:
         den, num = (den, _plus(num, n)) if d == den else _merge((den, num), (d, n))
-        if num and num[-1] == 0:  # one scan over the trailing zeros, one slice
-            del num[len(num) - len(list(takewhile(not_, reversed(num)))) :]
+        _trim(num)
     return MotivicClass._of(LPolynomial._of(num), den)
 
 

@@ -269,23 +269,23 @@ MUTANTS = (
     Mutant(
         "the [P^mu] cancel loop keeps a divided [P^mu]",
         "src/mchern/ring.py",
-        "num, at_one = quot, at_one // (mu + 1)\n",
-        "num, at_one = quot, at_one // (mu + 1)\n            kept.append(mu)\n",
+        "            num = quot\n",
+        "            num = quot\n            kept.append(mu)\n",
         ("tests/test_ring.py::TestCancelInsideMerge", "tests/test_ring_sympy.py"),
     ),
     Mutant(
-        "the [P^mu] cancel loop filters by num(1) mod mu, not mod mu + 1",
+        "the residue test sums residues mod mu, not mod mu + 1",
         "src/mchern/ring.py",
-        "at_one % (mu + 1) == 0 and",
-        "at_one % mu == 0 and",
-        ("tests/test_ring.py::TestCancelInsideMerge",),
+        "        if sum(p[r::step]) != top:\n",
+        "        if sum(p[r::mu or 1]) != sum(p[mu :: mu or 1]):\n",
+        ("tests/test_ring.py::TestProjectiveKernels",),
     ),
     Mutant(
-        "the [P^mu] cancel loop tries again an equal mu that failed",
+        "the residue test skips residue 0",
         "src/mchern/ring.py",
-        "if kept[-1:] != [mu] and ",
-        "if ",
-        ("tests/test_ring.py::TestCancelInsideMerge",),
+        "for r in reversed(range(min(mu, n))):",
+        "for r in reversed(range(1, min(mu, n))):",
+        ("tests/test_ring.py::TestProjectiveKernels",),
     ),
     Mutant(
         "the fiber loci leave out the crossing points",

@@ -36,6 +36,9 @@ class TestConstruction:
         mask = system.mask_of(("a", "c"))
         assert system.ids_of(mask) == ("a", "c")
         assert system.mu_of_mask(mask) == (0, 1)
+        # bits past the last divisor name no divisor
+        assert system.ids_of(mask | 1 << 3 | 1 << 70) == ("a", "c")
+        assert system.mu_of_mask(mask | 1 << 3 | 1 << 70) == (0, 1)
         assert system.mask_of(()) == 0
 
     def test_unknown_id_rejected(self):

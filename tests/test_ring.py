@@ -559,9 +559,9 @@ class TestCancelInsideMerge:
         assert MotivicClass.sum(two).den == (5,)
         assert MotivicClass.sum(two) == MotivicClass(LPolynomial.monomial(70), ()) + MotivicClass(1, (5,))
 
-    def test_an_equal_mu_that_failed_is_not_tried_again(self, monkeypatch):
-        # num(1) = 3 * 6 + 27: the first [P^2] divides, the second fails, the third is kept
-        # untried; mu = 5 fails the num(1) filter
+    def test_each_mu_is_tried_once_largest_first(self, monkeypatch):
+        # 3 L^70 [P^5] + [P^2]^3 over [P^2]^3 [P^5]: [P^5] fails, the first [P^2] divides,
+        # as [P^5] = [P^2] (1 + L^3), and the other two fail; a failed mu is tried again
         tried = []
 
         def spy(p, mu):
@@ -572,14 +572,17 @@ class TestCancelInsideMerge:
         expected = pairwise_add(*terms)
         monkeypatch.setattr(ring, "_div_projective", spy)
         got = MotivicClass.sum(terms)
-        assert tried == [2, 2]
+        assert tried == [5, 2, 2, 2]
         assert got.den == (2, 2, 5) and got == expected and got.to_json() == expected.to_json()
+        assert got.to_json() == {
+            "numerator": "1 + 2*L + 3*L^2 + 2*L^3 + L^4 + 3*L^70 + 3*L^73",
+            "denominator": [2, 2, 5],
+        }
 
-    def test_reduced_tries_only_what_the_filter_lets_through(self, monkeypatch):
-        # num(1) = 3 over [P^1] [P^2]^2 [P^5]: 2 and 6 do not divide 3, so the first pass
-        # tries [P^2] alone, once, as 3 L^70 is no multiple of it; the Phi pass is not spied
+    def test_reduced_tries_each_mu_once_largest_first(self, monkeypatch):
+        # 3 L^70 over [P^1] [P^2]^2 [P^5]: no [P^mu] divides it, and each is tried once;
+        # the Phi pass is not spied and leaves the value as it is
         value = MotivicClass(LPolynomial.monomial(70, 3), (1, 2, 2, 5))
-        expected = fields(value.reduced())
         tried, lowest_terms = [], ring._lowest_terms
 
         def spy(p, mu):
@@ -592,8 +595,9 @@ class TestCancelInsideMerge:
 
         monkeypatch.setattr(ring, "_div_projective", spy)
         monkeypatch.setattr(ring, "_lowest_terms", unspied)
-        assert fields(value.reduced()) == expected
-        assert tried == [2]
+        assert fields(value.reduced()) == (LPolynomial.monomial(70, 3), (1, 2, 2, 5))
+        assert tried == [5, 2, 2, 1]
+        assert value.to_json() == {"numerator": "3*L^70", "denominator": [1, 2, 2, 5]}
 
     def test_a_fiber_chi_stays_short(self):
         # chi of a 60-curve chain fiber is 1; without cancelling, its numerator has
@@ -742,12 +746,29 @@ class TestProjectiveKernels:
         product = (LPolynomial(c) * projective_poly(mu)).coeffs
         assert _div_projective(product, mu) == list(LPolynomial(c).coeffs)
 
-    @settings(max_examples=200)
-    @given(coeff_lists, st.integers(0, 6))
-    def test_divide_matches_long_division(self, p, mu):
+    @settings(max_examples=300)
+    @given(
+        st.one_of(coeff_lists, st.lists(st.integers(-(10**100), 10**100), max_size=7)),
+        st.integers(0, 40),
+        st.sampled_from(("as drawn", "times [P^mu]", "times [P^mu], one nudged")),
+        st.integers(0, 3),
+    )
+    @example([], 5, "as drawn", 3)  # all zeros, shorter than mu + 1
+    @example([], 5, "as drawn", 60)  # all zeros, longer
+    @example([2, 2, 2], 5, "as drawn", 0)  # equal residues up to len(p), and then s_3 = 0
+    @example([1, 3, 3], 2, "as drawn", 0)  # only residue 0 differs
+    @example([1] * 41, 40, "as drawn", 0)  # [P^40] itself
+    @example([10**99 + 7, -(10**99), 3], 2, "times [P^mu]", 2)
+    def test_divide_matches_long_division(self, c, mu, how, zeros):
+        # untrimmed numerators keep their length: the quotient has len(p) - mu coefficients
+        p = list(c) if how == "as drawn" else _mul_projective(c, mu)
+        if how.endswith("nudged") and p:
+            p[len(p) // 2] += 1
+        p += [0] * zeros
         quot, rem = LPolynomial(p).divide_by_monic(projective_poly(mu))
-        got = _div_projective(list(LPolynomial(p).coeffs), mu)
-        assert got == (list(quot.coeffs) if rem.is_zero() else None)
+        got = _div_projective(p, mu)
+        width = max(len(p) - mu, 0)
+        assert got == (list(quot.coeffs) + [0] * (width - len(quot.coeffs)) if rem.is_zero() else None)
 
     @given(coeff_lists, coeff_lists)
     @example([1, 2, 3], [-1, -2, -3])  # cancels to trailing zeros, which stay
