@@ -45,15 +45,13 @@ from .modsys import (
     ModificationSystem,
     json_bounded,
     json_list,
-    json_object,
-    malformed,
     strata_from_json,
     strata_to_json,
     subset_from_json,
     system_from_json,
     system_to_json,
 )
-from .ring import INPUT_BOUND, MotivicClass, projective_class
+from .ring import INPUT_BOUND, MotivicClass, json_fields, json_object, projective_class
 from .strata import FiberFrame, discrepancy, hyperplane_stratum_class
 
 
@@ -420,25 +418,26 @@ def run_program(program: BlowupProgram) -> ProgramResult:
 
 
 def center_from_json(obj: Mapping) -> BlowupCenter:
-    obj = json_object(obj, "blow-up step")
-    with malformed("blow-up step"):
-        rules: dict[str, LocusRule] = {}
-        for name, kind in json_object(obj.get("locus_defaults", {}), "locus_defaults").items():
-            if kind == CONTAINS_CENTER:
-                rules[name] = LocusRule.contains()
-            elif kind == DISJOINT_FROM_CENTER:
-                rules[name] = LocusRule.disjoint()
-            else:
-                raise ValueError(f"unknown locus default {kind!r} for {name!r}")
-        explicit = json_object(obj.get("locus_center_strata", {}), "locus_center_strata")
-        for name, entries in explicit.items():
-            rules[name] = LocusRule.explicit(strata_from_json(entries))
-        return BlowupCenter(
-            codim=json_bounded(obj["codim"], "codim"),
-            containing=subset_from_json(obj.get("containing", [])),
-            center_strata=strata_from_json(obj.get("center_strata", [])),
-            locus_rules=rules,
-        )
+    keys = {"containing": [], "center_strata": [], "locus_defaults": {}, "locus_center_strata": {}}
+    codim, containing, strata, defaults, explicit = json_fields(obj, "blow-up step", ("codim",), keys)
+    rules: dict[str, LocusRule] = {}
+    for name, kind in json_object(defaults, "locus_defaults").items():
+        if kind == CONTAINS_CENTER:
+            rules[name] = LocusRule.contains()
+        elif kind == DISJOINT_FROM_CENTER:
+            rules[name] = LocusRule.disjoint()
+        else:
+            raise ValueError(f"unknown locus default {kind!r} for {name!r}")
+    for name, entries in json_object(explicit, "locus_center_strata").items():
+        if name in rules:
+            raise BlowupError(f"locus {name!r} has both a locus_defaults kind and locus_center_strata")
+        rules[name] = LocusRule.explicit(strata_from_json(entries))
+    return BlowupCenter(
+        codim=json_bounded(codim, "codim"),
+        containing=subset_from_json(containing),
+        center_strata=strata_from_json(strata),
+        locus_rules=rules,
+    )
 
 
 def _by_sorted_ids(strata: Mapping[frozenset[str], MotivicClass]) -> list:
@@ -466,10 +465,17 @@ def center_to_json(center: BlowupCenter) -> dict:
 
 
 def program_from_json(obj: Mapping) -> BlowupProgram:
-    with malformed("program object"):
-        system, loci = system_from_json(obj["initial"])
-        steps = tuple(map(center_from_json, json_list(obj.get("steps", []), "steps")))
-    return BlowupProgram(system, steps, loci)
+    initial, entries = json_fields(obj, "program object", ("initial",), {"steps": []})
+    system, loci = system_from_json(initial)
+    steps = []
+    for index, entry in enumerate(json_list(entries, "steps")):
+        try:  # a step gives a rule only to a declared locus, and one rule to each
+            steps.append(step := center_from_json(entry))
+            if undeclared := sorted(step.locus_rules.keys() - loci.keys()):
+                raise BlowupError(f"locus {undeclared[0]!r} has a rule but is not declared")
+        except BlowupError as exc:
+            raise BlowupError(f"step {index}: {exc}") from exc
+    return BlowupProgram(system, tuple(steps), loci)
 
 
 def program_to_json(program: BlowupProgram) -> dict:

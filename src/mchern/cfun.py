@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .modsys import malformed, strata_from_json, strata_to_json
-from .ring import bounded, decimal
+from .modsys import strata_from_json, strata_to_json
+from .ring import bounded, decimal, json_fields
 from .surface import SurfaceModel
 
 
@@ -82,8 +82,8 @@ def _weight_from_json(value) -> Fraction:
 
 def function_from_json(obj: Mapping) -> dict[frozenset, Fraction]:
     """The decoded ``{subset: weight}`` mapping, zero weights included."""
-    with malformed("function object"):
-        return strata_from_json(obj["strata"], "weight", _weight_from_json, int)
+    (entries,) = json_fields(obj, "function object", ("strata",), {})
+    return strata_from_json(entries, "weight", _weight_from_json, int)
 
 
 def function_to_json(f: Mapping) -> dict:

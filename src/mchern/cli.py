@@ -37,13 +37,9 @@ DEFAULT_SEED = 101
 PASS, FAIL = "pass", "fail"
 
 
-class ScenarioError(ValueError):
-    pass
-
-
 def _bound(value: int, name: str) -> int:
     if value < 0:
-        raise ScenarioError(f"sweep bound {name} must be nonnegative, got {value}")
+        raise ValueError(f"sweep bound {name} must be nonnegative, got {value}")
     return value
 
 
@@ -54,16 +50,16 @@ def _read(path: str) -> tuple[bytes, str]:
             data = handle.read()
         return data, data.decode("utf-8")
     except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid UTF-8: {exc}") from exc
+        raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise ScenarioError(f"repeated JSON key {key!r}")
+        raise ValueError(f"repeated JSON key {key!r}")
     return obj
 
 
@@ -73,15 +69,13 @@ def read_payload(path: str, expected_kind: str) -> tuple[dict, str]:
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # also JSON too deep for the parser
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
         if obj["kind"] != expected_kind:
-            raise ScenarioError(
-                f"{path} holds a {obj['kind']!r} scenario, expected {expected_kind!r}"
-            )
+            raise ValueError(f"{path} holds a {obj['kind']!r} scenario, expected {expected_kind!r}")
         obj = obj.get("payload", {})
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     return obj, hashlib.sha256(data).hexdigest()
 
 
@@ -197,14 +191,14 @@ def cmd_verify_invariance(args) -> dict:
 
 def cmd_blowup_run(args) -> dict:
     if args.program is None:
-        raise ScenarioError("blowup run needs --program or --scenario")
+        raise ValueError("blowup run needs --program or --scenario")
     payload, digest = read_payload(args.program, "program")
     program = program_from_json(payload)
     problems = program.initial.validate()
     for locus in program.loci.values():
         problems += program.initial.locus_violations(locus)
     if problems:
-        raise ScenarioError("; ".join(problems))
+        raise ValueError("; ".join(problems))
     outcome = run_program(program)
     audits = [
         {
@@ -232,7 +226,7 @@ def cmd_blowup_run(args) -> dict:
 
 def _load_surface(args) -> tuple[SurfaceModel, str]:
     if args.program is None:
-        raise ScenarioError("surface commands need --program or --scenario")
+        raise ValueError("surface commands need --program or --scenario")
     payload, digest = read_payload(args.program, "surface")
     return SurfaceModel(events_from_json(payload)), digest
 

@@ -15,19 +15,19 @@ distinguished locus U downstairs.  The functional
 recovers the class of U itself; its evaluation at L = 1 is the weighted
 Euler sum.  Subsets are encoded as bitmasks over the divisor index set.
 
-The JSON decoders here are strict: integers must be JSON integers, subsets
-lists of distinct ids, and no subset may be listed twice.
+The JSON decoders here read each object by :func:`mchern.ring.json_fields`,
+so an undeclared key is an input error; integers must be JSON integers,
+subsets lists of distinct ids, and no subset may be listed twice.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .ring import MotivicClass, _fold, bounded, over_lcm
+from .ring import MotivicClass, _fold, bounded, json_fields, over_lcm
 
 SubsetKey = Union[int, str, Iterable[str]]
 
@@ -224,15 +224,6 @@ def _as_mask(key: SubsetKey, index: Mapping[str, int], count: int) -> int:
 # -- JSON wire format ----------------------------------------------------------
 
 
-@contextmanager
-def malformed(what: str):
-    """Turn a KeyError or TypeError of a decoder into one input error, ``malformed <what>: ...``."""
-    try:
-        yield
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {what}: {exc}") from exc
-
-
 def json_int(value, what: str) -> int:
     """A JSON integer; bools, floats and strings are rejected."""
     if type(value) is not int:
@@ -249,12 +240,6 @@ def json_str(value, what: str) -> str:
     """A JSON string; numbers, bools and objects are rejected."""
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def json_object(value, what: str) -> Mapping:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -280,10 +265,11 @@ def strata_from_json(
     """Decode ``[{"subset": [...], value: ...}, ...]``, keyed by subset; no subset twice."""
     out: dict[frozenset, object] = {}
     for entry in json_list(entries, "strata"):
-        subset = subset_from_json(entry["subset"], item)
+        ids, data = json_fields(entry, "stratum", ("subset", value), {})
+        subset = subset_from_json(ids, item)
         if subset in out:
             raise ValueError(f"duplicate stratum {sorted(subset)!r}")
-        out[subset] = decode(entry[value])
+        out[subset] = decode(data)
     return out
 
 
@@ -317,25 +303,20 @@ def system_to_json(
 
 
 def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, MarkedLocus]]:
-    obj = json_object(obj, "system")
-    with malformed("system object"):
-        divisors = []
-        for entry in json_list(obj.get("divisors", []), "divisors"):
-            entry = json_object(entry, "divisor")
-            divisors.append((json_str(entry["id"], "divisor id"), json_bounded(entry["mu"], "mu")))
-        ambient = obj.get("ambient_class")
-        system = ModificationSystem(
-            json_bounded(obj["ambient_dim"], "ambient_dim"),
-            divisors,
-            strata_from_json(obj.get("strata", [])),
-            ambient_class=MotivicClass.from_json(ambient) if ambient is not None else None,
-            label=json_str(obj.get("label", ""), "label"),
-        )
-        loci: dict[str, MarkedLocus] = {}
-        for entry in json_list(obj.get("loci", []), "loci"):
-            name = json_str(json_object(entry, "locus")["name"], "locus name")
-            if name in loci:
-                raise ValueError(f"duplicate locus {name!r}")
-            strata = strata_from_json(entry.get("strata", []))
-            loci[name] = MarkedLocus(name, {system.mask_of(k): v for k, v in strata.items()})
+    keys = {"divisors": [], "strata": [], "ambient_class": None, "label": "", "loci": []}
+    dim, divisors, strata, ambient, label, entries = json_fields(obj, "system object", ("ambient_dim",), keys)
+    pairs = [json_fields(d, "divisor", ("id", "mu"), {}) for d in json_list(divisors, "divisors")]
+    system = ModificationSystem(
+        json_bounded(dim, "ambient_dim"),
+        [(json_str(ident, "divisor id"), json_bounded(mu, "mu")) for ident, mu in pairs],
+        strata_from_json(strata),
+        ambient_class=MotivicClass.from_json(ambient) if ambient is not None else None,
+        label=json_str(label, "label"),
+    )
+    loci: dict[str, MarkedLocus] = {}
+    for entry in json_list(entries, "loci"):
+        name, strata = json_fields(entry, "locus", ("name",), {"strata": []})
+        if json_str(name, "locus name") in loci:
+            raise ValueError(f"duplicate locus {name!r}")
+        loci[name] = MarkedLocus(name, {system.mask_of(k): v for k, v in strata_from_json(strata).items()})
     return system, loci

@@ -49,6 +49,31 @@ def bounded(value: int, what: str) -> int:
     return value
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else an input error naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_fields(value, what: str, required: Sequence[str], optional: Mapping[str, object]) -> list:
+    """The values of ``required``, then of ``optional`` keys or their defaults; input errors name ``what``."""
+    value, fields = json_object(value, what), []
+    try:
+        for key in required:
+            fields.append(value[key])
+    except KeyError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+    if len(value) > len(required):
+        for key in value:
+            if key not in optional and key not in required:
+                raise ValueError(f"unknown {what} key {key!r}")
+        fields += map(value.get, optional, optional.values())
+    elif optional:  # exactly the required keys
+        fields += optional.values()
+    return fields
+
+
 def over_lcm(weights: Mapping) -> tuple[int, dict]:
     """The reciprocals ``1 / w`` of positive integer weights: ``den = lcm(w)``, ``{key: den // w}``."""
     den = lcm(*weights.values())
@@ -592,19 +617,13 @@ class MotivicClass:
             return cls.from_int(obj)
         if isinstance(obj, str):
             return cls(LPolynomial.from_text(obj))
-        if not isinstance(obj, dict):
-            raise ValueError(f"cannot decode motivic class from {obj!r}")
-        unknown = [key for key in obj if key not in ("numerator", "denominator")]
-        if unknown:
-            raise ValueError(f"unknown motivic class key {unknown[0]!r}")
-        num = obj.get("numerator", "0")
+        num, den = json_fields(obj, "motivic class", (), {"numerator": "0", "denominator": []})
         if isinstance(num, list):
             if any(type(c) is not int for c in num):
                 raise ValueError(f"numerator coefficients must be integers, got {num!r}")
             poly = LPolynomial(num)
         else:
             poly = LPolynomial.from_text(str(num))
-        den = obj.get("denominator", [])
         if not isinstance(den, list):
             raise ValueError(f"denominator must be a list of exponents, got {den!r}")
         value = cls(poly, den)

@@ -39,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list, json_object, malformed
-from .ring import LPolynomial, MotivicClass, bounded, over_lcm
+from .modsys import Divisor, MarkedLocus, ModificationSystem, json_int, json_list
+from .ring import LPolynomial, MotivicClass, bounded, json_fields, json_object, over_lcm
 from .strata import discrepancy
 
 
@@ -240,8 +240,8 @@ class RelativeArrangement:
             if key in out:
                 raise ValueError(f"duplicate stratum {list(key)!r}")
             out[key] = value
-        den = lcm(*(w.denominator for w in out.values()))
-        return den, {key: w.numerator * (den // w.denominator) for key, w in out.items()}
+        den, scale = over_lcm({key: w.denominator for key, w in out.items()})
+        return den, {key: w.numerator * scale[key] for key, w in out.items()}
 
     def fiber_totals(self, nums: Mapping[tuple[int, ...], int]) -> dict[str, int]:
         """Per contracted point, the sum of weight times Euler number over its fiber, for integer
@@ -442,23 +442,23 @@ class SurfaceModel:
 
 
 def events_from_json(obj: Mapping) -> tuple[Event, ...]:
+    (entries,) = json_fields(obj, "surface program", ("events",), {})
     events: list[Event] = []
-    with malformed("surface program"):
-        for entry in json_list(obj["events"], "events"):
-            entry = json_object(entry, "event")
-            kind = entry["type"]
-            if kind == "generic":
-                events.append(GenericPoint())
-            elif kind == "on_curve":
-                events.append(PointOnCurve(json_int(entry["curve"], "curve")))
-            elif kind == "intersection":
-                pair = entry["pair"]
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ValueError(f"pair must be a list of two curve indices, got {pair!r}")
-                a, b = pair
-                events.append(IntersectionPoint(json_int(a, "pair"), json_int(b, "pair")))
-            else:
-                raise ValueError(f"unknown event type {kind!r}")
+    for entry in json_list(entries, "events"):
+        kind = json_object(entry, "event").get("type")  # the type decides the other key
+        if kind == "generic":
+            json_fields(entry, "generic event", ("type",), {})
+            events.append(GenericPoint())
+        elif kind == "on_curve":
+            _, curve = json_fields(entry, "on_curve event", ("type", "curve"), {})
+            events.append(PointOnCurve(json_int(curve, "curve")))
+        elif kind == "intersection":
+            _, pair = json_fields(entry, "intersection event", ("type", "pair"), {})
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"pair must be a list of two curve indices, got {pair!r}")
+            events.append(IntersectionPoint(*(json_int(c, "pair") for c in pair)))
+        else:
+            raise ValueError(f"unknown event type {kind!r}")
     return tuple(events)
 
 

@@ -318,7 +318,7 @@ MUTANTS = (
     Mutant(
         "keyed does not scale a weight to the common denominator",
         "src/mchern/surface.py",
-        "{key: w.numerator * (den // w.denominator) for",
+        "{key: w.numerator * scale[key] for",
         "{key: w.numerator for",
         ("tests/test_cfun.py", "tests/test_golden.py"),
     ),
@@ -418,6 +418,27 @@ MUTANTS = (
         "[den * e for e in chern.curves], den * chern.points)",
         "[den * e for e in chern.curves], surface._csm_numerators(rel, unit).points)",
         ("tests/test_surface.py::TestVerifyStage",),
+    ),
+    Mutant(
+        "the JSON reader lets an undeclared key pass",
+        "src/mchern/ring.py",
+        "            if key not in optional and key not in required:\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two", "tests/test_serialize.py"),
+    ),
+    Mutant(
+        "a locus given a locus_defaults kind and explicit strata passes",
+        "src/mchern/blowup.py",
+        "        if name in rules:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
+    ),
+    Mutant(
+        "a locus rule for an undeclared locus passes",
+        "src/mchern/blowup.py",
+        "if undeclared := sorted(step.locus_rules.keys() - loci.keys()):",
+        "if undeclared := []:",
+        ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
     ),
 )
 

@@ -842,6 +842,42 @@ MALFORMED = {
     # bytes are written as they are
     "utf-8-surface-file": ("surface", b"\xff\xfe{}"),
     "utf-8-motivic-file": ("motivic-file", b"\xff\xfe{}"),
+    # a key no decoder declares, one per object kind; each ran as if it were absent
+    "program-stray-key": ("program", {"initial": ONE_DIVISOR_PROGRAM["initial"],
+                                      "stepz": ONE_DIVISOR_PROGRAM["steps"]}),
+    "step-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "codimension"], 2)),
+    "system-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "labl"], "x")),
+    "divisor-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors", 0, "mul"], 1)),
+    "locus-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "loci", 0, "strat"], [])),
+    "stratum-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "strata", 1, "clas"], "1")),
+    "surface-stray-key": ("surface", _with(SURFACE, ["event"], [])),
+    "event-generic-stray-key": ("surface", _with(SURFACE, ["events", 0], {"type": "generic", "curv": 1})),
+    "event-on-curve-stray-key": ("surface", _with(SURFACE, ["events", 1, "pair"], [1, 2])),
+    "event-intersection-stray-key": ("surface", _with(SURFACE, ["events", 2, "curve"], 1)),
+    "cfun-stray-key": ("function", _with(FUNCTION, ["weights"], [])),
+    "cfun-stratum-stray-key": ("function", _with(FUNCTION, ["strata", 0, "class"], "1")),
+    # a step's locus rules: only for a declared locus, and one per locus
+    "locus-rule-undeclared": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "locus_defaults", "Typo"], "disjoint_from_center")),
+    "locus-rule-twice": (
+        "program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "locus_center_strata"], {"U": []})),
+}
+NAMED = {  # the whole error line of each case that names a key or a locus
+    "program-stray-key": "unknown program object key 'stepz'",
+    "step-stray-key": "unknown blow-up step key 'codimension'",
+    "system-stray-key": "unknown system object key 'labl'",
+    "divisor-stray-key": "unknown divisor key 'mul'",
+    "locus-stray-key": "unknown locus key 'strat'",
+    "stratum-stray-key": "unknown stratum key 'clas'",
+    "surface-stray-key": "unknown surface program key 'event'",
+    "event-generic-stray-key": "unknown generic event key 'curv'",
+    "event-on-curve-stray-key": "unknown on_curve event key 'pair'",
+    "event-intersection-stray-key": "unknown intersection event key 'curve'",
+    "cfun-stray-key": "unknown function object key 'weights'",
+    "cfun-stratum-stray-key": "unknown stratum key 'class'",
+    "locus-rule-undeclared": "step 0: locus 'Typo' has a rule but is not declared",
+    "locus-rule-twice": "step 0: locus 'U' has both a locus_defaults kind and locus_center_strata",
 }
 BOUND_FIELDS = {  # the field each bound case names
     "bound-L-exponent": "exponent of L",
@@ -890,6 +926,8 @@ def test_malformed_input_is_one_line_exit_two(capsys, tmp_path, case):
         assert f"error: {BOUND_FIELDS[case]} " in err and "exceeds the input bound 65536" in err
     if case.startswith("utf-8"):
         assert err.startswith(f"error: {path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+    if case in NAMED:
+        assert err == f"error: {NAMED[case]}\n"
 
 
 DEEP = "[" * 100000
@@ -982,12 +1020,26 @@ def test_unexpected_exception_is_one_line_exit_three(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_a_key_error_inside_a_decoder_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # every key is read by json_fields, so a KeyError left in a decoder is a bug, not bad input
+    def broken(value, item=str):
+        return {}["subset"]
+
+    monkeypatch.setattr("mchern.modsys.subset_from_json", broken)
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(ONE_DIVISOR_PROGRAM))
+    assert main(["blowup", "run", "--program", str(path)]) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'subset'\n"
+
+
 @pytest.mark.parametrize("where", ["center_strata", "locus_center_strata"])
 def test_unknown_id_names_its_step(capsys, tmp_path, where):
     # the same unknown id in a center's strata and in an explicit locus rule
     strata = [{"subset": ["e", "nope"], "class": "1"}]
     in_locus = where == "locus_center_strata"
     step = _with(ONE_DIVISOR_PROGRAM["steps"][0], [where], {"U": strata} if in_locus else strata)
+    if in_locus:  # the explicit rule replaces U's locus_defaults kind: a locus takes one rule
+        del step["locus_defaults"]
     path = tmp_path / "program.json"
     path.write_text(json.dumps(_with(ONE_DIVISOR_PROGRAM, ["steps"], [step, step])))
     assert main(["blowup", "run", "--program", str(path)]) == 2

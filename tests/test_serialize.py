@@ -23,7 +23,7 @@ from mchern.modsys import (
     system_from_json,
     system_to_json,
 )
-from mchern.ring import LPolynomial, MotivicClass, projective_class
+from mchern.ring import LPolynomial, MotivicClass, json_fields, projective_class
 from mchern.sampling import random_invariance_case
 from mchern.surface import (
     GenericPoint,
@@ -229,6 +229,22 @@ def test_a_missing_key_names_its_decoder_and_the_key(decode, what, key):
     with pytest.raises(ValueError) as info:
         decode({})
     assert str(info.value) == f"malformed {what}: '{key}'"
+
+
+class TestJsonFields:
+    def test_required_values_then_optional_values_or_defaults(self):
+        assert json_fields({"c": 3, "a": 1}, "thing", ("a",), {"b": [], "c": 0}) == [1, [], 3]
+        assert json_fields({"a": 1}, "thing", ("a",), {"b": 0}) == [1, 0]  # exactly the required keys
+
+    def test_each_error_names_the_object(self):
+        for value, message in [
+            ([1], "thing must be a JSON object, got list"),
+            ({"b": 2}, "malformed thing: 'a'"),
+            ({"a": 1, "z": 0, "y": 0}, "unknown thing key 'z'"),  # the first in the object's order
+        ]:
+            with pytest.raises(ValueError) as info:
+                json_fields(value, "thing", ("a",), {"b": 0})
+            assert str(info.value) == message
 
 
 def _wire(obj):
