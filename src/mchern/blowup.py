@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .modsys import (
@@ -377,9 +378,9 @@ class BlowupProgram:
 
 @dataclass(frozen=True)
 class ProgramResult:
+    program: BlowupProgram
     final: ModificationSystem
     loci: dict[str, MarkedLocus]
-    snapshots: tuple[ModificationSystem, ...]
     audits: tuple[StepAudit, ...]
     final_chi: MotivicClass
 
@@ -388,30 +389,32 @@ class ProgramResult:
         """Every step audit passed (:attr:`StepAudit.passed`)."""
         return all(a.passed for a in self.audits)
 
+    @cached_property
+    def snapshots(self) -> tuple[ModificationSystem, ...]:
+        """The initial system and each step's, blown up again on request, unaudited: the run keeps none."""
+        steps, initial = self.program.steps, self.program.initial
+        return tuple(accumulate(steps, lambda system, step: blow_up(system, step).system, initial=initial))
+
 
 def run_program(program: BlowupProgram) -> ProgramResult:
-    """Left fold of blow_up over the steps, with per-step snapshots and audits.
+    """Left fold of blow_up over the steps, with per-step audits, keeping only the current system.
 
-    Each step is blown up once, with the program's loci, and audited on that
-    result.  The final chi is telescoped: chi of the initial system plus each
-    step's nonzero ``chi_delta``, so the final system is never summed.  Errors
-    raised by a step are re-raised with the step index attached.
+    Each step is blown up once, with the program's loci, and audited on that result.  The final chi
+    is telescoped: chi of the initial system plus each step's nonzero ``chi_delta``, so the final
+    system is never summed.  An input error raised by a step is re-raised with the step index attached.
     """
-    system = program.initial
-    loci = dict(program.loci)
-    snapshots = [system]
+    system, loci = program.initial, dict(program.loci)
     audits: list[StepAudit] = []
     for index, step in enumerate(program.steps):
         try:
             result, audit = audited_step(system, step, loci.values(), index)
-        except BlowupError as exc:
+        except ValueError as exc:
             raise BlowupError(f"step {index}: {exc}") from exc
         audits.append(audit)
         system, loci = result.system, result.loci
-        snapshots.append(system)
     deltas = [a.chi_delta for a in audits if not a.chi_delta.is_zero()]
     final_chi = MotivicClass.sum([program.initial.chi(program.initial.full_locus())] + deltas)
-    return ProgramResult(system, loci, tuple(snapshots), tuple(audits), final_chi)
+    return ProgramResult(program, system, loci, tuple(audits), final_chi)
 
 
 # -- JSON wire format ------------------------------------------------------------
@@ -473,7 +476,7 @@ def program_from_json(obj: Mapping) -> BlowupProgram:
             steps.append(step := center_from_json(entry))
             if undeclared := sorted(step.locus_rules.keys() - loci.keys()):
                 raise BlowupError(f"locus {undeclared[0]!r} has a rule but is not declared")
-        except BlowupError as exc:
+        except ValueError as exc:
             raise BlowupError(f"step {index}: {exc}") from exc
     return BlowupProgram(system, tuple(steps), loci)
 

@@ -26,8 +26,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import cfun
 from .blowup import audited_step, program_from_json, run_program
-from .modsys import system_to_json
-from .ring import MotivicClass, decimal
+from .modsys import json_str, system_to_json
+from .ring import MotivicClass, decimal, json_fields
 from .sampling import capped, random_invariance_case
 from .strata import sweep_identities
 from .surface import ChowClass, SurfaceModel, events_from_json, events_to_json, swap_last_two
@@ -71,9 +71,10 @@ def read_payload(path: str, expected_kind: str) -> tuple[dict, str]:
     except (json.JSONDecodeError, RecursionError) as exc:  # also JSON too deep for the parser
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
-        if obj["kind"] != expected_kind:
-            raise ValueError(f"{path} holds a {obj['kind']!r} scenario, expected {expected_kind!r}")
-        obj = obj.get("payload", {})
+        kind, obj, label = json_fields(obj, "scenario", ("kind", "payload"), {"label": ""})
+        if kind != expected_kind:
+            raise ValueError(f"{path} holds a {kind!r} scenario, expected {expected_kind!r}")
+        json_str(label, "scenario label")
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return obj, hashlib.sha256(data).hexdigest()
@@ -193,13 +194,7 @@ def cmd_blowup_run(args) -> dict:
     if args.program is None:
         raise ValueError("blowup run needs --program or --scenario")
     payload, digest = read_payload(args.program, "program")
-    program = program_from_json(payload)
-    problems = program.initial.validate()
-    for locus in program.loci.values():
-        problems += program.initial.locus_violations(locus)
-    if problems:
-        raise ValueError("; ".join(problems))
-    outcome = run_program(program)
+    outcome = run_program(program_from_json(payload))
     audits = [
         {
             "step": a.index,

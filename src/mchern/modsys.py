@@ -319,4 +319,6 @@ def system_from_json(obj: Mapping) -> tuple[ModificationSystem, dict[str, Marked
         if json_str(name, "locus name") in loci:
             raise ValueError(f"duplicate locus {name!r}")
         loci[name] = MarkedLocus(name, {system.mask_of(k): v for k, v in strata_from_json(strata).items()})
+    if problems := system.validate() + [p for locus in loci.values() for p in system.locus_violations(locus)]:
+        raise ValueError("; ".join(problems))  # a decoded system is one a program can run from
     return system, loci

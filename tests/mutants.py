@@ -440,6 +440,41 @@ MUTANTS = (
         "if undeclared := []:",
         ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
     ),
+    Mutant(
+        "the system decoder skips locus_violations",
+        "src/mchern/modsys.py",
+        "system.validate() + [p for locus in loci.values() for p in system.locus_violations(locus)]",
+        "system.validate()",
+        ("tests/test_cli.py::test_program_from_json_refuses_what_blowup_run_refuses",),
+    ),
+    Mutant(
+        "snapshots replay all steps but the last",
+        "src/mchern/blowup.py",
+        "steps, initial = self.program.steps, self.program.initial",
+        "steps, initial = self.program.steps[:-1], self.program.initial",
+        ("tests/test_blowup.py::TestSystemsKept",),
+    ),
+    Mutant(
+        "program_from_json names the step of a BlowupError only",
+        "src/mchern/blowup.py",
+        ' is not declared")\n        except ValueError as exc:',
+        ' is not declared")\n        except BlowupError as exc:',
+        ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
+    ),
+    Mutant(
+        "run_program names the step of a BlowupError only",
+        "src/mchern/blowup.py",
+        "loci.values(), index)\n        except ValueError as exc:",
+        "loci.values(), index)\n        except BlowupError as exc:",
+        ("tests/test_blowup.py::TestSystemsKept",),
+    ),
+    Mutant(
+        "the scenario envelope lets an unknown key pass",
+        "src/mchern/cli.py",
+        'json_fields(obj, "scenario", ("kind", "payload"), {"label": ""})',
+        'json_fields(obj, "scenario", ("kind", "payload"), {"label": "", **obj})[:3]',
+        ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
+    ),
 )
 
 EQUIVALENT = (

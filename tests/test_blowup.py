@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -19,9 +20,10 @@ from mchern.blowup import (
     total_class_delta_matches,
     verify_invariance,
 )
-from mchern.modsys import Divisor, MarkedLocus, ModificationSystem
+from mchern.modsys import Divisor, MarkedLocus, ModificationSystem, system_to_json
 from mchern.ring import INPUT_BOUND, LPolynomial, MotivicClass, affine_class, projective_class
 from mchern.sampling import random_invariance_case
+from mchern.strata import hyperplane_stratum_class
 
 PLANE = MotivicClass(LPolynomial((1, 1, 1)))
 
@@ -522,6 +524,58 @@ class TestTelescopedChi:
             outcome = run_program(program)
             assert outcome.all_checks_passed
             assert whole == [program.initial]
+
+
+def live_systems():
+    # ModificationSystem has __slots__ and no __weakref__, so the live ones are counted through gc
+    return sum(isinstance(obj, ModificationSystem) for obj in gc.get_objects())
+
+
+class TestSystemsKept:
+    def test_a_run_keeps_only_the_current_system(self, monkeypatch):
+        alive, audited = [], audited_step
+
+        def counting(*args):
+            out = audited(*args)
+            alive.append(live_systems())
+            return out
+
+        gc.collect()
+        before = live_systems()
+        steps = (point_center(),) + tuple(point_center(on={f"exc{j}"}) for j in range(39))
+        program = BlowupProgram(trivial_plane(), steps)
+        monkeypatch.setattr("mchern.blowup.audited_step", counting)
+        assert run_program(program).all_checks_passed
+        # the initial system, the step's input and its output
+        assert len(alive) == 40 and max(alive) - before <= 3
+
+    def test_snapshots_are_an_unaudited_blow_up_fold(self, corpus_programs):
+        rng = random.Random(9)
+        programs = [BlowupProgram(trivial_plane(), ())]
+        programs += [point_chain(rng, length) for length in (1, 2, 6, 12)]
+        programs += [blowup_program(events) for events in corpus_programs[:100]]
+        for program in programs:
+            systems = [program.initial]
+            for center in program.steps:
+                systems.append(blow_up(systems[-1], center).system)
+            outcome = run_program(program)
+            assert "snapshots" not in vars(outcome)  # derived on request, not kept by the run
+            assert list(map(system_to_json, outcome.snapshots)) == list(map(system_to_json, systems))
+            assert system_to_json(outcome.snapshots[-1]) == system_to_json(outcome.final)
+
+    def test_any_input_error_in_a_step_names_the_step(self, monkeypatch):
+        original = hyperplane_stratum_class
+
+        def failing(frame, size):
+            if frame.k:  # the second step is the first on a divisor
+                raise ValueError("no fiber here")
+            return original(frame, size)
+
+        monkeypatch.setattr("mchern.blowup.hyperplane_stratum_class", failing)
+        program = BlowupProgram(trivial_plane(), (point_center(), point_center(on={"exc0"})))
+        with pytest.raises(BlowupError) as info:
+            run_program(program)
+        assert str(info.value) == "step 1: no fiber here"
 
 
 def assert_built_as_checked(before, loci, result):

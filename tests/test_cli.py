@@ -846,6 +846,11 @@ MALFORMED = {
     "program-stray-key": ("program", {"initial": ONE_DIVISOR_PROGRAM["initial"],
                                       "stepz": ONE_DIVISOR_PROGRAM["steps"]}),
     "step-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "codimension"], 2)),
+    "step-1-stray-key": (
+        "program",
+        _with(ONE_DIVISOR_PROGRAM, ["steps"],
+              [ONE_DIVISOR_PROGRAM["steps"][0],
+               _with(ONE_DIVISOR_PROGRAM["steps"][0], ["codimension"], 2)])),
     "system-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "labl"], "x")),
     "divisor-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "divisors", 0, "mul"], 1)),
     "locus-stray-key": ("program", _with(ONE_DIVISOR_PROGRAM, ["initial", "loci", 0, "strat"], [])),
@@ -862,10 +867,17 @@ MALFORMED = {
         _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "locus_defaults", "Typo"], "disjoint_from_center")),
     "locus-rule-twice": (
         "program", _with(ONE_DIVISOR_PROGRAM, ["steps", 0, "locus_center_strata"], {"U": []})),
+    # the scenario envelope: each of these ran, or blamed the program object
+    "scenario-stray-key": (
+        "program", {"kind": "program", "lable": "x", "payload": ONE_DIVISOR_PROGRAM}),
+    "scenario-label-int": (
+        "program", {"kind": "program", "label": 5, "payload": ONE_DIVISOR_PROGRAM}),
+    "scenario-no-payload": ("program", {"kind": "program"}),
 }
 NAMED = {  # the whole error line of each case that names a key or a locus
     "program-stray-key": "unknown program object key 'stepz'",
-    "step-stray-key": "unknown blow-up step key 'codimension'",
+    "step-stray-key": "step 0: unknown blow-up step key 'codimension'",
+    "step-1-stray-key": "step 1: unknown blow-up step key 'codimension'",
     "system-stray-key": "unknown system object key 'labl'",
     "divisor-stray-key": "unknown divisor key 'mul'",
     "locus-stray-key": "unknown locus key 'strat'",
@@ -878,13 +890,16 @@ NAMED = {  # the whole error line of each case that names a key or a locus
     "cfun-stratum-stray-key": "unknown stratum key 'class'",
     "locus-rule-undeclared": "step 0: locus 'Typo' has a rule but is not declared",
     "locus-rule-twice": "step 0: locus 'U' has both a locus_defaults kind and locus_center_strata",
+    "scenario-stray-key": "unknown scenario key 'lable'",
+    "scenario-label-int": "scenario label must be a string, got 5",
+    "scenario-no-payload": "malformed scenario: 'payload'",
 }
 BOUND_FIELDS = {  # the field each bound case names
     "bound-L-exponent": "exponent of L",
     "bound-denominator": "denominator exponent",
     "bound-mu": "mu",
     "bound-ambient-dim": "ambient_dim",
-    "bound-codim": "codim",
+    "bound-codim": "step 0: codim",
     "bound-weight-exponent": "weight exponent",
     "bound-weight-negative-exponent": "weight exponent",
 }
@@ -1030,6 +1045,40 @@ def test_a_key_error_inside_a_decoder_is_an_internal_error(capsys, monkeypatch, 
     path.write_text(json.dumps(ONE_DIVISOR_PROGRAM))
     assert main(["blowup", "run", "--program", str(path)]) == 3
     assert capsys.readouterr().err == "internal error: KeyError: 'subset'\n"
+
+
+INITIAL = ONE_DIVISOR_PROGRAM["initial"]
+TWO_DIVISORS = _with(
+    ONE_DIVISOR_PROGRAM, ["initial", "divisors"], INITIAL["divisors"] + [{"id": "f", "mu": 0}])
+INVALID_SYSTEMS = {  # each decodes field by field, but no program can run from it
+    "ambient-class": (  # the plane declared as 1 + L; two point blow-ups would end at 1 + 3*L
+        {"initial": {"ambient_dim": 2, "strata": [{"subset": [], "class": PLANE_CLASS}],
+                     "ambient_class": "1 + L"},
+         "steps": [{"codim": 2, "center_strata": [{"subset": on, "class": "1"}], "containing": on}
+                   for on in ([], ["exc0"])]},
+        "strata do not sum to the declared ambient class"),
+    "deep-stratum": (
+        _with(_with(TWO_DIVISORS, ["initial", "strata"],
+                    INITIAL["strata"] + [{"subset": ["e", "f"], "class": "1"}]),
+              ["initial", "ambient_dim"], 1),
+        "stratum ('e', 'f') has depth 2 > ambient dimension 1"),
+    "locus-on-empty-stratum": (
+        _with(TWO_DIVISORS, ["initial", "loci", 0, "strata"],
+              INITIAL["loci"][0]["strata"] + [{"subset": ["f"], "class": "1"}]),
+        "locus 'U' is nonzero on the empty stratum ('f',)"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SYSTEMS)
+def test_program_from_json_refuses_what_blowup_run_refuses(capsys, tmp_path, case):
+    payload, message = INVALID_SYSTEMS[case]
+    with pytest.raises(ValueError) as info:
+        blowup.program_from_json(payload)
+    assert str(info.value) == message
+    program = tmp_path / "program.json"
+    program.write_text(json.dumps(payload))
+    assert main(["blowup", "run", "--program", str(program)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("where", ["center_strata", "locus_center_strata"])

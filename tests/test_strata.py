@@ -200,6 +200,15 @@ class TestSimplexcor:
                 assert got == fraction_euler_shadow(d, k, mus, offset), (d, k, mus, offset)
                 assert got == (offset == 0)
 
+    def test_decides_as_simplex_over_the_default_sweep(self):
+        # for mu0 >= 0, MotivicClass.__eq__ cross-multiplies num / ([P^mu0] prod [P^mu]) with
+        # 1 / prod [P^mu] by exactly [P^mu0], which is num == [P^mu0]: the simplex test
+        for d, k, mus in multisets(6, 4):
+            frame = FiberFrame(d, k)
+            for offset in range(-2, 3):
+                expected = verify_simplex(frame, mus, mu0_offset=offset)
+                assert verify_simplexcor(frame, mus, mu0_offset=offset) == expected, (d, mus, offset)
+
     def test_euler_shadow_negative_mu0_fails(self):
         # mu0 = -1 makes the weight [P^mu0] evaluate to 0 at L = 1
         assert not euler_shadow_simplexcor(FiberFrame(1, 0), (), mu0_offset=-1)
