@@ -4,17 +4,19 @@ Systems, centers, and marked loci are drawn small enough that the
 exhaustive subset sums stay cheap: centers only lie on at most
 min(|J|, d) divisors, stratum classes are low-degree polynomials, and
 every admissibility constraint of the blow-up engine is respected by
-construction.
+construction, so the draws build them with the trusted constructors.  Bounded
+integers come from :func:`_below`, the generator's raw bits read word for word
+as ``Random.randint`` reads them, as the digests in ``tests/test_sampling.py`` check.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from .blowup import BlowupCenter, LocusRule
-from .modsys import MarkedLocus, ModificationSystem
+from .modsys import Divisor, MarkedLocus, ModificationSystem
 from .ring import LPolynomial, MotivicClass
 
 MAX_DIVISORS = 32  # a draw lists every subset of at most 4 divisors: 41 448 at 32, 1.7e8 at 256
@@ -27,10 +29,18 @@ def capped(max_divisors: int) -> int:
     return max_divisors
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1, as ``Random.randint`` makes it since Python 3.10:
+    ``n.bit_length()`` bits from ``bits`` (a ``getrandbits``), drawn again while they reach n."""
+    r = bits(n.bit_length())
+    while r >= n:
+        r = bits(n.bit_length())
+    return r
+
+
 def random_polynomial(rng: random.Random, max_degree: int = 2, max_coeff: int = 3) -> LPolynomial:
-    degree = rng.randint(0, max_degree)
-    coeffs = [rng.randint(0, max_coeff) for _ in range(degree + 1)]
-    return LPolynomial(coeffs)
+    bits = rng.getrandbits
+    return LPolynomial._of([_below(bits, max_coeff + 1) for _ in range(_below(bits, max_degree + 1) + 1)])
 
 
 def random_class(
@@ -43,29 +53,27 @@ def random_class(
     poly = random_polynomial(rng, max_degree, max_coeff)
     while nonzero and poly.is_zero():
         poly = random_polynomial(rng, max_degree, max_coeff)
-    return MotivicClass(poly)
+    return MotivicClass._of(poly, ())
 
 
 def random_system(rng: random.Random, *, max_divisors: int = 8) -> ModificationSystem:
     """A system on up to ``max_divisors`` divisors of multiplicity 0..4; past
     :data:`MAX_DIVISORS` an input error, raised before any draw."""
     capped(max_divisors)
-    ambient_dim = rng.randint(2, 4)
-    count = rng.randint(0, max_divisors)
-    divisors = [(f"d{i}", rng.randint(0, 4)) for i in range(count)]
-    strata: dict[tuple[str, ...], MotivicClass] = {
-        (): random_class(rng, nonzero=True)
-    }
-    subsets = [
+    ambient_dim = 2 + _below(rng.getrandbits, 3)
+    count = _below(rng.getrandbits, max_divisors + 1)
+    divisors = tuple(Divisor(f"d{i}", _below(rng.getrandbits, 5)) for i in range(count))
+    strata = {0: random_class(rng, nonzero=True)}
+    subsets = [  # each a tuple of one-bit masks
         combo
         for size in range(1, min(count, ambient_dim) + 1)
-        for combo in itertools.combinations(range(count), size)
+        for combo in itertools.combinations([1 << i for i in range(count)], size)
     ]
     rng.shuffle(subsets)
     for combo in subsets[: max(1, len(subsets) // 2)]:
-        strata[tuple(f"d{i}" for i in combo)] = random_class(rng, nonzero=True)
-    system = ModificationSystem(ambient_dim, divisors, strata, label="random")
-    return system
+        strata[sum(combo)] = random_class(rng, nonzero=True)
+    index = {f"d{i}": i for i in range(count)}
+    return ModificationSystem._of(ambient_dim, divisors, strata, None, "random", index)
 
 
 def random_center(rng: random.Random, system: ModificationSystem) -> Optional[BlowupCenter]:
@@ -75,7 +83,7 @@ def random_center(rng: random.Random, system: ModificationSystem) -> Optional[Bl
     on with at most n - d divisors besides, in the order of their sorted ids.
     """
     n = system.ambient_dim
-    d = rng.randint(1, n)
+    d = 1 + _below(rng.getrandbits, n)
     idents = system.idents
     order = sorted(range(len(idents)), key=idents.__getitem__)
     # one pass over the strata: each joins the list of every K0 it may contain, keyed by
@@ -107,7 +115,7 @@ def random_locus(
         roll = rng.random()
         if roll < 0.5:
             strata[mask] = random_class(rng, nonzero=True, max_degree=1)
-    return MarkedLocus(name, strata)
+    return MarkedLocus._of(name, strata)
 
 
 def attach_locus_rules(

@@ -15,14 +15,15 @@ Two identities over these classes drive the blow-up bookkeeping:
                  =  1 / prod_j [P^mu_j],   with mu0 = sum mu + d - 1.
 
 Both are verified exactly; grouped by |I|, the sums need only the elementary
-symmetric polynomials of the [P^mu_i], O(k^2) linear products.  mu0 is
-:func:`discrepancy`, the one blow-up multiplicity rule; ``mu0_offset``
-perturbs it so a harness can confirm the identities need the exact weight.
-:func:`sweep_identities` checks one identity on every multiset of
-multiplicities once, and counts cases as tuples in product order.  For the
-length of one call it keeps each multiset's rows and its d-independent sum,
-so a multiset costs O(k) products, one step from its prefix, and nothing
-more for each further d.
+symmetric polynomials of the [P^mu_i], and their d-independent sum grows by
+one linear product per multiplicity.  Cleared of its denominator, simplexcor
+is the simplex numerator test.  mu0 is :func:`discrepancy`, the one blow-up
+multiplicity rule; ``mu0_offset`` perturbs it so a harness can confirm the
+identities need the exact weight.  :func:`sweep_identities` checks one
+identity on every multiset of multiplicities once, and counts cases as tuples
+in product order.  For the length of one call it keeps each multiset's sum,
+so a multiset costs one product, one step from its prefix, and nothing more
+for each further d.
 """
 
 from __future__ import annotations
@@ -67,31 +68,25 @@ def hyperplane_stratum_class(frame: FiberFrame, size: int) -> MotivicClass:
     return MotivicClass(projective_poly(d - k - 1))
 
 
-def _extend(e: list[list[int]], mu: int) -> list[list[int]]:
-    """The rows e_j with one factor [P^mu] more, e_j + [P^mu] * e_(j-1) (Macdonald, I.2):
-    k + 1 linear products, into new lists only, since a sweep shares rows."""
-    up = [_mul_projective(row, mu) for row in e]
-    return [e[0], *map(_plus, e[1:], up), up[-1]]
-
-
-def _tail(e: list[list[int]]) -> list[int]:
-    """sum_(j>=1) (L-1)^(j-1) e_j, the part of the numerator free of d."""
-    acc: list[int] = []
-    for ej in reversed(e[1:]):  # Horner's rule in L - 1: acc <- acc * (L - 1) + e_j
-        acc = _plus(list(map(sub, [0, *acc], [*acc, 0])), ej)
-    return acc
-
-
-# Within one sweep_identities call: each multiset seen -> (its e_j rows, their _tail).
+# Within one sweep_identities call: each multiset seen -> its _tail.
 _sweep_memo: ContextVar[Optional[dict]] = ContextVar("sweep_memo", default=None)
 
 
-def _rows_and_tail(mus: tuple[int, ...], memo: dict) -> tuple[list[list[int]], list[int]]:
-    """One :func:`_extend` of the rows of ``mus[:-1]``, which a sweep visits before ``mus``."""
-    if (hit := memo.get(mus)) is None:
-        e = _extend(_rows_and_tail(mus[:-1], memo)[0], mus[-1]) if mus else [[1]]
-        hit = memo[mus] = (e, _tail(e))
-    return hit
+def _tail(mus: tuple[int, ...], memo: dict) -> list[int]:
+    """T = sum_(j>=1) (L-1)^(j-1) e_j([P^mu_1], ..., [P^mu_k]), the part of the numerator free of d.
+
+    As e_j = e_j' + [P^mu] e_(j-1)' over the prefix (Macdonald, I.2), T = T' + [P^mu] (1 + (L-1) T'):
+    one linear product per prefix, walked in a loop from the longest one ``memo`` holds.  When the
+    prefix satisfies simplex, 1 + (L-1) T' = L^(sum mu' + k - 1), so the step is the induction on k.
+    """
+    n = len(mus)
+    while n and mus[:n] not in memo:
+        n -= 1
+    tail = memo.get(mus[:n], [])
+    for n in range(n + 1, len(mus) + 1):
+        step = list(map(sub, [1, *tail], [*tail, 0]))  # 1 + L T' - T'
+        tail = memo[mus[:n]] = _plus(tail, _mul_projective(step, mus[n - 1]))
+    return tail
 
 
 def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
@@ -99,13 +94,13 @@ def _weighted_numerator(frame: FiberFrame, mus: Sequence[int]) -> LPolynomial:
 
     Group j is [H_(k-j)] * e_j([P^mu_1], ..., [P^mu_k]), so the sum is
     L^(d-k) * sum_{j>=1} (L-1)^(j-1) e_j + [P^(d-k-1)]; its two parts occupy
-    disjoint degrees.  The first comes from the sweep's memo, built once per
-    multiset; outside a sweep, from a fresh memo in O(k^2) products.
+    disjoint degrees.  The first is the :func:`_tail`, from the sweep's memo,
+    one product per multiset; outside a sweep, from a fresh memo in k products.
     """
     if len(mus) != frame.k:
         raise ValueError(f"expected {frame.k} multiplicities, got {len(mus)}")
     memo = _sweep_memo.get()
-    tail = _rows_and_tail(tuple(mus), {} if memo is None else memo)[1]
+    tail = _tail(tuple(mus), {} if memo is None else memo)
     return LPolynomial._of([1] * (frame.d - frame.k) + tail)
 
 
@@ -116,13 +111,11 @@ def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0
 
 def verify_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
     """Check the localized form: weighted strata sum to 1 / prod [P^mu_j]."""
-    # Over the common denominator [P^mu0] * prod_j [P^mu_j], the term for
-    # subset I contributes [H_I] * prod_{i not in I} [P^mu_i] on top.
-    num = _weighted_numerator(frame, mus)
+    # Over the common denominator [P^mu0] * prod_j [P^mu_j], the term for subset I contributes
+    # [H_I] * prod_{i not in I} [P^mu_i] on top and the right side [P^mu0]: the simplex numerator.
+    num = _weighted_numerator(frame, mus)  # first, so a wrong count of multiplicities raises
     mu0 = discrepancy(mus, frame.d) + mu0_offset
-    if mu0 < 0:
-        return False
-    return MotivicClass(num, (mu0, *mus)) == MotivicClass(LPolynomial.one(), mus)
+    return mu0 >= 0 and num == projective_poly(mu0)
 
 
 def stratum_euler(d: int, k: int, size: int) -> int:
@@ -141,16 +134,14 @@ def euler_shadow_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset
     """The simplexcor identity at L = 1, where [P^mu] becomes mu + 1, over Z.
 
     Times (mu0 + 1) * prod_j (mu_j + 1) it reads
-    sum_s stratum_euler(d, k, s) * e_(k-s)(mu_1 + 1, ..., mu_k + 1) = mu0 + 1.
+    sum_s stratum_euler(d, k, s) * e_(k-s)(mu_1 + 1, ..., mu_k + 1) = mu0 + 1,
+    where only s = k - 1 (Euler characteristic 1, times e_1) and s = k
+    (d - k, times e_0 = 1) contribute.
     """
     d, k = frame.d, frame.k
     mu0 = discrepancy(mus, d) + mu0_offset
-    if mu0 < 0:
-        return False
-    e = [1]
-    for mu in mus:
-        e = [a + b * (mu + 1) for a, b in zip([*e, 0], [0, *e])]
-    return sum(stratum_euler(d, k, s) * e[k - s] for s in range(k + 1)) == mu0 + 1
+    e1 = sum(mu + 1 for mu in mus)
+    return mu0 >= 0 and e1 + d - k == mu0 + 1
 
 
 @dataclass(frozen=True)

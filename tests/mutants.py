@@ -238,9 +238,30 @@ MUTANTS = (
     Mutant(
         "the sweep memo extends mus[1:] instead of mus[:-1]",
         "src/mchern/strata.py",
-        "_rows_and_tail(mus[:-1], memo)",
-        "_rows_and_tail(mus[1:], memo)",
+        "tail = memo.get(mus[:n], [])",
+        "tail = memo.get(mus[1 : n + 1], [])",
         ("tests/test_strata.py::TestSweep", "tests/test_strata.py::TestSweepMemo"),
+    ),
+    Mutant(
+        "the prefix step drops the 1 +",
+        "src/mchern/strata.py",
+        "map(sub, [1, *tail], [*tail, 0])",
+        "map(sub, [0, *tail], [*tail, 0])",
+        ("tests/test_strata.py::TestSimplex", "tests/test_strata.py::TestSweep"),
+    ),
+    Mutant(
+        "the Euler shadow reads d - k + 1",
+        "src/mchern/strata.py",
+        "e1 + d - k == mu0 + 1",
+        "e1 + d - k + 1 == mu0 + 1",
+        ("tests/test_strata.py::TestSimplexcor",),
+    ),
+    Mutant(
+        "the bounded draw draws again only on r > n",
+        "src/mchern/sampling.py",
+        "while r >= n:",
+        "while r > n:",
+        ("tests/test_sampling.py",),
     ),
     Mutant(
         "the shared-denominator __sub__ adds",

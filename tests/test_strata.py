@@ -120,6 +120,18 @@ def multisets(d_max, mu_max):
                 yield d, k, mus
 
 
+def count_linear_products(monkeypatch) -> list[int]:
+    """The mu of every strata._mul_projective call from now on, in call order."""
+    calls, mul_projective = [], strata._mul_projective
+
+    def counting(c, mu):
+        calls.append(mu)
+        return mul_projective(c, mu)
+
+    monkeypatch.setattr(strata, "_mul_projective", counting)
+    return calls
+
+
 class TestSimplex:
     def test_frozen_examples(self):
         assert verify_simplex(FiberFrame(2, 1), (1,))
@@ -147,18 +159,18 @@ class TestSimplex:
         expected = brute_force_simplex_lhs(d, k, mus)
         assert _weighted_numerator(FiberFrame(d, k), mus) == expected.num
 
-    def test_linear_kernel_count_is_quadratic(self, monkeypatch):
-        # a subset loop would need 2^k products; the e_j recursion needs k(k+1)/2
-        calls, mul_projective = [], strata._mul_projective
-
-        def counting(c, mu):
-            calls.append(mu)
-            return mul_projective(c, mu)
-
-        monkeypatch.setattr(strata, "_mul_projective", counting)
+    def test_linear_kernel_count_is_one_per_multiplicity(self, monkeypatch):
+        # a subset loop would need 2^k products; the tail grows by one product per prefix
+        calls = count_linear_products(monkeypatch)
         k = 12
         assert verify_simplex(FiberFrame(k, k), tuple(range(k)))
-        assert 0 < len(calls) <= k * (k + 1) // 2 + 1
+        assert calls == list(range(k))
+
+    @pytest.mark.parametrize("identity", [verify_simplex, verify_simplexcor])
+    def test_deep_multiset_is_walked_without_recursion(self, identity, monkeypatch):
+        calls = count_linear_products(monkeypatch)
+        assert identity(FiberFrame(1200, 1200), (0,) * 1200)
+        assert len(calls) == 1200
 
     def test_perturbed_weight_fails(self):
         assert not verify_simplex(FiberFrame(2, 1), (1,), mu0_offset=1)
@@ -166,6 +178,8 @@ class TestSimplex:
     def test_wrong_multiplicity_count(self):
         with pytest.raises(ValueError):
             verify_simplex(FiberFrame(2, 1), (1, 2))
+        with pytest.raises(ValueError):
+            verify_simplexcor(FiberFrame(2, 1), (1, 2), mu0_offset=-9)
 
 
 class TestSimplexcor:
@@ -381,14 +395,8 @@ class TestSweepMemo:
         assert len(checked) == sum(comb(3 + k, k) for d in range(1, 7) for k in range(d + 1))
 
     def test_each_multiset_is_extended_once(self, monkeypatch):
-        # O(k) products per multiset, one step from its prefix, and none for a further d
-        calls, mul_projective = [], strata._mul_projective
-
-        def counting(c, mu):
-            calls.append(mu)
-            return mul_projective(c, mu)
-
-        monkeypatch.setattr(strata, "_mul_projective", counting)
+        # one product per nonempty multiset, one step from its prefix, and none for a further d
+        calls = count_linear_products(monkeypatch)
         d_max, mu_max = 7, 3
         assert sweep_identities(d_max, mu_max, which="simplex").passed
-        assert len(calls) == sum(k * comb(mu_max + k, k) for k in range(d_max + 1))
+        assert len(calls) == sum(comb(mu_max + k, k) for k in range(1, d_max + 1)) == 329
