@@ -35,7 +35,6 @@ changes instead of summing the final system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
@@ -64,7 +63,6 @@ CONTAINS_CENTER = "contains_center"
 DISJOINT_FROM_CENTER = "disjoint_from_center"
 
 
-@dataclass(frozen=True)
 class LocusRule:
     """How a marked locus meets the center.
 
@@ -73,14 +71,14 @@ class LocusRule:
     is empty; ``explicit`` supplies the classes [E_I ^ S ^ U] directly.
     """
 
-    kind: str
-    strata: Optional[Mapping[frozenset[str], MotivicClass]] = None
+    __slots__ = ("kind", "strata")
 
-    def __post_init__(self):
-        if self.kind not in (CONTAINS_CENTER, DISJOINT_FROM_CENTER, "explicit"):
-            raise ValueError(f"unknown locus rule kind {self.kind!r}")
-        if self.kind == "explicit" and self.strata is None:
+    def __init__(self, kind: str, strata: Optional[Mapping[frozenset[str], MotivicClass]] = None):
+        if kind not in (CONTAINS_CENTER, DISJOINT_FROM_CENTER, "explicit"):
+            raise ValueError(f"unknown locus rule kind {kind!r}")
+        if kind == "explicit" and strata is None:
             raise ValueError("explicit locus rule requires stratum classes")
+        self.kind, self.strata = kind, strata
 
     @classmethod
     def contains(cls) -> "LocusRule":
@@ -95,14 +93,19 @@ class LocusRule:
         return cls("explicit", dict(strata))
 
 
-@dataclass(frozen=True)
 class BlowupCenter:
     """Extensional description of a smooth normal-crossings center."""
 
-    codim: int
-    containing: frozenset[str] = frozenset()
-    center_strata: Mapping[frozenset[str], MotivicClass] = field(default_factory=dict)
-    locus_rules: Mapping[str, LocusRule] = field(default_factory=dict)
+    def __init__(
+        self,
+        codim: int,
+        containing: frozenset[str] = frozenset(),
+        center_strata: Optional[Mapping[frozenset[str], MotivicClass]] = None,
+        locus_rules: Optional[Mapping[str, LocusRule]] = None,
+    ):
+        self.codim, self.containing = codim, containing
+        self.center_strata = {} if center_strata is None else center_strata
+        self.locus_rules = {} if locus_rules is None else locus_rules
 
     def total_class(self) -> MotivicClass:
         """[S]: the center's stratum classes, summed once per center."""
@@ -113,11 +116,11 @@ class BlowupCenter:
         return MotivicClass.sum(self.center_strata.values())
 
 
-@dataclass(frozen=True)
 class BlowupResult:
-    system: ModificationSystem
-    loci: dict[str, MarkedLocus]
-    fresh_id: str
+    __slots__ = ("system", "loci", "fresh_id")
+
+    def __init__(self, system: ModificationSystem, loci: dict[str, MarkedLocus], fresh_id: str):
+        self.system, self.loci, self.fresh_id = system, loci, fresh_id
 
 
 def _center_masks(system: ModificationSystem, center: BlowupCenter) -> tuple[int, dict[int, MotivicClass]]:
@@ -289,14 +292,20 @@ def blow_up(
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StepAudit:
-    index: int
-    fresh_id: str
-    invariance_ok: bool
-    total_class_ok: bool
-    fiber_complete: bool
-    chi_delta: MotivicClass  # chi(full) after the step minus chi(full) before it
+    __slots__ = ("index", "fresh_id", "invariance_ok", "total_class_ok", "fiber_complete", "chi_delta")
+
+    def __init__(
+        self,
+        index: int,
+        fresh_id: str,
+        invariance_ok: bool,
+        total_class_ok: bool,
+        fiber_complete: bool,
+        chi_delta: MotivicClass,  # chi(full) after the step minus chi(full) before it
+    ):
+        self.index, self.fresh_id, self.invariance_ok = index, fresh_id, invariance_ok
+        self.total_class_ok, self.fiber_complete, self.chi_delta = total_class_ok, fiber_complete, chi_delta
 
     @property
     def passed(self) -> bool:
@@ -369,20 +378,29 @@ def fiber_completeness_holds(
 # -- programs ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BlowupProgram:
-    initial: ModificationSystem
-    steps: tuple[BlowupCenter, ...]
-    loci: Mapping[str, MarkedLocus] = field(default_factory=dict)
+    __slots__ = ("initial", "steps", "loci")
+
+    def __init__(
+        self,
+        initial: ModificationSystem,
+        steps: tuple[BlowupCenter, ...],
+        loci: Optional[Mapping[str, MarkedLocus]] = None,
+    ):
+        self.initial, self.steps, self.loci = initial, steps, {} if loci is None else loci
 
 
-@dataclass(frozen=True)
 class ProgramResult:
-    program: BlowupProgram
-    final: ModificationSystem
-    loci: dict[str, MarkedLocus]
-    audits: tuple[StepAudit, ...]
-    final_chi: MotivicClass
+    def __init__(
+        self,
+        program: BlowupProgram,
+        final: ModificationSystem,
+        loci: dict[str, MarkedLocus],
+        audits: tuple[StepAudit, ...],
+        final_chi: MotivicClass,
+    ):
+        self.program, self.final, self.loci = program, final, loci
+        self.audits, self.final_chi = audits, final_chi
 
     @property
     def all_checks_passed(self) -> bool:

@@ -20,21 +20,21 @@ divided by it once.  The CSM class of ``f`` is ``surface.csm(f, stage)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .modsys import strata_from_json, strata_to_json
 from .ring import bounded, decimal, json_fields
 from .surface import SurfaceModel
 
 
-@dataclass(frozen=True)
 class BaseFunction:
     """Generic value plus corrections at named base points."""
 
-    generic_value: Fraction
-    corrections: Mapping[str, Fraction] = field(default_factory=dict)
+    __slots__ = ("generic_value", "corrections")
+
+    def __init__(self, generic_value: Fraction, corrections: Optional[Mapping[str, Fraction]] = None):
+        self.generic_value, self.corrections = generic_value, {} if corrections is None else corrections
 
     def to_json(self) -> dict:
         return {

@@ -22,7 +22,6 @@ subsets lists of distinct ids, and no subset may be listed twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Optional, Union
@@ -32,16 +31,15 @@ from .ring import MotivicClass, _fold, bounded, json_fields, over_lcm
 SubsetKey = Union[int, str, Iterable[str]]
 
 
-@dataclass(frozen=True)
 class Divisor:
-    ident: str
-    mu: int
+    __slots__ = ("ident", "mu")
 
-    def __post_init__(self):
-        if type(self.mu) is not int:
-            raise ValueError(f"divisor {self.ident!r} multiplicity {self.mu!r} is not an integer")
-        if self.mu < 0:
-            raise ValueError(f"divisor {self.ident!r} has negative multiplicity")
+    def __init__(self, ident: str, mu: int):
+        if type(mu) is not int:
+            raise ValueError(f"divisor {ident!r} multiplicity {mu!r} is not an integer")
+        if mu < 0:
+            raise ValueError(f"divisor {ident!r} has negative multiplicity")
+        self.ident, self.mu = ident, mu
 
 
 class MarkedLocus:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import sub
 from typing import Iterable, Optional, Sequence
@@ -43,18 +42,23 @@ def discrepancy(mus: Iterable[int], d: int) -> int:
     return sum(mus) + d - 1
 
 
-@dataclass(frozen=True)
 class FiberFrame:
-    """Fiber P^(d-1) carrying k linearly independent hyperplanes."""
+    """Fiber P^(d-1) carrying k linearly independent hyperplanes; equal frames share one cache entry."""
 
-    d: int
-    k: int
+    __slots__ = ("d", "k")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, k: int):
+        if d < 1:
             raise ValueError("fiber dimension parameter d must be >= 1")
-        if not 0 <= self.k <= self.d:
+        if not 0 <= k <= d:
             raise ValueError("need 0 <= k <= d")
+        self.d, self.k = d, k
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FiberFrame) and (self.d, self.k) == (other.d, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.k))
 
 
 @lru_cache(maxsize=None)
@@ -144,18 +148,23 @@ def euler_shadow_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset
     return mu0 >= 0 and e1 + d - k == mu0 + 1
 
 
-@dataclass(frozen=True)
 class Counterexample:
-    identity: str
-    d: int
-    k: int
-    mus: tuple[int, ...]
+    __slots__ = ("identity", "d", "k", "mus")
+
+    def __init__(self, identity: str, d: int, k: int, mus: tuple[int, ...]):
+        self.identity, self.d, self.k, self.mus = identity, d, k, mus
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Counterexample) and (
+            (self.identity, self.d, self.k, self.mus) == (other.identity, other.d, other.k, other.mus)
+        )
 
 
-@dataclass(frozen=True)
 class SweepResult:
-    cases: int
-    counterexample: Optional[Counterexample]
+    __slots__ = ("cases", "counterexample")
+
+    def __init__(self, cases: int, counterexample: Optional[Counterexample]):
+        self.cases, self.counterexample = cases, counterexample
 
     @property
     def passed(self) -> bool:

@@ -36,7 +36,6 @@ in :mod:`mchern.cfun` reads them, and weighted functions, from there as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
@@ -48,31 +47,42 @@ from .ring import LPolynomial, MotivicClass, bounded, json_fields, json_object, 
 from .strata import discrepancy
 
 
-@dataclass(frozen=True)
-class GenericPoint:
+class _Event:
+    """Two events are equal when they are of one kind and lie on the same curves; the curves tell the kind."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and _references(other) == _references(self)
+
+    def __hash__(self) -> int:
+        return hash(_references(self))
+
+
+class GenericPoint(_Event):
     """Blow up a point away from every exceptional curve."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PointOnCurve:
+
+class PointOnCurve(_Event):
     """Blow up a generic point of one exceptional curve."""
 
-    curve: int
+    __slots__ = ("curve",)
+
+    def __init__(self, curve: int):
+        self.curve = curve
 
 
-@dataclass(frozen=True)
-class IntersectionPoint:
+class IntersectionPoint(_Event):
     """Blow up the point where two meeting exceptional curves cross."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
+    def __init__(self, a: int, b: int):
+        if a == b:
             raise ValueError("intersection event needs two distinct curves")
-        a, b = sorted((self.a, self.b))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.a, self.b = sorted((a, b))
 
 
 Event = Union[GenericPoint, PointOnCurve, IntersectionPoint]
@@ -168,7 +178,6 @@ class ChowClass:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class RelativeArrangement:
     """The exceptional arrangement of the map down to a given stage.
 
@@ -182,13 +191,18 @@ class RelativeArrangement:
     the crossing point of a and b.
     """
 
-    stage: int
-    curves: tuple[int, ...]
-    mus: Mapping[int, int]
-    pairs: tuple[tuple[int, int], ...]
-    meets: Mapping[int, int]
-    roots: Mapping[int, str]
-    root_order: tuple[str, ...]
+    def __init__(
+        self,
+        stage: int,
+        curves: tuple[int, ...],
+        mus: Mapping[int, int],
+        pairs: tuple[tuple[int, int], ...],
+        meets: Mapping[int, int],
+        roots: Mapping[int, str],
+        root_order: tuple[str, ...],
+    ):
+        self.stage, self.curves, self.mus, self.pairs = stage, curves, mus, pairs
+        self.meets, self.roots, self.root_order = meets, roots, root_order
 
     @property
     def strata(self) -> tuple[tuple[int, ...], ...]:

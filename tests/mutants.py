@@ -129,8 +129,8 @@ MUTANTS = (
     Mutant(
         "IntersectionPoint keeps its pair unsorted",
         "src/mchern/surface.py",
-        "a, b = sorted((self.a, self.b))",
-        "a, b = self.a, self.b",
+        "self.a, self.b = sorted((a, b))",
+        "self.a, self.b = a, b",
         ("tests/test_surface.py::TestEvents",),
     ),
     Mutant(
@@ -495,6 +495,104 @@ MUTANTS = (
         'json_fields(obj, "scenario", ("kind", "payload"), {"label": ""})',
         'json_fields(obj, "scenario", ("kind", "payload"), {"label": "", **obj})[:3]',
         ("tests/test_cli.py::test_malformed_input_is_one_line_exit_two",),
+    ),
+    Mutant(
+        "FiberFrame equality and hash ignore k",
+        "src/mchern/strata.py",
+        "(self.d, self.k) == (other.d, other.k)\n\n    def __hash__(self) -> int:\n        return hash((self.d, self.k))",
+        "self.d == other.d\n\n    def __hash__(self) -> int:\n        return hash(self.d)",
+        ("tests/test_strata.py::TestStratumClass",),
+    ),
+    Mutant(
+        "FiberFrame equality is identity",
+        "src/mchern/strata.py",
+        "return isinstance(other, FiberFrame) and (self.d, self.k) == (other.d, other.k)",
+        "return self is other",
+        ("tests/test_strata.py::TestStratumClass",),
+    ),
+    Mutant(
+        "FiberFrame hashes by identity",
+        "src/mchern/strata.py",
+        "return hash((self.d, self.k))",
+        "return id(self)",
+        ("tests/test_strata.py::TestStratumClass",),
+    ),
+    Mutant(
+        "FiberFrame accepts d = 0",
+        "src/mchern/strata.py",
+        "        if d < 1:\n",
+        "        if False:\n",
+        ("tests/test_strata.py::TestFrame",),
+    ),
+    Mutant(
+        "FiberFrame accepts k > d",
+        "src/mchern/strata.py",
+        "if not 0 <= k <= d:",
+        "if not 0 <= k:",
+        ("tests/test_strata.py::TestFrame",),
+    ),
+    Mutant(
+        "Counterexample equality is identity",
+        "src/mchern/strata.py",
+        "return isinstance(other, Counterexample) and (",
+        "return self is other and (",
+        ("tests/test_strata.py::TestSweep",),
+    ),
+    Mutant(
+        "an event equals a tuple of its curves",
+        "src/mchern/surface.py",
+        "return type(other) is type(self) and _references(other) == _references(self)",
+        "return _references(other) == _references(self)",
+        ("tests/test_surface.py::TestEvents",),
+    ),
+    Mutant(
+        "event equality is identity",
+        "src/mchern/surface.py",
+        "return type(other) is type(self) and _references(other) == _references(self)",
+        "return self is other",
+        ("tests/test_surface.py::TestEvents", "tests/test_serialize.py::TestSurfaceJson"),
+    ),
+    Mutant(
+        "events hash by identity",
+        "src/mchern/surface.py",
+        "return hash(_references(self))",
+        "return id(self)",
+        ("tests/test_surface.py::TestEvents",),
+    ),
+    Mutant(
+        "IntersectionPoint accepts one curve twice",
+        "src/mchern/surface.py",
+        "        if a == b:\n",
+        "        if False:\n",
+        ("tests/test_surface.py::TestEvents",),
+    ),
+    Mutant(
+        "Divisor accepts a non-integer multiplicity",
+        "src/mchern/modsys.py",
+        "if type(mu) is not int:",
+        "if False:",
+        ("tests/test_modsys.py",),
+    ),
+    Mutant(
+        "Divisor accepts a negative multiplicity",
+        "src/mchern/modsys.py",
+        "        if mu < 0:\n",
+        "        if False:\n",
+        ("tests/test_modsys.py",),
+    ),
+    Mutant(
+        "LocusRule accepts an unknown kind",
+        "src/mchern/blowup.py",
+        'if kind not in (CONTAINS_CENTER, DISJOINT_FROM_CENTER, "explicit"):',
+        "if False:",
+        ("tests/test_blowup.py::TestInvariance",),
+    ),
+    Mutant(
+        "LocusRule accepts an explicit rule without classes",
+        "src/mchern/blowup.py",
+        'if kind == "explicit" and strata is None:',
+        "if False:",
+        ("tests/test_blowup.py::TestInvariance",),
     ),
 )
 

@@ -246,6 +246,13 @@ class TestInvariance:
         with pytest.raises(BlowupError, match="no center rule"):
             blow_up(system, point_center(), [locus])
 
+    def test_locus_rule_kinds_are_checked(self):
+        with pytest.raises(ValueError, match="^unknown locus rule kind 'sometimes'$"):
+            LocusRule("sometimes")
+        with pytest.raises(ValueError, match="^explicit locus rule requires stratum classes$"):
+            LocusRule("explicit")
+        assert LocusRule("explicit", {}).strata == {}
+
     def test_explicit_rule_outside_center_rejected(self):
         system = blow_up(trivial_plane(), point_center()).system
         eid = system.idents[0]

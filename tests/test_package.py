@@ -1,6 +1,8 @@
 """The package's public surface."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,14 @@ def test_runtime_imports_only_the_standard_library():
                 if top != "mchern" and top not in sys.stdlib_module_names:
                     outside.append((path.name, top))
     assert outside == []
+
+
+def test_import_generates_no_code():
+    # records are plain classes: importing the CLI loads no dataclasses, nor what it imports
+    probe = (
+        "import sys; before = set(sys.modules); import mchern, mchern.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mchern.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"

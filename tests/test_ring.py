@@ -446,25 +446,47 @@ def groups(n):
     return [MotivicClass(LPolynomial((j, 1, -j)), den) for j, den in enumerate(dens)]
 
 
+def assert_matches_pairwise_fold(got, terms):
+    """``got`` against the pairwise oracle, which never cancels: field for field once both are
+    reduced, and raw when no merge of the fold can pass ``_CANCEL_LENGTH`` coefficients (every
+    partial union lies in the full one, so no merged numerator outgrows the oracle's widest)."""
+    expected = reduce(pairwise_add, terms, MotivicClass.zero())
+    assert fields(got.reduced()) == fields(expected.reduced()) and (got - expected).num.coeffs == ()
+    union = reduce(operator.or_, (Counter(t.den) for t in terms), Counter())
+    widths = [len(t.num.coeffs) + sum((union - Counter(t.den)).elements()) for t in terms]
+    if max(widths, default=0) <= ring._CANCEL_LENGTH:
+        assert fields(got) == fields(expected)
+
+
+# a merge past 64 coefficients cancels [P^mu] factors the oracle keeps: L^4 over () against
+# a 65-coefficient numerator over fifteen factors
+CANCELLING_TERMS = [
+    MotivicClass(0, (1,)), MotivicClass(0, (2, 2)), MotivicClass(0, (3, 3)), MotivicClass(0, (5, 5, 5)),
+    MotivicClass(0, (6, 6, 6)), MotivicClass(0, (4, 4, 4, 4)), MotivicClass(LPolynomial.monomial(4)),
+]
+
+
 class TestMergeTree:
     @settings(max_examples=60, deadline=None)
     @given(tree_terms)
     @example([MotivicClass(0, (mu, mu)) for mu in range(1, 7)] + [MotivicClass(1, (6,))])
+    @example(CANCELLING_TERMS)
     def test_equals_pairwise_fold_field_for_field(self, terms):
-        expected = reduce(pairwise_add, terms, MotivicClass.zero())
         got = MotivicClass.sum(terms)
-        assert got.num.coeffs == expected.num.coeffs
-        assert got.den == expected.den
+        assert (got.num.coeffs, got.den) == fold_fields(terms)
+        assert_matches_pairwise_fold(got, terms)
 
     @settings(max_examples=60, deadline=None)
     @given(tree_terms, st.lists(st.integers(0, 23), max_size=8))
+    @example(CANCELLING_TERMS, [])
     def test_plus_minus_folds_over_shared_denominators(self, terms, picks):
         # repeated picks put equal denominators side by side, on the direct paths
         subs = [terms[i % len(terms)] for i in picks]
-        expected = reduce(pairwise_add, terms + [-t for t in subs], MotivicClass.zero())
-        got = reduce(operator.sub, subs, reduce(operator.add, terms, MotivicClass.zero()))
-        assert (got.num.coeffs, got.den) == (expected.num.coeffs, expected.den)
-        assert got - got == 0 and (got - expected).num.coeffs == ()
+        signed = terms + [-t for t in subs]
+        got = reduce(operator.sub, subs, reduce(operator.add, terms))
+        assert fields(got) == fields(MotivicClass.sum(signed))
+        assert_matches_pairwise_fold(got, signed)
+        assert got - got == 0
 
     @pytest.mark.parametrize("n", [2, 3, 33])
     def test_fixed_group_counts(self, n):

@@ -12,7 +12,6 @@ from mchern.ring import LPolynomial, MotivicClass, affine_class, projective_clas
 from mchern.strata import (
     Counterexample,
     FiberFrame,
-    SweepResult,
     _weighted_numerator,
     discrepancy,
     euler_shadow_simplexcor,
@@ -53,6 +52,11 @@ class TestStratumClass:
         assert hyperplane_stratum_class(FiberFrame(2, 1), 0) == affine_class(1)
         assert hyperplane_stratum_class(FiberFrame(2, 1), 1) == 1
         assert hyperplane_stratum_class(FiberFrame(3, 2), 0) == torus_class(1) * affine_class(1)
+
+    def test_equal_frames_share_one_cache_entry(self):
+        # blow_up makes a fresh frame per step; a frame equal by value must hit the cache
+        assert FiberFrame(5, 2) == FiberFrame(5, 2) != FiberFrame(5, 3)
+        assert hyperplane_stratum_class(FiberFrame(5, 2), 1) is hyperplane_stratum_class(FiberFrame(5, 2), 1)
 
     def test_full_subset_on_maximal_frame_is_empty(self):
         assert hyperplane_stratum_class(FiberFrame(3, 3), 3).is_zero()
@@ -231,7 +235,7 @@ class TestSimplexcor:
 
 
 def reference_sweep(d_max, mu_max, which, mu0_offset=0):
-    """The product-order walk over every mu tuple, cached per multiset.
+    """The product-order walk over every mu tuple, cached per multiset: ``(cases, counterexample)``.
 
     It calls the identities through the module, as the sweep does, so a
     patched identity reaches both.
@@ -253,8 +257,8 @@ def reference_sweep(d_max, mu_max, which, mu0_offset=0):
                         ok = ok and strata.euler_shadow_simplexcor(frame, key[1], mu0_offset=mu0_offset)
                     cache[key] = ok
                 if not ok:
-                    return SweepResult(cases, Counterexample(which, d, k, mus))
-    return SweepResult(cases, None)
+                    return cases, Counterexample(which, d, k, mus)
+    return cases, None
 
 
 IDENTITY_FUNCTION = {"simplex": "verify_simplex", "simplexcor": "verify_simplexcor"}
@@ -292,7 +296,7 @@ class TestSweep:
                 for offset in range(-3, 3):
                     got = sweep_identities(d_max, mu_max, which=which, mu0_offset=offset)
                     want = reference_sweep(d_max, mu_max, which, offset)
-                    assert got == want, (d_max, mu_max, offset)
+                    assert (got.cases, got.counterexample) == want, (d_max, mu_max, offset)
 
     @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
     def test_injected_fault_matches_reference_walk(self, which, monkeypatch):
@@ -311,7 +315,7 @@ class TestSweep:
 
             monkeypatch.setattr(strata, name, faulty)
             got = sweep_identities(5, 3, which=which)
-            assert got == reference_sweep(5, 3, which), target
+            assert (got.cases, got.counterexample) == reference_sweep(5, 3, which), target
             assert got.counterexample.mus == mus_t
             cases.append(got.cases)
         assert max(cases) > 1000  # 452 tuples precede the d = 5 block

@@ -60,6 +60,16 @@ def anchors(s):
     return tuple(dict.fromkeys(s.relative(0).roots.values()))
 
 
+def arrangement(rel):
+    """The fields of a relative arrangement, which has no ``==`` of its own."""
+    return rel.stage, rel.curves, rel.mus, rel.pairs, rel.meets, rel.roots, rel.root_order
+
+
+def divisor_fields(system):
+    """A system's divisors as ``(ident, mu)`` pairs."""
+    return [(d.ident, d.mu) for d in system.divisors]
+
+
 def long_towers():
     """Random towers with crossings at k = 40 and 64, whose fiber chis merge numerators
     past 64 coefficients.  A run of crossings with the newest curve grows its discrepancy
@@ -229,6 +239,8 @@ class TestEvents:
 
     def test_intersection_pair_is_unordered(self):
         assert IntersectionPoint(2, 1) == IntersectionPoint(1, 2)
+        assert len({IntersectionPoint(2, 1), IntersectionPoint(1, 2), GenericPoint(), GenericPoint()}) == 2
+        assert PointOnCurve(1) != (1,) and GenericPoint() != ()  # an event is no tuple of its curves
         assert (IntersectionPoint(3, 1).a, IntersectionPoint(3, 1).b) == (1, 3)
         with pytest.raises(ValueError, match="distinct"):
             IntersectionPoint(2, 2)
@@ -374,7 +386,7 @@ class TestStringy:
     def test_relative_kept_for_its_stage_only(self):
         s = SurfaceModel(CHAIN3 + (PointOnCurve(3),))
         for m in (2, 2, 0, 4, 2, 0, 0):
-            assert s.relative(m) == SurfaceModel(s.events).relative(m)
+            assert arrangement(s.relative(m)) == arrangement(SurfaceModel(s.events).relative(m))
         assert s.relative(0) is s.relative(0)
 
     def test_verify_stage_derives_one_arrangement(self, monkeypatch):
@@ -510,7 +522,7 @@ class TestExport:
             for m in range(s.k + 1):
                 system, loci = s.export_modification_system(m)
                 rebuilt, rebuilt_loci = checked_export(s, m)
-                assert system.divisors == rebuilt.divisors
+                assert divisor_fields(system) == divisor_fields(rebuilt)
                 for ident in rebuilt.idents:
                     assert system.mask_of(ident) == rebuilt.mask_of(ident)
                 assert (system.label, system.ambient_class) == (rebuilt.label, rebuilt.ambient_class)
@@ -528,8 +540,8 @@ class TestExport:
             for m in range(s.k + 1):
                 system, loci = s.export_modification_system(m)
                 rebuilt, rebuilt_loci = checked_export(s, m)
-                assert (system.ambient_dim, system.divisors, system.label) == (
-                    rebuilt.ambient_dim, rebuilt.divisors, rebuilt.label
+                assert (system.ambient_dim, divisor_fields(system), system.label) == (
+                    rebuilt.ambient_dim, divisor_fields(rebuilt), rebuilt.label
                 )
                 ambient, expected = system.ambient_class, rebuilt.ambient_class
                 assert (ambient.num.coeffs, ambient.den) == (expected.num.coeffs, expected.den)
