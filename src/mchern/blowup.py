@@ -115,6 +115,11 @@ class BlowupCenter:
     def _total(self) -> MotivicClass:
         return MotivicClass.sum(self.center_strata.values())
 
+    @cached_property
+    def bundle_class(self) -> MotivicClass:
+        """[S] * [P^(d-1)]: the P^(d-1)-bundle over S that blowing up puts in place of S."""
+        return self._total * projective_class(self.codim - 1)
+
 
 class BlowupResult:
     __slots__ = ("system", "loci", "fresh_id")
@@ -270,7 +275,7 @@ def blow_up(
     new_strata = _transform_strata(system.strata, center_strata, k0_mask, fiber, new_bit)
     ambient = system.ambient_class
     if ambient is not None:
-        ambient = ambient + center.total_class() * (projective_class(d - 1) - 1)
+        ambient = ambient + (center.bundle_class - center.total_class())
     new_system = ModificationSystem._of(
         system.ambient_dim,
         system.divisors + (Divisor(fresh_id, mu0),),
@@ -293,24 +298,17 @@ def blow_up(
 
 
 class StepAudit:
-    __slots__ = ("index", "fresh_id", "invariance_ok", "total_class_ok", "fiber_complete", "chi_delta")
+    """One step's checks, ``{report key: verdict}``, and ``chi_delta``: chi(full) after it minus before."""
 
-    def __init__(
-        self,
-        index: int,
-        fresh_id: str,
-        invariance_ok: bool,
-        total_class_ok: bool,
-        fiber_complete: bool,
-        chi_delta: MotivicClass,  # chi(full) after the step minus chi(full) before it
-    ):
-        self.index, self.fresh_id, self.invariance_ok = index, fresh_id, invariance_ok
-        self.total_class_ok, self.fiber_complete, self.chi_delta = total_class_ok, fiber_complete, chi_delta
+    __slots__ = ("index", "fresh_id", "checks", "chi_delta")
+
+    def __init__(self, index: int, fresh_id: str, checks: dict[str, bool], chi_delta: MotivicClass):
+        self.index, self.fresh_id, self.checks, self.chi_delta = index, fresh_id, checks, chi_delta
 
     @property
     def passed(self) -> bool:
-        """The one pass rule for a step: chi kept, total class and fresh fibers as expected."""
-        return self.invariance_ok and self.total_class_ok and self.fiber_complete
+        """The one pass rule for a step: every check holds."""
+        return all(self.checks.values())
 
 
 def step_difference(old: Mapping[int, MotivicClass], new: Mapping[int, MotivicClass]) -> dict:
@@ -328,11 +326,11 @@ def audited_step(
 ) -> tuple[BlowupResult, StepAudit]:
     """Blow up once with the given loci and audit only the strata the step replaced.
 
-    One :func:`step_difference` of the system feeds all three checks.  :func:`blow_up`
-    only appends the fresh divisor, so old masks keep their weights: chi after minus chi
-    before is chi of that difference in the new system, zero iff the step keeps chi.  The
-    audit keeps that value as ``chi_delta``.  Each locus is checked the same way on its own
-    difference.
+    One :func:`step_difference` of the system feeds all three checks, kept under the keys
+    ``blowup run`` reports them by.  :func:`blow_up` only appends the fresh divisor, so old
+    masks keep their weights: chi after minus chi before is chi of that difference in the
+    new system, zero iff the step keeps chi.  The audit keeps that value as ``chi_delta``.
+    Each locus is checked the same way on its own difference.
     """
     loci = list(loci)
     result = blow_up(system, center, loci)
@@ -340,16 +338,13 @@ def audited_step(
     diff = step_difference(system.strata, after.strata)
     locus_diffs = [step_difference(u.strata, result.loci[u.name].strata) for u in loci]
     chi_delta = after.chi(MarkedLocus("step", diff))
-    audit = StepAudit(
-        index,
-        result.fresh_id,
-        chi_delta.is_zero()
+    checks = {
+        "chi_invariant": chi_delta.is_zero()
         and all(after.chi(MarkedLocus("step", delta)).is_zero() for delta in locus_diffs),
-        total_class_delta_matches(diff, center),
-        fiber_completeness_holds(diff, center, after.mask_of(result.fresh_id)),
-        chi_delta,
-    )
-    return result, audit
+        "total_class_ok": total_class_delta_matches(diff, center),
+        "fiber_complete": fiber_completeness_holds(diff, center, after.mask_of(result.fresh_id)),
+    }
+    return result, StepAudit(index, result.fresh_id, checks, chi_delta)
 
 
 def verify_invariance(
@@ -358,13 +353,12 @@ def verify_invariance(
     loci: Iterable[MarkedLocus] = (),
 ) -> bool:
     """chi before equals chi after, for the full locus and every given locus."""
-    return audited_step(system, center, loci)[1].invariance_ok
+    return audited_step(system, center, loci)[1].checks["chi_invariant"]
 
 
 def total_class_delta_matches(diff: Mapping[int, MotivicClass], center: BlowupCenter) -> bool:
     """Blow-up trades S for a P^(d-1)-bundle over it: the step's difference sums to that gain."""
-    gained = center.total_class() * (projective_class(center.codim - 1) - 1)
-    return MotivicClass.sum(diff.values()) == gained
+    return MotivicClass.sum(diff.values()) == center.bundle_class - center.total_class()
 
 
 def fiber_completeness_holds(
@@ -372,7 +366,7 @@ def fiber_completeness_holds(
 ) -> bool:
     """Strata with the fresh ``bit`` (all new, so all in ``diff``) sum to [S] * [P^(d-1)]."""
     total = MotivicClass.sum(cls for mask, cls in diff.items() if mask & bit)
-    return total == center.total_class() * projective_class(center.codim - 1)
+    return total == center.bundle_class
 
 
 # -- programs ------------------------------------------------------------------

@@ -1,18 +1,21 @@
-"""Command-line driver: scenario ingestion, verification sweeps, reports.
+"""Command-line interface: it reads input files, renders reports and writes them.
 
+It decides no check: each is made in the module that owns it, under its report
+key (:func:`mchern.blowup.audited_step`, :meth:`mchern.surface.SurfaceModel.stage_checks`).
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 bad input,
 3 internal error.  :func:`main` turns an input error (a ``ValueError``) into
-one ``error:`` stderr line and any other exception into one ``internal
-error:`` line.  A reader that closes standard output early does not change
-the exit code.  Reports are JSON with sorted keys; all randomness is seeded
-and the seed is recorded, so re-running a command reproduces the report byte
-for byte.  Wall-clock timings are only attached on request (--timings) and
-are never part of the digest.
+one ``error:`` stderr line and any other exception, a report that cannot be
+written included, into one ``internal error:`` line.  A reader that closes
+standard output early does not change the exit code.  Reports are JSON with
+sorted keys; all randomness is seeded and the seed is recorded, so re-running
+a command reproduces the report byte for byte.  Wall-clock timings are only
+attached on request (--timings) and are never part of the digest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import io
@@ -30,7 +33,7 @@ from .modsys import json_str, system_to_json
 from .ring import MotivicClass, decimal, json_fields
 from .sampling import capped, random_invariance_case
 from .strata import sweep_identities
-from .surface import ChowClass, SurfaceModel, events_from_json, events_to_json, swap_last_two
+from .surface import SurfaceModel, events_from_json, events_to_json
 
 DEFAULT_SEED = 101
 
@@ -144,6 +147,8 @@ def emit(report: dict, args, started: float) -> None:
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
             print(f"  {key}: {value}")
+        if "timings" in report:
+            print(f"wall_seconds: {report['timings']['wall_seconds']}")
 
 
 # -- verify ---------------------------------------------------------------------
@@ -159,12 +164,8 @@ def cmd_verify_identity(args) -> dict:
     results = {"cases": result.cases, "d_max": d_max, "mu_max": mu_max}
     if args.mu0_offset:
         results["mu0_offset"] = args.mu0_offset
-    if result.counterexample is not None:
-        results["counterexample"] = {
-            "d": result.counterexample.d,
-            "k": result.counterexample.k,
-            "mus": list(result.counterexample.mus),
-        }
+    if (c := result.counterexample) is not None:
+        results["counterexample"] = {"d": c.d, "k": c.k, "mus": list(c.mus)}
     status = PASS if result.passed else FAIL
     inputs = {"d_max": d_max, "mu_max": mu_max, "mu0_offset": args.mu0_offset}
     return build_report(f"verify {which}", inputs, results, status)
@@ -175,12 +176,8 @@ def cmd_verify_invariance(args) -> dict:
     max_divisors = capped(_bound(args.max_divisors, "max_divisors"))  # before any draw
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     rng = random.Random(seed)
-    failures = []
-    for index in range(count):
-        system, center, loci = random_invariance_case(rng, max_divisors=max_divisors)
-        _, audit = audited_step(system, center, loci)
-        if not audit.passed:
-            failures.append(index)
+    cases = (random_invariance_case(rng, max_divisors=max_divisors) for _ in range(count))
+    failures = [index for index, case in enumerate(cases) if not audited_step(*case)[1].passed]
     results = {"cases": count, "max_divisors": max_divisors, "failures": failures}
     status = PASS if not failures else FAIL
     inputs = {"count": count, "max_divisors": max_divisors}
@@ -195,18 +192,8 @@ def cmd_blowup_run(args) -> dict:
         raise ValueError("blowup run needs --program or --scenario")
     payload, digest = read_payload(args.program, "program")
     outcome = run_program(program_from_json(payload))
-    audits = [
-        {
-            "step": a.index,
-            "fresh_id": a.fresh_id,
-            "chi_invariant": a.invariance_ok,
-            "total_class_ok": a.total_class_ok,
-            "fiber_complete": a.fiber_complete,
-        }
-        for a in outcome.audits
-    ]
     results = {
-        "steps": audits,
+        "steps": [{"step": a.index, "fresh_id": a.fresh_id, **a.checks} for a in outcome.audits],
         "final_system": system_to_json(outcome.final, outcome.loci or None),
         "final_chi": outcome.final_chi.to_json(),
     }
@@ -226,52 +213,17 @@ def _load_surface(args) -> tuple[SurfaceModel, str]:
     return SurfaceModel(events_from_json(payload)), digest
 
 
-def verify_surface_stage(surface: SurfaceModel, m: int, folds: dict) -> dict:
-    """The checks of stage ``m``, all read from one arrangement and one weighted unit in integers.
-
-    The unit's push-forward is 1 off the contracted points (the open stratum weighs 1), its fiber
-    integral at each of them, and its CSM class the stage's Chern class, all times ``den``.  chi(full)
-    is the open stratum (mask 0) plus the reduced fiber chis, as the fibers partition the other strata;
-    ``folds`` maps a fiber's chi terms, the fold's exact input, to its reduced chi for one command.
-    """
-    rel = surface.relative(m)
-    den, unit = rel.unit
-    chern = surface.chern_class(m)
-    profiles_one = all(total == den for total in rel.fiber_totals(unit).values())
-    checks = {
-        "pushforward_matches_chern": surface.pushforward(surface._csm_numerators(rel, unit), m)
-        == ChowClass(den * chern.top, [den * e for e in chern.curves], den * chern.points),
-        "unit_pushforward": unit[()] == den and profiles_one,
-    }
-    if m == 0:
-        checks["fiber_profiles_one"] = profiles_one
-    system, loci = surface.export_modification_system(m)
-    fibers = [(system.chi_terms(locus), locus) for name, locus in loci.items() if name != "full"]
-    folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)
-    fiber_chi = [folds[terms] for terms, _ in fibers]
-    chi_full = MotivicClass.sum([system.stratum(0)] + fiber_chi)
-    stage_class = surface.class_of_stage(m)
-    checks["chi_matches_stage_class"] = chi_full == stage_class
-    checks["euler_chi"] = system.euler_chi(loci["full"]) == stage_class.euler_specialize()
-    checks["fiber_chi_one"] = all(chi == 1 for chi in fiber_chi)
-    return checks
-
-
 def cmd_surface_verify(args) -> dict:
     surface, digest = _load_surface(args)
     stages = [args.stage] if args.stage is not None else list(range(surface.k + 1))
     results: dict = {"k": surface.k, "stages": {}}
     ok, folds = True, {}  # folds: the fold table of this command only
     for m in stages:
-        checks = verify_surface_stage(surface, m, folds)
+        checks = surface.stage_checks(m, folds)
         results["stages"][str(m)] = checks
         ok = ok and all(checks.values())
-    swapped = swap_last_two(surface.events)
-    if swapped is not None:
-        other = SurfaceModel(swapped)
-        same = other.pushforward(other.stringy_class(0), 0) == surface.pushforward(
-            surface.stringy_class(0), 0
-        )
+    same = surface.order_swap_holds()
+    if same is not None:
         results["order_swap"] = "push-forwards equal" if same else "push-forwards differ"
         ok = ok and same
     status = PASS if ok else FAIL
@@ -420,6 +372,12 @@ def main(argv=None) -> int:
         # The reader stopped early; keep the verdict and let the exit flush
         # write to /dev/null instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Closing drops what is still buffered, so the exit flush has nothing to fail on.
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        return 3
     return 0 if report["status"] == PASS else 1
 
 

@@ -448,6 +448,46 @@ class SurfaceModel:
         loci.update((root, MarkedLocus._of(root, fiber)) for root, fiber in fibers.items())
         return system, loci
 
+    # -- checks ----------------------------------------------------------------------
+
+    def stage_checks(self, m: int, folds: dict) -> dict[str, bool]:
+        """The checks of stage ``m``, all read from one arrangement and one weighted unit in integers.
+
+        The unit's push-forward is 1 off the contracted points (the open stratum weighs 1), its fiber
+        integral at each of them, and its CSM class the stage's Chern class, all times ``den``.  chi(full)
+        is the open stratum (mask 0) plus the reduced fiber chis, as the fibers partition the other strata;
+        ``folds`` maps a fiber's chi terms, the fold's exact input, to its reduced chi for one command.
+        """
+        rel = self.relative(m)
+        den, unit = rel.unit
+        chern = self.chern_class(m)
+        profiles_one = all(total == den for total in rel.fiber_totals(unit).values())
+        checks = {
+            "pushforward_matches_chern": self.pushforward(self._csm_numerators(rel, unit), m)
+            == ChowClass(den * chern.top, [den * e for e in chern.curves], den * chern.points),
+            "unit_pushforward": unit[()] == den and profiles_one,
+        }
+        if m == 0:
+            checks["fiber_profiles_one"] = profiles_one
+        system, loci = self.export_modification_system(m)
+        fibers = [(system.chi_terms(locus), locus) for name, locus in loci.items() if name != "full"]
+        folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)
+        fiber_chi = [folds[terms] for terms, _ in fibers]
+        chi_full = MotivicClass.sum([system.stratum(0)] + fiber_chi)
+        stage_class = self.class_of_stage(m)
+        checks["chi_matches_stage_class"] = chi_full == stage_class
+        checks["euler_chi"] = system.euler_chi(loci["full"]) == stage_class.euler_specialize()
+        checks["fiber_chi_one"] = all(chi == 1 for chi in fiber_chi)
+        return checks
+
+    def order_swap_holds(self) -> Optional[bool]:
+        """Whether exchanging the last two events keeps the weighted stratum class's push-forward to
+        the plane; ``None`` when :func:`swap_last_two` finds them dependent or there are fewer than two."""
+        if (swapped := swap_last_two(self.events)) is None:
+            return None
+        other = SurfaceModel(swapped)
+        return other.pushforward(other.stringy_class(0), 0) == self.pushforward(self.stringy_class(0), 0)
+
     def __repr__(self) -> str:
         return f"SurfaceModel(k={self.k}, anchors={sum(not center for center in self._through)})"
 

@@ -43,14 +43,14 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "fiber sum drops the open stratum",
-        "src/mchern/cli.py",
+        "src/mchern/surface.py",
         "MotivicClass.sum([system.stratum(0)] + fiber_chi)",
         "MotivicClass.sum(fiber_chi)",
         ("tests/test_cli.py::TestSurfaceCommands",),
     ),
     Mutant(
         "fiber sum drops one fiber",
-        "src/mchern/cli.py",
+        "src/mchern/surface.py",
         "MotivicClass.sum([system.stratum(0)] + fiber_chi)",
         "MotivicClass.sum([system.stratum(0)] + fiber_chi[1:])",
         ("tests/test_cli.py::TestSurfaceCommands",),
@@ -65,7 +65,7 @@ MUTANTS = (
     Mutant(
         "fiber_completeness_holds always passes",
         "src/mchern/blowup.py",
-        "return total == center.total_class() * projective_class(center.codim - 1)",
+        "return total == center.bundle_class",
         "return True",
         ("tests/test_cli.py::TestBlowupRun",),
     ),
@@ -79,8 +79,8 @@ MUTANTS = (
     Mutant(
         "a step passes without fiber completeness",
         "src/mchern/blowup.py",
-        "return self.invariance_ok and self.total_class_ok and self.fiber_complete",
-        "return self.invariance_ok and self.total_class_ok",
+        "return all(self.checks.values())",
+        'return all(ok for key, ok in self.checks.items() if key != "fiber_complete")',
         (
             "tests/test_blowup.py::TestLocalAudit::test_a_step_passes_only_when_all_three_checks_hold",
             "tests/test_cli.py::TestVerify::test_invariance_fails_a_case_with_an_incomplete_fiber",
@@ -89,9 +89,21 @@ MUTANTS = (
     Mutant(
         "a step passes without the total-class check",
         "src/mchern/blowup.py",
-        "return self.invariance_ok and self.total_class_ok and self.fiber_complete",
-        "return self.invariance_ok and self.fiber_complete",
+        "return all(self.checks.values())",
+        'return all(ok for key, ok in self.checks.items() if key != "total_class_ok")',
         ("tests/test_blowup.py::TestLocalAudit::test_a_step_passes_only_when_all_three_checks_hold",),
+    ),
+    Mutant(
+        "the audit files the total-class and fiber verdicts under each other's keys",
+        "src/mchern/blowup.py",
+        '        "total_class_ok": total_class_delta_matches(diff, center),\n'
+        '        "fiber_complete": fiber_completeness_holds(',
+        '        "fiber_complete": total_class_delta_matches(diff, center),\n'
+        '        "total_class_ok": fiber_completeness_holds(',
+        (
+            "tests/test_blowup.py::TestLocalAudit::"
+            "test_corrupting_a_stratum_away_from_the_center_fails_the_step",
+        ),
     ),
     Mutant(
         "fiber_completeness_holds sums the whole step difference",
@@ -415,29 +427,29 @@ MUTANTS = (
     ),
     Mutant(
         "the fold table is keyed by fiber name",
-        "src/mchern/cli.py",
-        "    folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)\n"
-        "    fiber_chi = [folds[terms] for terms, _ in fibers]\n",
-        "    fibers = [(name, terms, locus) for (terms, locus), name in zip(fibers, [n for n in loci if n != \"full\"])]\n"
-        "    folds.update((n, system.chi(locus, t).reduced()) for n, t, locus in fibers if n not in folds)\n"
-        "    fiber_chi = [folds[n] for n, _, _ in fibers]\n",
+        "src/mchern/surface.py",
+        "        folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)\n"
+        "        fiber_chi = [folds[terms] for terms, _ in fibers]\n",
+        "        fibers = [(name, terms, locus) for (terms, locus), name in zip(fibers, [n for n in loci if n != \"full\"])]\n"
+        "        folds.update((n, system.chi(locus, t).reduced()) for n, t, locus in fibers if n not in folds)\n"
+        "        fiber_chi = [folds[n] for n, _, _ in fibers]\n",
         ("tests/test_cli.py::TestSurfaceCommands",),
     ),
     Mutant(
         "the fold table's key leaves out the numerators",
-        "src/mchern/cli.py",
-        "    folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)\n"
-        "    fiber_chi = [folds[terms] for terms, _ in fibers]\n",
-        "    fibers = [(tuple(d for d, _ in terms), terms, locus) for terms, locus in fibers]\n"
-        "    folds.update((k, system.chi(locus, t).reduced()) for k, t, locus in fibers if k not in folds)\n"
-        "    fiber_chi = [folds[k] for k, _, _ in fibers]\n",
+        "src/mchern/surface.py",
+        "        folds.update((terms, system.chi(locus, terms).reduced()) for terms, locus in fibers if terms not in folds)\n"
+        "        fiber_chi = [folds[terms] for terms, _ in fibers]\n",
+        "        fibers = [(tuple(d for d, _ in terms), terms, locus) for terms, locus in fibers]\n"
+        "        folds.update((k, system.chi(locus, t).reduced()) for k, t, locus in fibers if k not in folds)\n"
+        "        fiber_chi = [folds[k] for k, _, _ in fibers]\n",
         ("tests/test_cli.py::TestSurfaceCommands",),
     ),
     Mutant(
         "the integer Chern check skips the points coordinate",
-        "src/mchern/cli.py",
+        "src/mchern/surface.py",
         "[den * e for e in chern.curves], den * chern.points)",
-        "[den * e for e in chern.curves], surface._csm_numerators(rel, unit).points)",
+        "[den * e for e in chern.curves], self._csm_numerators(rel, unit).points)",
         ("tests/test_surface.py::TestVerifyStage",),
     ),
     Mutant(
@@ -488,6 +500,23 @@ MUTANTS = (
         "loci.values(), index)\n        except ValueError as exc:",
         "loci.values(), index)\n        except BlowupError as exc:",
         ("tests/test_blowup.py::TestSystemsKept",),
+    ),
+    Mutant(
+        "a report that cannot be written escapes main",
+        "src/mchern/cli.py",
+        "    except OSError as exc:\n        print(",
+        "    except ZeroDivisionError as exc:\n        print(",
+        (
+            "tests/test_cli.py::test_a_report_that_cannot_be_written_exits_three",
+            "tests/test_cli.py::test_a_stdout_that_refuses_writes_exits_three",
+        ),
+    ),
+    Mutant(
+        "a report that cannot be written leaves its buffer to the exit flush",
+        "src/mchern/cli.py",
+        "            sys.stdout.close()\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_a_report_that_cannot_be_written_exits_three",),
     ),
     Mutant(
         "the scenario envelope lets an unknown key pass",

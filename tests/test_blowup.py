@@ -307,9 +307,9 @@ class TestPrograms:
         monkeypatch.setattr("mchern.blowup.Divisor", lambda ident, mu: Divisor(ident, mu + 1))
         outcome = run_program(BlowupProgram(trivial_plane(), (point_center(),)))
         [audit] = outcome.audits
-        assert not audit.invariance_ok
+        assert not audit.checks["chi_invariant"]
         assert_telescoped(outcome)
-        assert audit.total_class_ok and audit.fiber_complete
+        assert audit.checks["total_class_ok"] and audit.checks["fiber_complete"]
         assert not outcome.all_checks_passed
 
     def test_error_carries_step_index(self):
@@ -426,7 +426,8 @@ class TestLocalAudit:
 
     def test_a_step_passes_only_when_all_three_checks_hold(self):
         for flags in itertools.product((True, False), repeat=3):
-            assert StepAudit(0, "exc0", *flags, MotivicClass.zero()).passed is all(flags)
+            checks = dict(zip(("chi_invariant", "total_class_ok", "fiber_complete"), flags))
+            assert StepAudit(0, "exc0", checks, MotivicClass.zero()).passed is all(flags)
 
     def test_difference_walks_every_mask(self):
         one, two = MotivicClass.one(), MotivicClass.from_int(2)
@@ -449,13 +450,13 @@ class TestLocalAudit:
         centers = (point_center(), point_center(on={"exc0"}), point_center())
         outcome = run_program(BlowupProgram(trivial_plane(), centers))
         first, *later = outcome.audits
-        assert first.invariance_ok and first.total_class_ok
+        assert first.checks["chi_invariant"] and first.checks["total_class_ok"]
         for audit in later:
-            assert not audit.invariance_ok and not audit.total_class_ok
-            assert audit.fiber_complete
+            assert not audit.checks["chi_invariant"] and not audit.checks["total_class_ok"]
+            assert audit.checks["fiber_complete"]
         assert_telescoped(outcome)
         _, audit = audited_step(outcome.snapshots[1], centers[1], ())
-        assert not audit.invariance_ok and not audit.total_class_ok
+        assert not audit.checks["chi_invariant"] and not audit.checks["total_class_ok"]
         assert not verify_invariance(outcome.snapshots[1], centers[1])
 
     def test_corrupting_a_locus_away_from_the_center_fails_chi_only(self, monkeypatch):
@@ -465,7 +466,7 @@ class TestLocalAudit:
             2, frozenset({"exc0"}), {frozenset({"exc0"}): MotivicClass.one()},
             {"U": LocusRule.contains()},
         )
-        assert audited_step(system, center, [locus])[1].invariance_ok
+        assert audited_step(system, center, [locus])[1].checks["chi_invariant"]
 
         def corrupt(old, *rest):
             out = _transform_strata(old, *rest)
@@ -475,8 +476,8 @@ class TestLocalAudit:
 
         monkeypatch.setattr("mchern.blowup._transform_strata", corrupt)
         _, audit = audited_step(system, center, [locus])
-        assert not audit.invariance_ok
-        assert audit.total_class_ok and audit.fiber_complete
+        assert not audit.checks["chi_invariant"]
+        assert audit.checks["total_class_ok"] and audit.checks["fiber_complete"]
 
 
 def assert_telescoped(outcome):

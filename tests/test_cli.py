@@ -1,5 +1,8 @@
+import contextlib
 import copy
+import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -145,6 +148,15 @@ class TestBlowupRun:
         [step] = report["results"]["steps"]
         assert step["chi_invariant"] is False
         assert step["total_class_ok"] is True and step["fiber_complete"] is True
+
+    def test_step_entries_are_the_audit_checks(self, capsys, program_file):
+        # the report names each step's checks by the keys audited_step gives them
+        assert main(["blowup", "run", "--program", program_file, "--json"]) == 0
+        [first, _] = json.loads(capsys.readouterr().out)["results"]["steps"]
+        program = blowup.program_from_json(json.loads(Path(program_file).read_text()))
+        _, audit = blowup.audited_step(program.initial, program.steps[0], program.loci.values())
+        assert set(audit.checks) == set(first) - {"step", "fresh_id"}
+        assert first == {"step": 0, "fresh_id": audit.fresh_id, **audit.checks}
 
     def test_incomplete_fiber_exits_one(self, capsys, monkeypatch, program_file, tmp_path):
         payload = json.loads(open(program_file).read())
@@ -624,6 +636,16 @@ class TestReportDeterminism:
         timed = json.loads(capsys.readouterr().out)
         assert "timings" in timed and "timings" not in plain
         assert timed["digest"] == plain["digest"]
+
+    def test_text_timings_add_one_last_line(self, capsys):
+        base = ["motivic", "eval", "1+L"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(base + ["--timings"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert len(timed) == len(plain) + 1 and timed[:-1] == plain
+        assert timed[-1].startswith("wall_seconds: ")
+        assert float(timed[-1].split(": ")[1]) >= 0
 
 
 def _write_json_text(obj) -> str:
@@ -1131,6 +1153,36 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CHAIN_BYTES = json.dumps(
     {"events": [{"type": "generic"}] + [{"type": "on_curve", "curve": j} for j in range(1, 6)]}
 ).encode()
+
+
+NO_SPACE = "internal error: OSError: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_report_that_cannot_be_written_exits_three(flags, unbuffered):
+    # buffered, the failed bytes stay in stdout's buffer for the exit flush unless main drops them
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mchern", "motivic", "eval", "1 + L", *flags],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.stderr.decode() == NO_SPACE  # one line: no traceback, no failed exit flush
+    assert proc.returncode == 3
+
+
+def test_a_stdout_that_refuses_writes_exits_three(capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with contextlib.redirect_stdout(Full()) as full:
+        assert main(["motivic", "eval", "1 + L"]) == 3
+    assert capsys.readouterr().err == NO_SPACE
+    assert full.closed  # nothing left buffered for a later flush
 
 
 def _report_program(path: str, **run) -> subprocess.CompletedProcess:

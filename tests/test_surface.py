@@ -16,7 +16,6 @@ from corpus import (
 )
 from mchern import cfun, ring
 from mchern.blowup import BlowupCenter, BlowupProgram, run_program
-from mchern.cli import verify_surface_stage
 from mchern.modsys import MarkedLocus, ModificationSystem
 from mchern.ring import INPUT_BOUND, LPolynomial, MotivicClass
 from mchern.surface import (
@@ -117,7 +116,7 @@ def checked_export(s, m):
 
 
 def reference_stage_checks(s, m):
-    """The checks of verify_surface_stage by the public route: the stringy class, the
+    """The checks of SurfaceModel.stage_checks by the public route: the stringy class, the
     weighted unit pushed forward by cfun, and the checked export."""
     pushed = s.pushforward(s.stringy_class(m), m)
     unit = cfun.pushforward(s, cfun.weighted_unit(s, m), m)
@@ -400,19 +399,19 @@ class TestStringy:
         monkeypatch.setattr("mchern.surface.RelativeArrangement", Counting)
         s = SurfaceModel(CHAIN3 + (GenericPoint(),))
         for m in range(s.k + 1):
-            assert all(verify_surface_stage(s, m, {}).values())
+            assert all(s.stage_checks(m, {}).values())
         assert built == list(range(s.k + 1))
 
 
 class TestVerifyStage:
-    """verify_surface_stage gives the checks of the public route, in the same order."""
+    """SurfaceModel.stage_checks gives the checks of the public route, in the same order."""
 
     @staticmethod
     def assert_same_checks(surfaces):
         for s in surfaces:
             folds = {}  # one table for all stages, as one command passes it
             for m in range(s.k + 1):
-                assert list(verify_surface_stage(s, m, folds).items()) == list(
+                assert list(s.stage_checks(m, folds).items()) == list(
                     reference_stage_checks(s, m).items()
                 )
 
@@ -440,7 +439,7 @@ class TestVerifyStage:
         # a generic point, then 159 points each on the newest curve
         chain = SurfaceModel((GenericPoint(),) + tuple(PointOnCurve(j) for j in range(1, 160)))
         for m in range(chain.k + 1):
-            assert all(verify_surface_stage(chain, m, {}).values())
+            assert all(chain.stage_checks(m, {}).values())
 
     @pytest.mark.parametrize(
         "attr, wrong",
@@ -453,7 +452,7 @@ class TestVerifyStage:
         monkeypatch.setattr(RelativeArrangement, attr, wrong)
         surfaces = [s for s in corpus_surfaces[:150] if s.k]
         for s in surfaces:
-            assert not all(verify_surface_stage(s, 0, {}).values())
+            assert not all(s.stage_checks(0, {}).values())
         self.assert_same_checks(surfaces)
 
 
@@ -574,7 +573,7 @@ class TestExport:
                         assert system.chi(locus) == MotivicClass.one()
 
     def test_fiber_loci_partition_the_curve_strata(self, corpus_surfaces):
-        # verify_surface_stage builds chi(full) from the fibers; check it against the whole sum
+        # SurfaceModel.stage_checks builds chi(full) from the fibers; check it against the whole sum
         for s in corpus_surfaces:
             for m in range(s.k + 1):
                 system, loci = s.export_modification_system(m)
@@ -643,6 +642,14 @@ class TestOrderIndependence:
             ea, _ = sa.export_modification_system(0)
             eb, _ = sb.export_modification_system(0)
             assert systems_isomorphic_under(ea, eb, final_transposition(first))
+
+    def test_order_swap_holds_on_every_swappable_program(self, corpus_programs):
+        pairs = order_swap_pairs(corpus_programs, want=len(corpus_programs))
+        assert len(pairs) > 12
+        assert all(SurfaceModel(p).order_swap_holds() is True for pair in pairs for p in pair)
+        assert SurfaceModel(()).order_swap_holds() is None
+        assert SurfaceModel((GenericPoint(),)).order_swap_holds() is None
+        assert SurfaceModel((GenericPoint(), PointOnCurve(1))).order_swap_holds() is None
 
     def test_swap_guard(self):
         # the second event references the first's curve: not independent
