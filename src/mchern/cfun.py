@@ -68,22 +68,35 @@ def weighted_unit(surface: SurfaceModel, stage: int = 0) -> dict[tuple[int, ...]
 
 
 def _weight_from_json(value) -> Fraction:
+    # <= 300 ASCII digits a side: neither int() nor printing the reduced value back can meet Python's
+    # digit limit (0 or >= 640), so this direct route needs no print check
+    plain = type(value) is str and re.fullmatch(r"(-?[0-9]{1,300})(?:/([0-9]{1,300}))?", value)
     text = str(value)
     # a decimal exponent, as Fraction reads one, is bounded before Fraction computes 10**it
     if "e" in text.lower() and (exponent := re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", text)):
         bounded(int(exponent[1]), "weight exponent")
     try:
-        weight = Fraction(text)
+        weight = Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"weight {value!r} has a zero denominator") from None
-    decimal(weight, f"weight {value!r}")  # it is written back in the report
+    if not plain:
+        decimal(weight, f"weight {value!r}")  # it is written back in the report
     return weight
 
 
 def function_from_json(obj: Mapping) -> dict[frozenset, Fraction]:
-    """The decoded ``{subset: weight}`` mapping, zero weights included."""
+    """The decoded ``{subset: weight}`` mapping, zero weights included; each distinct weight is parsed once."""
     (entries,) = json_fields(obj, "function object", ("strata",), {})
-    return strata_from_json(entries, "weight", _weight_from_json, int)
+    parsed: dict[tuple, Fraction] = {}  # keyed by JSON type and value, so 1 and true are read apart
+
+    def weight(value) -> Fraction:
+        if isinstance(value, (list, dict)):  # unhashable, and no weight: refused by _weight_from_json
+            return _weight_from_json(value)
+        if (found := parsed.get(key := (type(value), value))) is None:
+            found = parsed[key] = _weight_from_json(value)
+        return found
+
+    return strata_from_json(entries, "weight", weight, int)
 
 
 def function_to_json(f: Mapping) -> dict:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import os
@@ -26,6 +25,11 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+
+try:  # the builtin module gives the same digest; hashlib would also load OpenSSL at import
+    from _sha256 import sha256
+except ImportError:  # a Python without it
+    from hashlib import sha256
 
 from . import cfun
 from .blowup import audited_step, program_from_json, run_program
@@ -80,7 +84,7 @@ def read_payload(path: str, expected_kind: str) -> tuple[dict, str]:
         json_str(label, "scenario label")
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return obj, hashlib.sha256(data).hexdigest()
+    return obj, sha256(data).hexdigest()
 
 
 def load_payload(path: str, expected_kind: str) -> dict:
@@ -92,7 +96,7 @@ def build_report(command: str, inputs: dict, results: dict, status: str, seed=No
     if seed is not None:
         body["seed"] = seed
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    body["digest"] = hashlib.sha256(canonical.encode()).hexdigest()
+    body["digest"] = sha256(canonical.encode()).hexdigest()
     return body
 
 

@@ -249,7 +249,7 @@ def json_list(value, what: str) -> list:
 
 def subset_from_json(value, item: type = str) -> frozenset:
     """A JSON list of distinct ids of type ``item``."""
-    if not isinstance(value, list) or any(type(i) is not item for i in value):
+    if not isinstance(value, list) or not {item}.issuperset(map(type, value)):
         raise ValueError(f"subset must be a list of {item.__name__} ids, got {value!r}")
     subset = frozenset(value)
     if len(subset) != len(value):
@@ -263,11 +263,12 @@ def strata_from_json(
     """Decode ``[{"subset": [...], value: ...}, ...]``, keyed by subset; no subset twice."""
     out: dict[frozenset, object] = {}
     for entry in json_list(entries, "strata"):
-        ids, data = json_fields(entry, "stratum", ("subset", value), {})
-        subset = subset_from_json(ids, item)
+        if type(entry) is not dict or len(entry) != 2 or "subset" not in entry or value not in entry:
+            json_fields(entry, "stratum", ("subset", value), {})  # the message for any other shape
+        subset = subset_from_json(entry["subset"], item)
         if subset in out:
             raise ValueError(f"duplicate stratum {sorted(subset)!r}")
-        out[subset] = decode(data)
+        out[subset] = decode(entry[value])
     return out
 
 

@@ -274,20 +274,21 @@ class SurfaceModel:
 
     def __init__(self, events: Iterable[Event] = ()):
         self.events: tuple[Event, ...] = tuple(events)
-        through: list[tuple[int, ...]] = []  # per curve, the curves its center lay on
+        self._through = tuple(map(_references, self.events))  # per curve, the curves its center lay on
         pairs: set[tuple[int, int]] = set()
-        for k, center in enumerate(map(_references, self.events)):
-            if center and not 1 <= min(center) <= max(center) <= k:
-                raise ValueError(
-                    f"invalid curve index {center[0]}" if len(center) == 1
-                    else f"invalid curve pair ({center[0]}, {center[1]})"
-                )
-            if len(center) == 2 and center not in pairs:
-                raise ValueError(f"curves {center[0]} and {center[1]} do not meet")
-            pairs.discard(center)  # the crossing blown up is gone; pairs holds no shorter tuple
-            pairs.update((j, k + 1) for j in center)
-            through.append(center)
-        self._through: tuple[tuple[int, ...], ...] = tuple(through)
+        for k, center in enumerate(self._through, 1):  # curve k is made by event k
+            if len(center) == 1:
+                if not 1 <= center[0] < k:
+                    raise ValueError(f"invalid curve index {center[0]}")
+                pairs.add((center[0], k))
+            elif center:
+                a, b = center
+                if not (1 <= a < k and 1 <= b < k):
+                    raise ValueError(f"invalid curve pair ({a}, {b})")
+                if center not in pairs:
+                    raise ValueError(f"curves {a} and {b} do not meet")
+                pairs.remove(center)  # the crossing blown up is gone
+                pairs.update(((a, k), (b, k)))
         self._pairs: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
         self._last_relative: Optional[RelativeArrangement] = None
 
@@ -498,21 +499,21 @@ class SurfaceModel:
 def events_from_json(obj: Mapping) -> tuple[Event, ...]:
     (entries,) = json_fields(obj, "surface program", ("events",), {})
     events: list[Event] = []
+    kinds = {"generic": ("type",), "on_curve": ("type", "curve"), "intersection": ("type", "pair")}
     for entry in json_list(entries, "events"):
         kind = json_object(entry, "event").get("type")  # the type decides the other key
+        if (keys := kinds.get(kind) if isinstance(kind, str) else None) is None:
+            raise ValueError(f"unknown event type {kind!r}")
+        if len(entry) != len(keys) or keys[-1] not in entry:
+            json_fields(entry, f"{kind} event", keys, {})  # the message for any other shape
         if kind == "generic":
-            json_fields(entry, "generic event", ("type",), {})
             events.append(GenericPoint())
         elif kind == "on_curve":
-            _, curve = json_fields(entry, "on_curve event", ("type", "curve"), {})
-            events.append(PointOnCurve(json_int(curve, "curve")))
-        elif kind == "intersection":
-            _, pair = json_fields(entry, "intersection event", ("type", "pair"), {})
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"pair must be a list of two curve indices, got {pair!r}")
-            events.append(IntersectionPoint(*(json_int(c, "pair") for c in pair)))
+            events.append(PointOnCurve(json_int(entry["curve"], "curve")))
+        elif not isinstance(pair := entry["pair"], list) or len(pair) != 2:
+            raise ValueError(f"pair must be a list of two curve indices, got {pair!r}")
         else:
-            raise ValueError(f"unknown event type {kind!r}")
+            events.append(IntersectionPoint(json_int(pair[0], "pair"), json_int(pair[1], "pair")))
     return tuple(events)
 
 

@@ -370,6 +370,27 @@ MUTANTS = (
         ("tests/test_cfun.py",),
     ),
     Mutant(
+        "the weight cache is keyed by value alone, so true reads as 1",
+        "src/mchern/cfun.py",
+        "parsed.get(key := (type(value), value))",
+        "parsed.get(key := value)",
+        ("tests/test_cfun.py::TestWeightDecoding",),
+    ),
+    Mutant(
+        "a plain weight text with a zero denominator reads as an integer",
+        "src/mchern/cfun.py",
+        "Fraction(int(plain[1]), int(plain[2] or 1))",
+        "Fraction(int(plain[1]), int(plain[2] or 1) or 1)",
+        ("tests/test_cfun.py::TestWeightDecoding",),
+    ),
+    Mutant(
+        "plain weight texts of any length skip the print check",
+        "src/mchern/cfun.py",
+        'r"(-?[0-9]{1,300})(?:/([0-9]{1,300}))?"',
+        'r"(-?[0-9]+)(?:/([0-9]+))?"',
+        ("tests/test_cfun.py::TestWeightDecoding",),
+    ),
+    Mutant(
         "relative drops the bound on a derived discrepancy",
         "src/mchern/surface.py",
         'bounded(discrepancy((mus[c] for c in over), 2), f"curve {t} discrepancy")',

@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from corpus import chow_point, is_constant, value_at
 from mchern import cfun
 from mchern.cfun import BaseFunction
-from mchern.surface import GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel
+from mchern.cli import main
+from mchern.surface import GenericPoint, IntersectionPoint, PointOnCurve, SurfaceModel, events_to_json
 
 K1 = SurfaceModel((GenericPoint(),))
 NESTED = SurfaceModel((GenericPoint(), PointOnCurve(1)))
@@ -243,3 +246,94 @@ class TestBaseFunction:
     def test_json(self):
         base = BaseFunction(Fraction(1, 2), {"p1": Fraction(3)})
         assert base.to_json() == {"generic": "1/2", "corrections": {"p1": "3"}}
+
+
+# -- weight decoding ------------------------------------------------------------
+
+NINES = "9" * 300
+LIMIT_DIGITS = "1" * (sys.get_int_max_str_digits() + 1)  # 4301 under the default limit
+PAST_LIMIT = (
+    f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion: "
+    f"value has {len(LIMIT_DIGITS)} digits; use sys.set_int_max_str_digits() to increase the limit"
+)
+WEIGHTS = [  # (JSON weight, its value as Fraction(text) gives it, or the message it fails with)
+    # an ASCII integer or fraction of at most 300 digits a side: read with int()
+    ("-0", Fraction(0)),
+    ("007/014", Fraction(1, 2)),
+    ("1/0", "weight '1/0' has a zero denominator"),
+    (NINES, Fraction(NINES)),
+    (f"-{NINES}/{'3' * 300}", Fraction(-3)),
+    # every other text and every non-string: Fraction(str(value))
+    (LIMIT_DIGITS, PAST_LIMIT),
+    ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    ("+1/2", Fraction(1, 2)),
+    (" 1/2", Fraction(1, 2)),
+    ("1_000", Fraction(1000)),
+    ("1.5", Fraction(3, 2)),
+    ("1e3", Fraction(1000)),
+    ("١/٢", Fraction(1, 2)),  # Arabic-Indic digits
+    (2, Fraction(2)),
+    (0.5, Fraction(1, 2)),
+    (True, "Invalid literal for Fraction: 'True'"),
+    (None, "Invalid literal for Fraction: 'None'"),
+    ([1], "Invalid literal for Fraction: '[1]'"),
+    ({"a": 1}, "Invalid literal for Fraction: \"{'a': 1}\""),
+]
+
+
+def _push(capsys, tmp_path, strata: list) -> tuple[int, str, str]:
+    program, function = tmp_path / "chain.json", tmp_path / "fn.json"
+    program.write_text(json.dumps(events_to_json(CHAIN.events)))
+    function.write_text(json.dumps({"strata": strata}))
+    code = main(["cfun", "push", "--program", str(program), "--function", str(function), "--json"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestWeightDecoding:
+    @pytest.mark.parametrize("weight, expected", WEIGHTS, ids=lambda v: repr(v)[:24])
+    def test_decoder(self, weight, expected):
+        wire = {"strata": [{"subset": [], "weight": weight}]}
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                cfun.function_from_json(wire)
+            assert str(info.value) == expected
+        else:
+            assert cfun.function_from_json(wire) == {frozenset(): expected}
+
+    @pytest.mark.parametrize("weight, expected", WEIGHTS, ids=lambda v: repr(v)[:24])
+    def test_cfun_push(self, capsys, tmp_path, weight, expected):
+        code, out, err = _push(capsys, tmp_path, [{"subset": [], "weight": weight}])
+        if isinstance(expected, str):
+            assert (code, out, err) == (2, "", f"error: {expected}\n")
+        else:
+            results = json.loads(out)["results"]
+            assert code == 0 and results["pushforward"]["generic"] == str(expected)
+            echoed = [{"subset": [], "weight": str(expected)}] if expected else []
+            assert results["function"] == {"strata": echoed}
+
+    def test_one_and_true_are_read_apart(self, capsys, tmp_path):
+        strata = [{"subset": [], "weight": 1}, {"subset": [1], "weight": True}]
+        assert _push(capsys, tmp_path, strata) == (2, "", "error: Invalid literal for Fraction: 'True'\n")
+
+    def test_equal_weights_echo_alike(self, capsys, tmp_path):
+        strata = [{"subset": [], "weight": "1"}, {"subset": [1], "weight": 1}, {"subset": [2], "weight": "2/2"}]
+        code, out, _ = _push(capsys, tmp_path, strata)
+        assert code == 0
+        assert json.loads(out)["results"]["function"] == {
+            "strata": [{"subset": ids, "weight": "1"} for ids in ([], [1], [2])]}
+
+    def test_a_repeated_bad_weight_fails_at_its_first_entry(self, capsys, tmp_path):
+        # the later entries are never read: the last one's subset is no list
+        strata = [{"subset": [j], "weight": "1/0"} for j in (1, 2, 3)] + [{"subset": 1, "weight": "1"}]
+        assert _push(capsys, tmp_path, strata) == (2, "", "error: weight '1/0' has a zero denominator\n")
+
+    def test_only_short_plain_texts_skip_the_print_check(self, monkeypatch):
+        # the print check cannot fail on <= 300 digits a side; every longer text keeps it
+        checked = []
+        monkeypatch.setattr(cfun, "decimal", lambda value, what: checked.append(what))
+        long_num, long_den = "9" * 301, "1/" + "7" * 301
+        cfun.function_from_json({"strata": [
+            {"subset": [], "weight": NINES}, {"subset": [1], "weight": f"1/{NINES}"},
+            {"subset": [2], "weight": long_num}, {"subset": [3], "weight": long_den}]})
+        assert checked == [f"weight {long_num!r}", f"weight {long_den!r}"]

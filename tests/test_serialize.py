@@ -231,6 +231,26 @@ def test_a_missing_key_names_its_decoder_and_the_key(decode, what, key):
     assert str(info.value) == f"malformed {what}: '{key}'"
 
 
+@pytest.mark.parametrize(
+    "decode, wire, message",
+    [
+        (events_from_json, {"events": [{"type": "on_curve", "pair": [1, 2]}]}, "malformed on_curve event: 'curve'"),
+        (events_from_json, {"events": [{"type": "intersection", "curve": 1}]},
+         "malformed intersection event: 'pair'"),
+        (events_from_json, {"events": [{"type": "generic", "curve": 1}]}, "unknown generic event key 'curve'"),
+        (events_from_json, {"events": [{"type": ["generic"]}]}, "unknown event type ['generic']"),
+        (strata_from_json, [{"subset": [], "clas": "1"}], "malformed stratum: 'class'"),
+        (strata_from_json, [["subset", "class"]], "stratum must be a JSON object, got list"),
+        (cfun.function_from_json, {"strata": [{"subset": [], "class": "1"}]}, "malformed stratum: 'weight'"),
+    ],
+)
+def test_a_two_key_entry_without_its_keys_is_read_by_json_fields(decode, wire, message):
+    # entries of exactly their two keys are read directly; every other shape keeps json_fields's message
+    with pytest.raises(ValueError) as info:
+        decode(wire)
+    assert str(info.value) == message
+
+
 class TestJsonFields:
     def test_required_values_then_optional_values_or_defaults(self):
         assert json_fields({"c": 3, "a": 1}, "thing", ("a",), {"b": [], "c": 0}) == [1, [], 3]
