@@ -13,9 +13,8 @@ from .blowup import (
     LocusRule,
     blow_up,
     run_program,
-    verify_invariance,
 )
-from .cfun import BaseFunction, weighted_unit
+from .cfun import BaseFunction
 from .modsys import Divisor, MarkedLocus, ModificationSystem
 from .ring import LPolynomial, MotivicClass, affine_class, projective_class, torus_class
 from .strata import (
@@ -59,8 +58,6 @@ __all__ = [
     "run_program",
     "sweep_identities",
     "torus_class",
-    "verify_invariance",
     "verify_simplex",
     "verify_simplexcor",
-    "weighted_unit",
 ]

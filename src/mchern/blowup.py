@@ -238,20 +238,22 @@ def blow_up(
 
     Only the center is checked; the results are built trusted, so a step costs what it
     touches.  A fresh multiplicity above :data:`mchern.ring.INPUT_BOUND` is refused, and so
-    is a center on more than 16 divisors, as each center stratum writes 2^|K0| fresh strata.
+    is a step whose fresh strata exceed it: 2^|K0| for each center stratum of the system and
+    of every locus.
     """
     k0_mask, center_strata = _center_masks(system, center)
     k0_size = k0_mask.bit_count()
-    if 1 << k0_size > INPUT_BOUND:  # each center stratum writes 2^|K0| fresh strata
-        raise BlowupError(
-            f"center lies on {k0_size} divisors: 2^{k0_size} fresh strata per center stratum"
-            f" exceed the input bound {INPUT_BOUND}"
-        )
     loci = list(loci)
     locus_data = {
         locus.name: _locus_center_data(system, center, center_strata, locus)
         for locus in loci
     }
+    pieces = len(center_strata) + sum(map(len, locus_data.values()))
+    if pieces << k0_size > INPUT_BOUND:
+        raise BlowupError(
+            f"center would write up to {pieces << k0_size} fresh strata, 2^{k0_size} for each of {pieces}"
+            f" center strata in the system and its loci, more than the input bound {INPUT_BOUND}"
+        )
 
     index = system._ident_index
     if fresh_id is None:

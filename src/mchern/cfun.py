@@ -68,19 +68,15 @@ def weighted_unit(surface: SurfaceModel, stage: int = 0) -> dict[tuple[int, ...]
 
 
 def _weight_from_json(value) -> Fraction:
-    # <= 300 ASCII digits a side: neither int() nor printing the reduced value back can meet Python's
-    # digit limit (0 or >= 640), so this direct route needs no print check
-    plain = type(value) is str and re.fullmatch(r"(-?[0-9]{1,300})(?:/([0-9]{1,300}))?", value)
     text = str(value)
     # a decimal exponent, as Fraction reads one, is bounded before Fraction computes 10**it
     if "e" in text.lower() and (exponent := re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", text)):
         bounded(int(exponent[1]), "weight exponent")
     try:
-        weight = Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
+        weight = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"weight {value!r} has a zero denominator") from None
-    if not plain:
-        decimal(weight, f"weight {value!r}")  # it is written back in the report
+    decimal(weight, f"weight {value!r}")  # it is written back in the report
     return weight
 
 

@@ -64,8 +64,9 @@ def _read(path: str) -> tuple[bytes, str]:
 
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+    if len(obj) < len(pairs):  # name the first key that repeats an earlier one
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise ValueError(f"repeated JSON key {key!r}")
     return obj
 

@@ -139,12 +139,8 @@ def attach_locus_rules(
 
 
 def random_invariance_case(rng: random.Random, *, max_divisors: int = 8):
-    """(system, center, two loci) ready for verify_invariance, retrying until valid."""
-    while True:
-        system = random_system(rng, max_divisors=max_divisors)
-        center = random_center(rng, system)
-        if center is None:
-            continue
-        loci = [random_locus(rng, system, f"T{i}") for i in range(2)]
-        center = attach_locus_rules(rng, center, loci, system)
-        return system, center, loci
+    """(system, center, two loci) for verify_invariance; the open stratum, always drawn, admits a center."""
+    system = random_system(rng, max_divisors=max_divisors)
+    center = random_center(rng, system)
+    loci = [random_locus(rng, system, f"T{i}") for i in range(2)]
+    return system, attach_locus_rules(rng, center, loci, system), loci

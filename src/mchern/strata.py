@@ -17,13 +17,13 @@ Two identities over these classes drive the blow-up bookkeeping:
 Both are verified exactly; grouped by |I|, the sums need only the elementary
 symmetric polynomials of the [P^mu_i], and their d-independent sum grows by
 one linear product per multiplicity.  Cleared of its denominator, simplexcor
-is the simplex numerator test.  mu0 is :func:`discrepancy`, the one blow-up
-multiplicity rule; ``mu0_offset`` perturbs it so a harness can confirm the
-identities need the exact weight.  :func:`sweep_identities` checks one
-identity on every multiset of multiplicities once, and counts cases as tuples
-in product order.  For the length of one call it keeps each multiset's sum,
-so a multiset costs one product, one step from its prefix, and nothing more
-for each further d.
+is the simplex numerator test, so it returns that test's verdict.  mu0 is
+:func:`discrepancy`, the one blow-up multiplicity rule; ``mu0_offset``
+perturbs it so a harness can confirm the identities need the exact weight.
+:func:`sweep_identities` checks one identity on every multiset of
+multiplicities once, and counts cases as tuples in product order.  For the
+length of one call it keeps each multiset's sum, so a multiset costs one
+product, one step from its prefix, and nothing more for each further d.
 """
 
 from __future__ import annotations
@@ -114,33 +114,22 @@ def verify_simplex(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0
 
 
 def verify_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
-    """Check the localized form: weighted strata sum to 1 / prod [P^mu_j]."""
-    # Over the common denominator [P^mu0] * prod_j [P^mu_j], the term for subset I contributes
-    # [H_I] * prod_{i not in I} [P^mu_i] on top and the right side [P^mu0]: the simplex numerator.
-    num = _weighted_numerator(frame, mus)  # first, so a wrong count of multiplicities raises
-    mu0 = discrepancy(mus, frame.d) + mu0_offset
-    return mu0 >= 0 and num == projective_poly(mu0)
+    """Check the localized form: weighted strata sum to 1 / prod [P^mu_j].
 
-
-def stratum_euler(d: int, k: int, size: int) -> int:
-    """Euler characteristic of a stratum, counted combinatorially.
-
-    For size < k the stratum is a torus of dimension k-size-1 times an
-    affine cell, so it has Euler characteristic 0 unless size = k-1, where
-    it is 1; for size = k it is the projective space P^(d-k-1).
+    Over the common denominator [P^mu0] * prod_j [P^mu_j], the term for subset I contributes
+    [H_I] * prod_{i not in I} [P^mu_i] on top and the right side [P^mu0]: the simplex test.
     """
-    if size < k:
-        return 1 if size == k - 1 else 0
-    return d - k
+    return verify_simplex(frame, mus, mu0_offset=mu0_offset)
 
 
 def euler_shadow_simplexcor(frame: FiberFrame, mus: Sequence[int], *, mu0_offset: int = 0) -> bool:
     """The simplexcor identity at L = 1, where [P^mu] becomes mu + 1, over Z.
 
     Times (mu0 + 1) * prod_j (mu_j + 1) it reads
-    sum_s stratum_euler(d, k, s) * e_(k-s)(mu_1 + 1, ..., mu_k + 1) = mu0 + 1,
+    sum_s chi(stratum on s hyperplanes) * e_(k-s)(mu_1 + 1, ..., mu_k + 1) = mu0 + 1,
     where only s = k - 1 (Euler characteristic 1, times e_1) and s = k
-    (d - k, times e_0 = 1) contribute.
+    (d - k, times e_0 = 1) contribute.  Only tests call it: at offset 0 it is
+    an identity in d, k and the mu, so the sweep does not repeat it.
     """
     d, k = frame.d, frame.k
     mu0 = discrepancy(mus, d) + mu0_offset
@@ -203,7 +192,6 @@ def sweep_identities(
                         ok = verify_simplex(frame, mus, mu0_offset=mu0_offset)
                     else:
                         ok = verify_simplexcor(frame, mus, mu0_offset=mu0_offset)
-                        ok = ok and euler_shadow_simplexcor(frame, mus, mu0_offset=mu0_offset)
                     if not ok:
                         rank = reduce(lambda r, mu: r * base + mu, mus, 0)
                         return SweepResult(cases + rank + 1, Counterexample(which, d, k, mus))

@@ -377,20 +377,6 @@ MUTANTS = (
         ("tests/test_cfun.py::TestWeightDecoding",),
     ),
     Mutant(
-        "a plain weight text with a zero denominator reads as an integer",
-        "src/mchern/cfun.py",
-        "Fraction(int(plain[1]), int(plain[2] or 1))",
-        "Fraction(int(plain[1]), int(plain[2] or 1) or 1)",
-        ("tests/test_cfun.py::TestWeightDecoding",),
-    ),
-    Mutant(
-        "plain weight texts of any length skip the print check",
-        "src/mchern/cfun.py",
-        'r"(-?[0-9]{1,300})(?:/([0-9]{1,300}))?"',
-        'r"(-?[0-9]+)(?:/([0-9]+))?"',
-        ("tests/test_cfun.py::TestWeightDecoding",),
-    ),
-    Mutant(
         "relative drops the bound on a derived discrepancy",
         "src/mchern/surface.py",
         'bounded(discrepancy((mus[c] for c in over), 2), f"curve {t} discrepancy")',
@@ -440,11 +426,39 @@ MUTANTS = (
         ("tests/test_cli.py::TestSizeBounds",),
     ),
     Mutant(
-        "blow_up drops the bound on the divisors through a center",
+        "blow_up drops the bound on a step's fresh strata",
         "src/mchern/blowup.py",
-        "    if 1 << k0_size > INPUT_BOUND:",
+        "    if pieces << k0_size > INPUT_BOUND:",
         "    if False:",
         ("tests/test_blowup.py::TestCenterDivisorBound", "tests/test_cli.py::TestSizeBounds"),
+    ),
+    Mutant(
+        "an explicit locus rule refuses a zero class outside the center",
+        "src/mchern/blowup.py",
+        "        if cls.is_zero():\n            continue\n",
+        "",
+        ("tests/test_blowup.py::TestInvariance",),
+    ),
+    Mutant(
+        "the fresh-id search tries one name past exc{len(divisors)} only",
+        "src/mchern/blowup.py",
+        'while f"exc{step}" in index:',
+        'if f"exc{step}" in index:',
+        ("tests/test_blowup.py::TestCenterValidation",),
+    ),
+    Mutant(
+        "the fresh-strata bound counts one center stratum",
+        "src/mchern/blowup.py",
+        "pieces = len(center_strata) + sum(map(len, locus_data.values()))",
+        "pieces = 1",
+        ("tests/test_cli.py::TestSizeBounds",),
+    ),
+    Mutant(
+        "the fresh-strata bound leaves out the loci",
+        "src/mchern/blowup.py",
+        "pieces = len(center_strata) + sum(map(len, locus_data.values()))",
+        "pieces = len(center_strata)",
+        ("tests/test_blowup.py::TestCenterDivisorBound",),
     ),
     Mutant(
         "the fold table is keyed by fiber name",

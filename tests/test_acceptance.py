@@ -6,6 +6,7 @@ Each test prints a single pass/fail line so a full run reads as a
 checklist (use ``pytest tests/test_acceptance.py -v -s``).
 """
 
+import itertools
 import random
 
 from mchern import cfun
@@ -26,7 +27,7 @@ from corpus import (
 )
 from mchern.ring import MotivicClass
 from mchern.sampling import random_class, random_invariance_case
-from mchern.strata import sweep_identities
+from mchern.strata import FiberFrame, euler_shadow_simplexcor, sweep_identities
 from mchern.surface import ChowClass, GenericPoint, SurfaceModel
 
 SEED = 101
@@ -46,6 +47,13 @@ def test_acceptance_01_simplex_sweep():
 def test_acceptance_02_simplexcor_sweep_with_euler_shadow():
     result = sweep_identities(6, 4, which="simplexcor")
     ok = result.passed and result.cases == 24411
+    # the shadow reads only d, k and the mu, so it is checked here over the same multisets
+    for d in range(1, 7):
+        for k in range(d + 1):
+            frame = FiberFrame(d, k)
+            for mus in itertools.combinations_with_replacement(range(5), k):
+                ok = ok and euler_shadow_simplexcor(frame, mus)
+                ok = ok and not any(euler_shadow_simplexcor(frame, mus, mu0_offset=o) for o in (-1, 1))
     report(2, "localized identity plus exact Euler specialization", ok)
 
 

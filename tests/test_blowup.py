@@ -148,6 +148,13 @@ class TestCenterValidation:
             blow_up(second.system, bad)
         assert str(info.value) == "center lies on 2 divisors, more than its codimension 1"
 
+    def test_fresh_id_skips_a_taken_name(self):
+        # the default id is exc{len(divisors)}; here exc2 and exc3 are taken, so it is exc4
+        plane = ModificationSystem(2, (("exc2", 0), ("exc3", 0)), {(): PLANE}, ambient_class=PLANE)
+        result = blow_up(plane, point_center())
+        assert result.fresh_id == "exc4"
+        assert result.system.idents == ("exc2", "exc3", "exc4")
+
     def test_every_problem_is_reported_in_order(self):
         first = blow_up(trivial_plane(), point_center())
         second = blow_up(first.system, point_center())  # two disjoint points
@@ -265,6 +272,22 @@ class TestInvariance:
         )
         with pytest.raises(BlowupError, match="center itself is empty"):
             blow_up(system, center, [locus])
+
+    def test_explicit_rule_skips_a_zero_class(self):
+        # a zero class outside the center is no piece of the locus, so it is not refused
+        system = blow_up(trivial_plane(), point_center()).system
+        eid = system.idents[0]
+        locus = MarkedLocus("T", {0: MotivicClass.one()})
+        rule = {frozenset({eid}): MotivicClass.zero(), frozenset(): MotivicClass.one()}
+        center = BlowupCenter(
+            codim=2,
+            containing=frozenset(),
+            center_strata={frozenset(): MotivicClass.one()},
+            locus_rules={"T": LocusRule.explicit(rule)},
+        )
+        result, audit = audited_step(system, center, [locus])
+        assert audit.passed
+        assert result.loci["T"].strata == {0b10: projective_class(1)}
 
 
 class TestPrograms:
@@ -672,6 +695,18 @@ class TestCenterDivisorBound:
         with pytest.raises(BlowupError) as info:
             blow_up(system, center)
         assert str(info.value) == (
-            "center lies on 17 divisors: 2^17 fresh strata per center stratum"
-            " exceed the input bound 65536"
+            "center would write up to 131072 fresh strata, 2^17 for each of 1"
+            " center strata in the system and its loci, more than the input bound 65536"
+        )
+
+    def test_a_locus_through_the_center_counts_its_fresh_strata(self):
+        # 2^16 fresh strata in the system, and as many again in a locus that contains the center
+        system, center = all_divisors_program(16)
+        locus = MarkedLocus("T", {system.mask_of(tuple(center.containing)): MotivicClass.one()})
+        center.locus_rules["T"] = LocusRule.contains()
+        with pytest.raises(BlowupError) as info:
+            blow_up(system, center, [locus])
+        assert str(info.value) == (
+            "center would write up to 131072 fresh strata, 2^16 for each of 2"
+            " center strata in the system and its loci, more than the input bound 65536"
         )

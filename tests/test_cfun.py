@@ -256,14 +256,14 @@ PAST_LIMIT = (
     f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion: "
     f"value has {len(LIMIT_DIGITS)} digits; use sys.set_int_max_str_digits() to increase the limit"
 )
-WEIGHTS = [  # (JSON weight, its value as Fraction(text) gives it, or the message it fails with)
-    # an ASCII integer or fraction of at most 300 digits a side: read with int()
+WEIGHTS = [  # (JSON weight, its value as Fraction(str(weight)) gives it, or the message it fails with)
+    # ASCII integers and fractions, up to 300 digits a side
     ("-0", Fraction(0)),
     ("007/014", Fraction(1, 2)),
     ("1/0", "weight '1/0' has a zero denominator"),
     (NINES, Fraction(NINES)),
     (f"-{NINES}/{'3' * 300}", Fraction(-3)),
-    # every other text and every non-string: Fraction(str(value))
+    # every other text and every non-string
     (LIMIT_DIGITS, PAST_LIMIT),
     ("1/-2", "Invalid literal for Fraction: '1/-2'"),
     ("+1/2", Fraction(1, 2)),
@@ -328,12 +328,11 @@ class TestWeightDecoding:
         strata = [{"subset": [j], "weight": "1/0"} for j in (1, 2, 3)] + [{"subset": 1, "weight": "1"}]
         assert _push(capsys, tmp_path, strata) == (2, "", "error: weight '1/0' has a zero denominator\n")
 
-    def test_only_short_plain_texts_skip_the_print_check(self, monkeypatch):
-        # the print check cannot fail on <= 300 digits a side; every longer text keeps it
+    def test_every_distinct_weight_is_print_checked_once(self, monkeypatch):
+        # one route for every weight: short plain texts pass the same print check as long ones
         checked = []
         monkeypatch.setattr(cfun, "decimal", lambda value, what: checked.append(what))
         long_num, long_den = "9" * 301, "1/" + "7" * 301
-        cfun.function_from_json({"strata": [
-            {"subset": [], "weight": NINES}, {"subset": [1], "weight": f"1/{NINES}"},
-            {"subset": [2], "weight": long_num}, {"subset": [3], "weight": long_den}]})
-        assert checked == [f"weight {long_num!r}", f"weight {long_den!r}"]
+        weights = [NINES, f"1/{NINES}", long_num, long_den, NINES]
+        cfun.function_from_json({"strata": [{"subset": [j], "weight": w} for j, w in enumerate(weights)]})
+        assert checked == [f"weight {w!r}" for w in weights[:4]]

@@ -1033,6 +1033,43 @@ def test_repeated_json_key_is_one_line_exit_two(capsys, tmp_path, case):
     assert err == f"error: repeated JSON key {key!r}\n"
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "program", "payload": [1, 2]}'])
+def test_a_payload_that_is_no_object_is_one_line_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["blowup", "run", "--program", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: expected a JSON object\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["blowup", "run"], "blowup run needs --program or --scenario"),
+    (["surface", "report"], "surface commands need --program or --scenario"),
+])
+def test_a_command_without_its_program_is_one_line_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Raw texts that repeat a key: the message names the first key to repeat an earlier one.
+FIRST_REPEAT = {
+    "at-the-end": ("{" + ", ".join(f'"k{i}": {i}' for i in range(16_000)) + ', "k0": 0}', "k0"),
+    "two-repeats": ('{"a": 1, "b": 2, "b": 3, "a": 4}', "b"),
+    "nested": ('{"outer": {"x": 1, "y": 2, "x": 3}, "outer": 4}', "x"),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_REPEAT)
+def test_the_first_repeated_key_is_named(capsys, tmp_path, case):
+    text, key = FIRST_REPEAT[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        cli.read_payload(str(path), "program")
+    assert str(info.value) == f"repeated JSON key {key!r}"
+    assert main(["motivic", "eval", text]) == 2
+    assert capsys.readouterr() == ("", f"error: repeated JSON key {key!r}\n")
+
+
 @pytest.mark.parametrize("case, field", [
     ("locus-name-int", "locus name"),
     ("divisor-id-int", "divisor id"),
@@ -1286,8 +1323,32 @@ class TestSizeBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: step 0: center lies on 17 divisors: 2^17 fresh strata per center stratum"
-            " exceed the input bound 65536\n"
+            "error: step 0: center would write up to 131072 fresh strata, 2^17 for each of 1"
+            " center strata in the system and its loci, more than the input bound 65536\n"
+        )
+
+    def test_four_center_strata_on_16_divisors_name_their_step(self, capsys, tmp_path):
+        # each center stratum alone writes 2^16 - 1 fresh strata, within the bound; the four
+        # together write four times as many, so the step is refused before it builds any
+        ids = [f"d{i}" for i in range(16)]
+        on_k0 = [{"subset": ids + more, "class": "1"} for more in ([], ["a"], ["b"], ["a", "b"])]
+        program = {
+            "initial": {
+                "ambient_dim": 18,
+                "divisors": [{"id": i, "mu": 0} for i in ids + ["a", "b"]],
+                "strata": [{"subset": [], "class": "1 + L + L^2"}] + on_k0,
+            },
+            "steps": [{"codim": 16, "containing": ids, "center_strata": on_k0}],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(program))
+        assert path.stat().st_size == 1759
+        assert main(["blowup", "run", "--program", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: step 0: center would write up to 262144 fresh strata, 2^16 for each of 4"
+            " center strata in the system and its loci, more than the input bound 65536\n"
         )
 
     def test_a_derived_discrepancy_past_the_bound_names_its_curve(self, capsys, tmp_path):

@@ -65,6 +65,24 @@ class TestConstruction:
         term = system.chi(MarkedLocus("p", {mask: MotivicClass(LPolynomial.one(), (1,))}))
         assert term.den == (1, 1, 2)
 
+    def test_a_stratum_given_twice_is_refused(self):
+        # the mask 3 and the subset ("a", "b") name one stratum
+        one = MotivicClass.one()
+        with pytest.raises(ValueError) as info:
+            ModificationSystem(2, (("a", 0), ("b", 0)), {3: one, ("a", "b"): one})
+        assert str(info.value) == "duplicate stratum key ('a', 'b')"
+
+    def test_a_subset_repeating_an_id_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            ModificationSystem(2, (("a", 0),), {("a", "a"): MotivicClass.one()})
+        assert str(info.value) == "repeated divisor id 'a' in subset"
+
+    @pytest.mark.parametrize("mask", [-1, 4])
+    def test_a_mask_out_of_range_is_refused(self, mask):
+        with pytest.raises(ValueError) as info:
+            ModificationSystem(2, (("a", 0), ("b", 0)), {mask: MotivicClass.one()})
+        assert str(info.value) == f"mask {mask} out of range for 2 divisors"
+
     def test_zero_strata_dropped(self):
         system = ModificationSystem(2, (("a", 1),), {(): PLANE_CLASS, ("a",): MotivicClass.zero()})
         assert system.strata.keys() == {0}
