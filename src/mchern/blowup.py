@@ -238,11 +238,16 @@ def blow_up(
 
     Only the center is checked; the results are built trusted, so a step costs what it
     touches.  A fresh multiplicity above :data:`mchern.ring.INPUT_BOUND` is refused, and so
-    is a step whose fresh strata exceed it: 2^|K0| for each center stratum of the system and
-    of every locus.
+    is a center on more than 16 divisors, and a step whose fresh strata exceed it: 2^|K0| for
+    each center stratum of the system and of every locus.
     """
     k0_mask, center_strata = _center_masks(system, center)
     k0_size = k0_mask.bit_count()
+    if 1 << k0_size > INPUT_BOUND:  # also caps the fiber table, built even for no center strata
+        raise BlowupError(
+            f"center lies on {k0_size} divisors: 2^{k0_size} fresh strata per center stratum"
+            f" exceed the input bound {INPUT_BOUND}"
+        )
     loci = list(loci)
     locus_data = {
         locus.name: _locus_center_data(system, center, center_strata, locus)

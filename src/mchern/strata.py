@@ -169,7 +169,8 @@ def sweep_identities(
 ) -> SweepResult:
     """Exhaustive sweep over 1 <= d <= d_max, 0 <= k <= d, mu in {0..mu_max}^k.
 
-    ``which`` is ``"simplex"`` or ``"simplexcor"``.  Both identities are
+    ``which`` is ``"simplex"`` or ``"simplexcor"``; it names the identity in a
+    counterexample, as both are decided by the simplex numerator test.  They are
     symmetric in the mu_i, so each multiset is checked once, as its sorted
     tuple.  That tuple comes first among its permutations in product order,
     so the first failing multiset is the first failing tuple, and ``cases``
@@ -188,11 +189,7 @@ def sweep_identities(
             for k in range(0, d + 1):
                 frame = FiberFrame(d, k)
                 for mus in itertools.combinations_with_replacement(range(base), k):
-                    if which == "simplex":
-                        ok = verify_simplex(frame, mus, mu0_offset=mu0_offset)
-                    else:
-                        ok = verify_simplexcor(frame, mus, mu0_offset=mu0_offset)
-                    if not ok:
+                    if not verify_simplex(frame, mus, mu0_offset=mu0_offset):
                         rank = reduce(lambda r, mu: r * base + mu, mus, 0)
                         return SweepResult(cases + rank + 1, Counterexample(which, d, k, mus))
                 cases += base**k

@@ -426,6 +426,13 @@ MUTANTS = (
         ("tests/test_cli.py::TestSizeBounds",),
     ),
     Mutant(
+        "blow_up drops the bound on the divisors through a center",
+        "src/mchern/blowup.py",
+        "    if 1 << k0_size > INPUT_BOUND:",
+        "    if False:",
+        ("tests/test_blowup.py::TestCenterDivisorBound", "tests/test_cli.py::TestSizeBounds"),
+    ),
+    Mutant(
         "blow_up drops the bound on a step's fresh strata",
         "src/mchern/blowup.py",
         "    if pieces << k0_size > INPUT_BOUND:",

@@ -695,8 +695,8 @@ class TestCenterDivisorBound:
         with pytest.raises(BlowupError) as info:
             blow_up(system, center)
         assert str(info.value) == (
-            "center would write up to 131072 fresh strata, 2^17 for each of 1"
-            " center strata in the system and its loci, more than the input bound 65536"
+            "center lies on 17 divisors: 2^17 fresh strata per center stratum"
+            " exceed the input bound 65536"
         )
 
     def test_a_locus_through_the_center_counts_its_fresh_strata(self):

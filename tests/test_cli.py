@@ -1306,7 +1306,10 @@ class TestSizeBounds:
         assert main(["verify", "invariance", "--max-divisors", "32", "--count", "3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["max_divisors"] == 32
 
-    def test_a_center_on_17_divisors_names_its_step(self, capsys, tmp_path):
+    @pytest.mark.parametrize("strata", [1, 0])
+    def test_a_center_on_17_divisors_names_its_step(self, capsys, tmp_path, strata):
+        # with no center strata the step writes no fresh stratum, but would still build
+        # its fiber table over 17 divisors, so the divisor count alone refuses it
         ids = [f"d{i}" for i in range(17)]
         on_all = [{"subset": ids, "class": "1"}]
         program = {
@@ -1315,7 +1318,7 @@ class TestSizeBounds:
                 "divisors": [{"id": i, "mu": 0} for i in ids],
                 "strata": [{"subset": [], "class": "1 + L"}] + on_all,
             },
-            "steps": [{"codim": 17, "containing": ids, "center_strata": on_all}],
+            "steps": [{"codim": 17, "containing": ids, "center_strata": on_all[:strata]}],
         }
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(program))
@@ -1323,8 +1326,8 @@ class TestSizeBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: step 0: center would write up to 131072 fresh strata, 2^17 for each of 1"
-            " center strata in the system and its loci, more than the input bound 65536\n"
+            "error: step 0: center lies on 17 divisors: 2^17 fresh strata per center stratum"
+            " exceed the input bound 65536\n"
         )
 
     def test_four_center_strata_on_16_divisors_name_their_step(self, capsys, tmp_path):

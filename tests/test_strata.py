@@ -260,18 +260,11 @@ def reference_sweep(d_max, mu_max, which, mu0_offset=0):
                 key = (d, tuple(sorted(mus)))
                 ok = cache.get(key)
                 if ok is None:
-                    frame = FiberFrame(d, k)
-                    if which == "simplex":
-                        ok = strata.verify_simplex(frame, key[1], mu0_offset=mu0_offset)
-                    else:
-                        ok = strata.verify_simplexcor(frame, key[1], mu0_offset=mu0_offset)
+                    ok = strata.verify_simplex(FiberFrame(d, k), key[1], mu0_offset=mu0_offset)
                     cache[key] = ok
                 if not ok:
                     return cases, Counterexample(which, d, k, mus)
     return cases, None
-
-
-IDENTITY_FUNCTION = {"simplex": "verify_simplex", "simplexcor": "verify_simplexcor"}
 
 
 class TestSweep:
@@ -312,8 +305,7 @@ class TestSweep:
     def test_injected_fault_matches_reference_walk(self, which, monkeypatch):
         # a real mu0_offset fails at the first case, so only a fault on one
         # multiset reaches a counterexample with a nonzero rank
-        name = IDENTITY_FUNCTION[which]
-        real = getattr(strata, name)
+        real = strata.verify_simplex  # the sweep decides both identities through it
         cases = []
         for target in list(multisets(5, 3))[::3]:
             d_t, _, mus_t = target
@@ -323,7 +315,7 @@ class TestSweep:
                     return False
                 return real(frame, mus, mu0_offset=mu0_offset)
 
-            monkeypatch.setattr(strata, name, faulty)
+            monkeypatch.setattr(strata, "verify_simplex", faulty)
             got = sweep_identities(5, 3, which=which)
             assert (got.cases, got.counterexample) == reference_sweep(5, 3, which), target
             assert got.counterexample.mus == mus_t
@@ -332,14 +324,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
     def test_one_verification_per_multiset(self, which, monkeypatch):
-        name = IDENTITY_FUNCTION[which]
-        real, seen = getattr(strata, name), []
+        real, seen = strata.verify_simplex, []
 
         def counting(frame, mus, *, mu0_offset=0):
             seen.append((frame.d, tuple(mus)))
             return real(frame, mus, mu0_offset=mu0_offset)
 
-        monkeypatch.setattr(strata, name, counting)
+        monkeypatch.setattr(strata, "verify_simplex", counting)
         d_max, mu_max = 6, 3
         assert sweep_identities(d_max, mu_max, which=which).passed
         expected = sum(comb(mu_max + k, k) for d in range(1, d_max + 1) for k in range(d + 1))
@@ -363,7 +354,7 @@ class TestSweepMemo:
 
     @pytest.mark.parametrize("which", ["simplex", "simplexcor"])
     def test_no_memo_after_an_identity_raises(self, which, monkeypatch):
-        real, calls = getattr(strata, IDENTITY_FUNCTION[which]), []
+        real, calls = strata.verify_simplex, []
 
         def raising(frame, mus, *, mu0_offset=0):
             calls.append(strata._sweep_memo.get())
@@ -371,7 +362,7 @@ class TestSweepMemo:
                 raise RuntimeError("boom")
             return real(frame, mus, mu0_offset=mu0_offset)
 
-        monkeypatch.setattr(strata, IDENTITY_FUNCTION[which], raising)
+        monkeypatch.setattr(strata, "verify_simplex", raising)
         with pytest.raises(RuntimeError, match="boom"):
             sweep_identities(5, 3, which=which)
         assert strata._sweep_memo.get() is None
